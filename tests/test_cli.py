@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface: file formats, exit
 codes per error class, determinism, and ROM fault injection."""
 
+import hashlib
 import random
 
 import pytest
@@ -140,6 +141,29 @@ def test_gen_roms_outputs(tmp_path):
     lines = (d1 / "d3-addr.hex").read_text().split()
     assert len(lines) == 864 and len({len(ln) for ln in lines}) == 1
     int(lines[0], 16)
+
+
+# sha256 of the twiddle image, address image and manifest that gen-roms
+# writes, concatenated in that order: the emitted ROM bytes are pinned.
+ROM_SHA256 = {
+    "standalone-kyber":
+        "8b2de066162b5ab8ddb594344e5a58e953dabd8cad30a8234a872221576222f7",
+    "standalone-dilithium":
+        "e6781fe0b3d57ddb7f46a23a08f7a85362e4c02a0f3f49a344e6a548f1c5095d",
+    "d1": "ac587036d3e335e43a0307136697200476eea89ff8e8e9b35e4e233fffe53def",
+    "d2": "bba7c03f18a3f2b1fe832c2b5427f79b7d2ecb36971f997762aa056043c3d182",
+    "d3": "7751ff6aaef1f01f25229ec800afaa499d9bad7d1885773f662bd5ce1eaf575c",
+}
+
+
+def test_gen_roms_bytes_are_pinned(tmp_path):
+    for design, want in ROM_SHA256.items():
+        assert main(["gen-roms", "--design", design,
+                     "--outdir", str(tmp_path)]) == 0
+        h = hashlib.sha256()
+        for stem in ("twiddle.hex", "addr.hex", "manifest.txt"):
+            h.update((tmp_path / f"{design}-{stem}").read_bytes())
+        assert h.hexdigest() == want, design
 
 
 def test_verify_clean(capsys):
