@@ -30,7 +30,12 @@ from .ntt_reference import (
     schoolbook_negacyclic,
 )
 from .bfu import fast_ntt
-from .memory_map import DESIGNS, build_rom_images, estimate_bram_usage
+from .memory_map import (
+    DESIGNS,
+    build_rom_images,
+    decode_twiddle_image,
+    estimate_bram_usage,
+)
 from .pipeline_sim import (
     OP_POLYMUL,
     SIM_OPS,
@@ -140,41 +145,19 @@ def _resolve_scheme(args, cfg: CoreConfig, *polys: Polynomial) -> str:
 
 
 def _rom_override(args, design: str, scheme: str):
-    """Parse a (possibly corrupted) twiddle image back into value tuples."""
-    if not getattr(args, "rom_override", None):
+    """Decode a (possibly corrupted) twiddle image into value tuples."""
+    path = getattr(args, "rom_override", None)
+    if not path:
         return None
     try:
-        with open(args.rom_override, "r", encoding="utf-8") as f:
-            lines = [ln.strip() for ln in f if ln.strip()]
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
     except OSError as e:
-        raise CliError(EXIT_IO, f"{args.rom_override}: {e.strerror or e}")
-    manifest = build_rom_images(design)["manifest"]
-    p = SCHEMES[scheme]
-    off = manifest[f"{scheme}_twiddle_offset"]
-    per_word = manifest[f"{scheme}_twiddle_values_per_word"]
-    counts = (1 << p.layers, 1 << p.layers,
-              128 if scheme == "kyber" else 0)
+        raise CliError(EXIT_IO, f"{path}: {e.strerror or e}")
     try:
-        words = [int(ln, 16) for ln in lines]
+        return decode_twiddle_image(text, design, scheme)
     except ValueError as e:
-        raise CliError(EXIT_INPUT, f"{args.rom_override}: bad hex line ({e})")
-    mask = (1 << p.coeff_bits) - 1
-    values = []
-    need = sum(counts)
-    for w in words[off:]:
-        for i in range(per_word):
-            values.append((w >> (i * p.coeff_bits)) & mask)
-            if len(values) == need:
-                break
-        if len(values) == need:
-            break
-    if len(values) < need:
-        raise CliError(EXIT_INPUT,
-                       f"{args.rom_override}: too short for {scheme} twiddles")
-    fwd = tuple(values[: counts[0]])
-    inv = tuple(values[counts[0]: counts[0] + counts[1]])
-    psi = tuple(values[counts[0] + counts[1]:])
-    return fwd, inv, psi
+        raise CliError(EXIT_INPUT, f"{path}: {e}")
 
 
 def _emit_report(args, report) -> None:

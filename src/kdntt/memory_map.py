@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core_arith import N, SCHEMES, ModulusParams, from_mont
 from .ntt_reference import basemul_zetas, forward_zetas, inverse_zetas
@@ -257,6 +257,41 @@ def pwm_schedule(p: ModulusParams, t: int, d: int) -> StageSchedule:
     return StageSchedule("pwm", 0, tuple(entries))
 
 
+@dataclass(frozen=True)
+class SchemeProgram:
+    """One scheme's whole controller program, phase by phase.
+
+    The single source of the stage order and of every cycle count: the
+    simulator executes these stages, the address ROM stores their
+    entries in ntt, intt, pwm order, and latency_model and the BRAM
+    estimate read their lengths.
+    """
+
+    ntt: tuple[StageSchedule, ...]
+    intt: tuple[StageSchedule, ...]
+    pwm: tuple[StageSchedule, ...]
+
+    def cycles(self, phase: str) -> int:
+        return sum(len(st.entries) for st in getattr(self, phase))
+
+    @cached_property
+    def entries(self) -> tuple[CycleEntry, ...]:
+        """Every cycle entry in address-ROM order."""
+        return tuple(e for phase in (self.ntt, self.intt, self.pwm)
+                     for st in phase for e in st.entries)
+
+
+@lru_cache(maxsize=None)
+def scheme_program(geom: MemoryGeometry) -> SchemeProgram:
+    """The program of one scheme geometry, built once and shared."""
+    p, t, d = SCHEMES[geom.scheme], geom.t, geom.d
+    return SchemeProgram(
+        ntt=generate_addresses(CH_NTT, d).stages + intra_word_stages(p, t, d),
+        intt=intra_word_stages(p, t, d, inverse=True)
+        + generate_addresses(CH_INTT, d).stages,
+        pwm=(pwm_schedule(p, t, d),))
+
+
 # ---------------------------------------------------------------------------
 # Coefficient packing.
 # ---------------------------------------------------------------------------
@@ -467,22 +502,36 @@ DESIGNS: dict[str, DesignGeometry] = {
 }
 
 
-def _twiddle_value_count(scheme: str) -> int:
-    # forward + pre-halved inverse (+ psi for the pair scheme)
-    return 384 if scheme == "kyber" else 512
+def _twiddle_regions(dg: DesignGeometry) -> dict[str, tuple[int, int, int]]:
+    """Each scheme's (first word, values per word, words) in the twiddle image.
+
+    The image concatenates the schemes' TwiddleRom value runs, packing as
+    many coeff_bits-wide values as fit per word, value i at bit i*coeff_bits.
+    """
+    regions, offset = {}, 0
+    for s in dg.schemes:
+        per_word = dg.bank_width // SCHEMES[s].coeff_bits
+        words = math.ceil(len(build_twiddle_rom(s).values) / per_word)
+        regions[s] = (offset, per_word, words)
+        offset += words
+    return regions
 
 
-def _twiddle_words(dg: DesignGeometry, scheme: str, width: int) -> int:
-    per_word = width // SCHEMES[scheme].coeff_bits
-    return math.ceil(_twiddle_value_count(scheme) / per_word)
+def _addr_fields(dg: DesignGeometry, scheme: str) -> tuple[int, int, int]:
+    """(row bits, twiddle-index bits, width) of one scheme's address word.
 
-
-def _addr_entries(dg: DesignGeometry, scheme: str) -> int:
-    p = SCHEMES[scheme]
-    d = dg.geometry(scheme).d
-    per_dir = p.layers * d
-    pwm = (4 if scheme == "kyber" else 2) * d
-    return 2 * per_dir + pwm
+    The word is addr_A | addr_B | read_swap | write_swap (| twiddle
+    index), most significant field first.  Separate-bank designs use
+    region-relative rows and a counter-driven twiddle ROM; shared-bank
+    designs address whole banks and add an explicit twiddle-index field,
+    since one merged program serves both schemes' region layouts.
+    """
+    if not dg.shared_banks:
+        rb = int(math.log2(dg.geometry(scheme).d))
+        return rb, 0, 2 * rb + 2
+    tw_words = sum(w for _, _, w in _twiddle_regions(dg).values())
+    rb, tw_bits = int(math.log2(dg.bank_rows)), math.ceil(math.log2(tw_words))
+    return rb, tw_bits, 2 * rb + 2 + tw_bits
 
 
 @dataclass(frozen=True)
@@ -513,36 +562,30 @@ def _mem(label: str, depth: int, width: int) -> BramMemory:
     return BramMemory(label, depth, width, halves)
 
 
+@lru_cache(maxsize=None)
 def estimate_bram_usage(design: str) -> BramEstimate:
     """18Kb-unit cost of a design's banks and ROMs, half-unit granularity.
 
-    Separate-bank designs use region-relative address words of
-    2*log2(d)+2 bits (two row fields plus the two routing flags) and a
-    counter-driven twiddle ROM.  Shared-bank designs widen the address
-    word to 2*log2(rows)+2 plus an explicit twiddle-index field, since
-    one merged program serves both schemes' region layouts.
+    Shared-bank designs have one bank pair, twiddle ROM and address ROM
+    serving every scheme; separate-bank designs one set per scheme.  ROM
+    depths are the lengths of the images build_rom_images emits.
     """
     dg = DESIGNS[design]
+    tw = _twiddle_regions(dg)
+    groups = ([("", dg.schemes)] if dg.shared_banks
+              else [(f"{s} ", (s,)) for s in dg.schemes])
     mems: list[BramMemory] = []
-    if dg.shared_banks:
-        rows, width = dg.bank_rows, dg.bank_width
-        mems.append(_mem("bank A", rows, width))
-        mems.append(_mem("bank B", rows, width))
-        tw_words = sum(_twiddle_words(dg, s, width) for s in dg.schemes)
-        mems.append(_mem("twiddle rom", tw_words, width))
-        entries = sum(_addr_entries(dg, s) for s in dg.schemes)
-        ew = 2 * int(math.log2(rows)) + 2 + math.ceil(math.log2(tw_words))
-        mems.append(_mem("address rom", entries, ew))
-    else:
-        for s in dg.schemes:
-            g = dg.geometry(s)
-            rows, width = 2 * g.d, g.word_width
-            mems.append(_mem(f"{s} bank A", rows, width))
-            mems.append(_mem(f"{s} bank B", rows, width))
-            mems.append(_mem(f"{s} twiddle rom",
-                             _twiddle_words(dg, s, width), width))
-            ew = 2 * int(math.log2(g.d)) + 2
-            mems.append(_mem(f"{s} address rom", _addr_entries(dg, s), ew))
+    for prefix, schemes in groups:
+        geoms = [dg.geometry(s) for s in schemes]
+        rows = max(2 * g.d for g in geoms)
+        width = max(g.word_width for g in geoms)
+        mems.append(_mem(f"{prefix}bank A", rows, width))
+        mems.append(_mem(f"{prefix}bank B", rows, width))
+        mems.append(_mem(f"{prefix}twiddle rom",
+                         sum(tw[s][2] for s in schemes), width))
+        mems.append(_mem(f"{prefix}address rom",
+                         sum(len(scheme_program(g).entries) for g in geoms),
+                         max(_addr_fields(dg, s)[2] for s in schemes)))
     return BramEstimate(design, tuple(mems))
 
 
@@ -560,28 +603,14 @@ def rom_image_lines(words, width: int) -> list[str]:
     return lines
 
 
-def _full_program(p: ModulusParams, t: int, d: int):
-    """All cycle entries of one scheme: forward, inverse, pointwise."""
-    fwd = generate_addresses(CH_NTT, d)
-    inv = generate_addresses(CH_INTT, d)
-    entries = []
-    for st in list(fwd.stages) + list(intra_word_stages(p, t, d)):
-        entries.extend(st.entries)
-    for st in list(intra_word_stages(p, t, d, inverse=True)) + list(inv.stages):
-        entries.extend(st.entries)
-    entries.extend(pwm_schedule(p, t, d).entries)
-    return entries
-
-
 def build_rom_images(design: str) -> dict:
     """Pack a design's twiddle and address ROMs into emission-ready words.
 
     Returns {"twiddle": (lines, width), "addr": (lines, width),
-    "manifest": {key: value}}.  The twiddle image concatenates each
-    scheme's forward/inverse(/psi) value runs, several values per word
-    where the word width allows; the address image packs one cycle entry
-    per word as addr_A | addr_B | read_swap | write_swap (| twiddle
-    index on shared-bank designs), most significant field first.
+    "manifest": {key: value}}.  The twiddle image holds each scheme's
+    forward/inverse(/psi) value run (see _twiddle_regions); the address
+    image holds each scheme's program entries, one per word (see
+    _addr_fields).
     """
     dg = DESIGNS[design]
     width = dg.bank_width
@@ -594,38 +623,24 @@ def build_rom_images(design: str) -> dict:
     }
 
     tw_words: list[int] = []
-    for s in dg.schemes:
-        p = SCHEMES[s]
-        rom = build_twiddle_rom(s)
-        per_word = width // p.coeff_bits
-        manifest[f"{s}_twiddle_offset"] = len(tw_words)
+    for s, (offset, per_word, _words) in _twiddle_regions(dg).items():
+        bits = SCHEMES[s].coeff_bits
+        values = build_twiddle_rom(s).values
+        manifest[f"{s}_twiddle_offset"] = offset
         manifest[f"{s}_twiddle_values_per_word"] = per_word
-        for base in range(0, len(rom.values), per_word):
-            chunk = rom.values[base: base + per_word]
-            w = 0
-            for i, v in enumerate(chunk):
-                w |= v << (i * p.coeff_bits)
-            tw_words.append(w)
+        for base in range(0, len(values), per_word):
+            tw_words.append(sum(v << (i * bits) for i, v in
+                                enumerate(values[base: base + per_word])))
     manifest["twiddle_words"] = len(tw_words)
 
     addr_words: list[int] = []
-    if dg.shared_banks:
-        row_bits = int(math.log2(dg.bank_rows))
-        tw_bits = math.ceil(math.log2(len(tw_words)))
-    else:
-        row_bits = None
-        tw_bits = 0
-    addr_width = 0
     for s in dg.schemes:
-        p = SCHEMES[s]
         g = dg.geometry(s)
-        rb = row_bits if row_bits is not None else int(math.log2(g.d))
-        ew = 2 * rb + 2 + tw_bits
-        addr_width = max(addr_width, ew)
+        rb, tw_bits, _width = _addr_fields(dg, s)
         manifest[f"{s}_addr_offset"] = len(addr_words)
         manifest[f"{s}_d"] = g.d
         manifest[f"{s}_t"] = g.t
-        for e in _full_program(p, g.t, g.d):
+        for e in scheme_program(g).entries:
             w = e.addr_a
             w = (w << rb) | e.addr_b
             w = (w << 1) | e.read_swap
@@ -633,6 +648,7 @@ def build_rom_images(design: str) -> dict:
             if tw_bits:
                 w = (w << tw_bits) | e.tw_index
             addr_words.append(w)
+    addr_width = max(_addr_fields(dg, s)[2] for s in dg.schemes)
     manifest["addr_words"] = len(addr_words)
     manifest["addr_width"] = addr_width
 
@@ -641,3 +657,39 @@ def build_rom_images(design: str) -> dict:
         "addr": (rom_image_lines(addr_words, addr_width), addr_width),
         "manifest": manifest,
     }
+
+
+def decode_twiddle_image(text: str, design: str, scheme: str):
+    """Parse a twiddle image back into (forward, inverse, psi) value tuples.
+
+    The inverse of build_rom_images' twiddle packing for one scheme of a
+    design; blank lines are skipped.  Raises ValueError, naming the
+    line, for a word that is not hex or holds a value outside [0, q),
+    and for an image too short to hold the scheme's run.
+    """
+    p = SCHEMES[scheme]
+    rom = build_twiddle_rom(scheme)
+    offset, per_word, n_words = _twiddle_regions(DESIGNS[design])[scheme]
+    words = []
+    for n, ln in enumerate(text.splitlines(), start=1):
+        if ln.strip():
+            try:
+                words.append((n, int(ln, 16)))
+            except ValueError:
+                raise ValueError(f"line {n}: not a hex word: {ln.strip()!r}")
+    run = words[offset: offset + n_words]
+    if len(run) < n_words:
+        raise ValueError(f"too short for the {scheme} twiddles: "
+                         f"{len(words)} words, need {offset + n_words}")
+    mask = (1 << p.coeff_bits) - 1
+    values = []
+    for n, w in run:
+        for i in range(per_word):
+            v = (w >> (i * p.coeff_bits)) & mask
+            if v >= p.q:
+                raise ValueError(f"line {n}: {scheme} twiddle {v} outside "
+                                 f"[0, {p.q})")
+            values.append(v)
+    return (tuple(values[rom.forward_offset: rom.inverse_offset]),
+            tuple(values[rom.inverse_offset: rom.psi_offset]),
+            tuple(values[rom.psi_offset: len(rom.values)]))

@@ -22,7 +22,6 @@ second operand as arriving pre-transformed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core_arith import SCHEMES, ModulusParams, to_mont
 from .ntt_reference import (
@@ -44,17 +43,13 @@ from .bfu import (
 from .memory_map import (
     BANK_A,
     BANK_B,
-    CH_INTT,
-    CH_NTT,
     DESIGNS,
     Hazard,
     MemoryGeometry,
     estimate_bram_usage,
-    generate_addresses,
     initial_layout,
-    intra_word_stages,
     pack_word,
-    pwm_schedule,
+    scheme_program,
     transformed_layout,
     unpack_word,
 )
@@ -79,16 +74,8 @@ class CoreConfig:
         if self.design not in DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
         dg = DESIGNS[self.design]
-        if (self.kyber_bfus,) != (dg.kyber_t,) or \
-           (self.dilithium_bfus,) != (dg.dilithium_t,):
+        if (self.kyber_bfus, self.dilithium_bfus) != (dg.kyber_t, dg.dilithium_t):
             raise ValueError(f"lane counts do not match design {self.design}")
-        if self.kyber_bfus is not None and self.kyber_bfus not in (2, 4, 8):
-            raise ValueError("kyber lane count must be 2, 4, or 8")
-        if self.dilithium_bfus is not None and self.dilithium_bfus not in (1, 2, 4):
-            raise ValueError("dilithium lane count must be 1, 2, or 4")
-        if self.kyber_bfus is not None and self.dilithium_bfus is not None:
-            if self.dilithium_bfus * 2 != self.kyber_bfus:
-                raise ValueError("wide lanes must be half the narrow lanes")
         bound = dg.max_pipeline_depth
         if not 1 <= self.pipeline_depth <= bound:
             raise ValueError(
@@ -134,21 +121,6 @@ class SimReport:
             f"bfu_utilization={self.bfu_utilization:g}",
             f"bram_estimate={self.bram_estimate:g}",
         ]) + "\n"
-
-
-@lru_cache(maxsize=None)
-def _cached_schedule(ch: int, d: int):
-    return generate_addresses(ch, d)
-
-
-@lru_cache(maxsize=None)
-def _cached_intra(p: ModulusParams, t: int, d: int, inverse: bool):
-    return intra_word_stages(p, t, d, inverse)
-
-
-@lru_cache(maxsize=None)
-def _cached_pwm(p: ModulusParams, t: int, d: int):
-    return pwm_schedule(p, t, d)
 
 
 class _Machine:
@@ -234,12 +206,8 @@ def _run_transform(m: _Machine, p: ModulusParams, geom: MemoryGeometry,
     """Execute one full transform pass; returns its busy-cycle count."""
     t, d, sb = geom.t, geom.d, geom.slot_bits
     table = twiddles[0] if forward else twiddles[1]
-    if forward:
-        stages = list(_cached_schedule(CH_NTT, d).stages) + \
-            list(_cached_intra(p, t, d, False))
-    else:
-        stages = list(_cached_intra(p, t, d, True)) + \
-            list(_cached_schedule(CH_INTT, d).stages)
+    prog = scheme_program(geom)
+    stages = prog.ntt if forward else prog.intt
     off = region * d
     busy = 0
     step = ct_butterfly if forward else gs_butterfly_halving
@@ -286,7 +254,7 @@ def _run_pwm(m: _Machine, p: ModulusParams, geom: MemoryGeometry,
     """Pointwise stage: operand a in region 0, operand b in region 1."""
     t, d, sb = geom.t, geom.d, geom.slot_bits
     psi = twiddles[2]
-    entries = _cached_pwm(p, t, d).entries
+    entries = scheme_program(geom).pwm[0].entries
     busy = 0
     if p.scheme == "dilithium":
         for e in entries:
@@ -436,15 +404,10 @@ def run_polymul(cfg: CoreConfig, scheme: str, a: Polynomial, b: Polynomial,
 
 
 def latency_model(cfg: CoreConfig, scheme: str, op: str) -> int:
-    """Closed-form busy-cycle count; must equal the simulator's."""
-    p = SCHEMES[scheme]
-    d = cfg.geometry(scheme).d
-    per_transform = p.layers * d
-    pwm = (4 if scheme == "kyber" else 2) * d
-    if op in (OP_NTT, OP_INTT):
-        return per_transform
-    if op == OP_PWM:
-        return pwm
+    """Busy-cycle count of an op: the length of its program phases."""
+    prog = scheme_program(cfg.geometry(scheme))
+    if op in SIM_OPS:
+        return prog.cycles(op)
     if op == OP_POLYMUL:
-        return 2 * per_transform + pwm
+        return sum(prog.cycles(phase) for phase in SIM_OPS)
     raise ValueError(f"unknown op {op!r}")

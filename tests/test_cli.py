@@ -2,10 +2,15 @@
 codes per error class, determinism, and ROM fault injection."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kdntt
 from kdntt.cli import main, read_poly, write_poly
 from kdntt.ntt_reference import Polynomial, schoolbook_negacyclic
 from kdntt.bfu import fast_ntt
@@ -214,6 +219,55 @@ def test_polymul_rom_override_fault_injection(tmp_path):
     assert main(["polymul", str(pa), str(pb), "--out", str(o2),
                  "--rom-override", str(bad)]) == 0  # runs, but corrupted
     assert o1.read_bytes() != o2.read_bytes()
+
+
+def _out_of_range_image(tmp_path):
+    """standalone-kyber's twiddle image with the high Kyber field of line 2
+    set to 0xfff = 4095, which is not below q = 3329."""
+    roms = tmp_path / "roms"
+    assert main(["gen-roms", "--design", "standalone-kyber",
+                 "--outdir", str(roms)]) == 0
+    lines = (roms / "standalone-kyber-twiddle.hex").read_text().split()
+    lines[1] = "fff" + lines[1][3:]
+    bad = tmp_path / "range.hex"
+    bad.write_text("\n".join(lines) + "\n")
+    short = tmp_path / "short.hex"
+    short.write_text("\n".join(lines[:100]) + "\n")
+    return bad, short
+
+
+def test_rom_override_out_of_range_or_short_exits_2(tmp_path, capsys):
+    bad, short = _out_of_range_image(tmp_path)
+    pa, _ = _poly_file(tmp_path, "a.poly")
+    pb, _ = _poly_file(tmp_path, "b.poly")
+    out = tmp_path / "c.poly"
+    assert main(["polymul", str(pa), str(pb), "--design", "standalone-kyber",
+                 "--out", str(out), "--rom-override", str(bad)]) == 2
+    assert f"{bad}: line 2: kyber twiddle 4095" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["verify", "--design", "standalone-kyber", "--trials", "1",
+                 "--rom-override", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL" not in captured.out and "line 2" in captured.err
+    assert main(["polymul", str(pa), str(pb), "--design", "standalone-kyber",
+                 "--rom-override", str(short)]) == 2
+    assert "too short" in capsys.readouterr().err
+
+
+def test_rom_override_range_check_survives_python_O(tmp_path):
+    bad, _ = _out_of_range_image(tmp_path)
+    pa, _ = _poly_file(tmp_path, "a.poly")
+    pb, _ = _poly_file(tmp_path, "b.poly")
+    out = tmp_path / "c.poly"
+    src = str(Path(kdntt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "kdntt.cli", "polymul", str(pa),
+         str(pb), "--design", "standalone-kyber", "--out", str(out),
+         "--rom-override", str(bad)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "line 2" in proc.stderr and not out.exists()
 
 
 def test_table_latency(capsys):

@@ -16,7 +16,7 @@ from kdntt.ntt_reference import (
     schoolbook_negacyclic,
 )
 from kdntt.bfu import fast_intt, fast_ntt
-from kdntt.memory_map import DESIGNS
+from kdntt.memory_map import DESIGNS, build_rom_images, estimate_bram_usage
 from kdntt.pipeline_sim import (
     OP_INTT,
     OP_NTT,
@@ -73,6 +73,22 @@ def test_latency_model_published_values():
         got = tuple(latency_model(cfg, scheme, op)
                     for op in (OP_NTT, OP_INTT, OP_PWM, OP_POLYMUL))
         assert got == row, (design, scheme, got)
+
+
+def test_rom_depths_and_latency_agree_with_images():
+    for design, dg in DESIGNS.items():
+        man = build_rom_images(design)["manifest"]
+        mems = estimate_bram_usage(design).memories
+        for label, key in (("address rom", "addr_words"),
+                           ("twiddle rom", "twiddle_words")):
+            depth = sum(m.depth for m in mems if m.label.endswith(label))
+            assert depth == man[key], (design, label)
+        cfg = CoreConfig.for_design(design)
+        ends = [man[f"{s}_addr_offset"] for s in dg.schemes[1:]]
+        for scheme, end in zip(dg.schemes, ends + [man["addr_words"]]):
+            span = end - man[f"{scheme}_addr_offset"]
+            assert sum(latency_model(cfg, scheme, op)
+                       for op in SIM_OPS) == span, (design, scheme)
 
 
 def test_measured_busy_equals_model():
