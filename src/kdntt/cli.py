@@ -23,8 +23,6 @@ import sys
 from .core_arith import SCHEMES
 from .ntt_reference import (
     DOMAINS,
-    DOMAIN_NORMAL,
-    DOMAIN_NTT_BR,
     Polynomial,
     reference_pwm,
     schoolbook_negacyclic,
@@ -62,12 +60,18 @@ class CliError(Exception):
 # Polynomial file I/O.
 # ---------------------------------------------------------------------------
 
-def read_poly(path: str) -> Polynomial:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            lines = [ln.strip() for ln in f if ln.strip()]
+            return f.read()
     except OSError as e:
         raise CliError(EXIT_IO, f"{path}: {e.strerror or e}")
+    except UnicodeDecodeError:
+        raise CliError(EXIT_INPUT, f"{path}: not UTF-8 text")
+
+
+def read_poly(path: str) -> Polynomial:
+    lines = [ln.strip() for ln in _read_text(path).split("\n") if ln.strip()]
     if not lines:
         raise CliError(EXIT_INPUT, f"{path}: empty file")
     header = dict(
@@ -149,63 +153,42 @@ def _rom_override(args, design: str, scheme: str):
     path = getattr(args, "rom_override", None)
     if not path:
         return None
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    except OSError as e:
-        raise CliError(EXIT_IO, f"{path}: {e.strerror or e}")
+    text = _read_text(path)
     try:
         return decode_twiddle_image(text, design, scheme)
     except ValueError as e:
         raise CliError(EXIT_INPUT, f"{path}: {e}")
 
 
-def _emit_report(args, report) -> None:
-    if getattr(args, "report", None):
-        _write_text(args.report, report.to_text())
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
 
-def cmd_polymul(args) -> int:
+def cmd_run(args) -> int:
+    """polymul, ntt, intt or pwm on the simulated core."""
     cfg = _config(args)
-    a = read_poly(args.a)
-    b = read_poly(args.b)
-    scheme = _resolve_scheme(args, cfg, a, b)
-    override = _rom_override(args, cfg.design, scheme)
-    try:
-        out, report = run_polymul(cfg, scheme, a, b, rom_override=override)
-    except ValueError as e:
-        raise CliError(EXIT_INPUT, str(e))
-    if args.out:
-        write_poly(args.out, out)
-    _emit_report(args, report)
-    return EXIT_OK
-
-
-def cmd_transform(args) -> int:
-    cfg = _config(args)
-    a = read_poly(args.a)
-    b = read_poly(args.b) if args.op == "pwm" else None
-    polys = (a, b) if b is not None else (a,)
+    polys = [read_poly(path) for path in (args.a, getattr(args, "b", None))
+             if path is not None]
     scheme = _resolve_scheme(args, cfg, *polys)
     override = _rom_override(args, cfg.design, scheme)
     try:
-        out, report = run_op(cfg, scheme, args.op, a, b, rom_override=override)
+        if args.command == OP_POLYMUL:
+            out, report = run_polymul(cfg, scheme, *polys,
+                                      rom_override=override)
+        else:
+            out, report = run_op(cfg, scheme, args.command, *polys,
+                                 rom_override=override)
     except ValueError as e:
         raise CliError(EXIT_INPUT, str(e))
     if args.out:
         write_poly(args.out, out)
-    _emit_report(args, report)
+    if args.report:
+        _write_text(args.report, report.to_text())
     return EXIT_OK
 
 
 def cmd_gen_roms(args) -> int:
     cfg = _config(args)
-    if args.scheme:
-        _check_scheme(cfg, args.scheme)
     images = build_rom_images(cfg.design)
     try:
         os.makedirs(args.outdir, exist_ok=True)
@@ -290,13 +273,10 @@ def cmd_table(args) -> int:
 # Parser.
 # ---------------------------------------------------------------------------
 
-def _add_common(sp, scheme=True, design=True, seed=False):
+def _add_common(sp, scheme=True):
     if scheme:
         sp.add_argument("--scheme", choices=sorted(SCHEMES))
-    if design:
-        sp.add_argument("--design", default="d1", choices=sorted(DESIGNS))
-    if seed:
-        sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--design", default="d1", choices=sorted(DESIGNS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,37 +286,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "multiplication core: simulator, ROM generator, checker.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    mul = sub.add_parser("polymul", help="negacyclic product of two files")
-    mul.add_argument("a")
-    mul.add_argument("b")
-    mul.add_argument("--out")
-    mul.add_argument("--report", help="write run telemetry ('-' for stdout)")
-    mul.add_argument("--rom-override", help="twiddle image replacing the ROM")
-    _add_common(mul)
-    mul.set_defaults(func=cmd_polymul)
-
-    for op, help_text in (("ntt", "forward transform of a file"),
-                          ("intt", "inverse transform of a file"),
-                          ("pwm", "pointwise product of two spectral files")):
-        tp = sub.add_parser(op, help=help_text)
-        tp.add_argument("a")
-        if op == "pwm":
-            tp.add_argument("b")
-        tp.add_argument("--out")
-        tp.add_argument("--report")
-        tp.add_argument("--rom-override")
-        _add_common(tp)
-        tp.set_defaults(func=cmd_transform, op=op)
+    for op, help_text in (
+            (OP_POLYMUL, "negacyclic product of two files"),
+            ("ntt", "forward transform of a file"),
+            ("intt", "inverse transform of a file"),
+            ("pwm", "pointwise product of two spectral files")):
+        run = sub.add_parser(op, help=help_text)
+        run.add_argument("a")
+        if op in (OP_POLYMUL, "pwm"):
+            run.add_argument("b")
+        run.add_argument("--out")
+        run.add_argument("--report",
+                         help="write run telemetry ('-' for stdout)")
+        run.add_argument("--rom-override",
+                         help="twiddle image replacing the ROM")
+        _add_common(run)
+        run.set_defaults(func=cmd_run)
 
     gen = sub.add_parser("gen-roms", help="emit ROM images and manifest")
     gen.add_argument("--outdir", required=True)
-    _add_common(gen)
+    _add_common(gen, scheme=False)
     gen.set_defaults(func=cmd_gen_roms)
 
     ver = sub.add_parser("verify", help="differential test vs slow oracles")
     ver.add_argument("--trials", type=int, default=20)
     ver.add_argument("--rom-override")
-    _add_common(ver, seed=True)
+    _add_common(ver)
+    ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(func=cmd_verify)
 
     tab = sub.add_parser("table", help="latency or BRAM summary")

@@ -8,6 +8,9 @@ holding words 0..d-1 in order and bank B holding words d..2d-1 in
 REVERSE order (row r keeps word 2d-1-r); operand b mirrors that across
 the banks in region 1.  The mirrored split is what lets every butterfly
 stage read its two partner words from different banks in the same cycle.
+BankMemory is the one model of the banks: a write lands pipeline_depth
+cycles after issue, and reading a row whose write is still in flight is
+a hazard.  The simulator and check_conflict_free both run on it.
 
 Transform scheduling.  Word-level stages pair words (x, x+p) for spans
 p = d, d/2, ..., 1, one stage per layer.  Within a span-p row group the
@@ -37,7 +40,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .core_arith import N, SCHEMES, ModulusParams, from_mont
+from .core_arith import N, SCHEMES, ModulusParams, from_mont, to_mont
 from .ntt_reference import basemul_zetas, forward_zetas, inverse_zetas
 
 CH_NTT = 0
@@ -309,18 +312,21 @@ def unpack_word(word: int, t: int, slot_bits: int) -> list[int]:
     return [(word >> (s * slot_bits)) & mask for s in range(t)]
 
 
-def pack_coefficients(coeffs, geom: MemoryGeometry) -> tuple[list[int], list[int]]:
-    """Split 256 coefficients into the two banks' region-0 rows.
+def pack_coefficients(coeffs, geom: MemoryGeometry,
+                      layout=None) -> tuple[list[int], list[int]]:
+    """Split 256 coefficients into the two banks' region rows.
 
-    Word w covers coefficients [t*w, t*w + t).  Bank A row r gets word r;
-    bank B row r gets word 2d-1-r (the reverse packing that makes stage-1
-    partners (x, x+d) meet at mirrored rows).
+    Word w covers coefficients [t*w, t*w + t); bank A row r gets word
+    layout[0][r] and bank B row r word layout[1][r].  The default,
+    initial_layout, reverses the upper words into B so that stage-1
+    partners (x, x+d) meet at mirrored rows.
     """
     if len(coeffs) != N:
         raise ValueError(f"expected {N} coefficients")
-    t, d, sb = geom.t, geom.d, geom.slot_bits
-    words = [pack_word(coeffs[t * w: t * w + t], sb) for w in range(2 * d)]
-    return words[:d], words[d:][::-1]
+    t, sb = geom.t, geom.slot_bits
+    la, lb = layout if layout is not None else initial_layout(geom.d)
+    return ([pack_word(coeffs[t * w: t * w + t], sb) for w in la],
+            [pack_word(coeffs[t * w: t * w + t], sb) for w in lb])
 
 
 def unpack_coefficients(bank_a, bank_b, geom: MemoryGeometry,
@@ -334,6 +340,90 @@ def unpack_coefficients(bank_a, bank_b, geom: MemoryGeometry,
             w = lay[r]
             out[t * w: t * w + t] = unpack_word(bank[r], t, sb)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Bank memory.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Hazard:
+    cycle: int
+    bank: int
+    row: int
+    lands_at: int          # when the pending write would have completed
+
+
+class BankMemory:
+    """The two coefficient banks and their delayed write-back.
+
+    Each bank has 2d rows, one d-row region per operand.  A write issued
+    at cycle c lands at c + pipeline_depth; a read of a row whose write
+    is still in flight is recorded as a Hazard and sees the stale word,
+    as the hardware would.  swap_banks flips the role -> physical bank
+    mapping for the b-operand pass.
+    """
+
+    def __init__(self, d: int, pipeline_depth: int) -> None:
+        self.depth = pipeline_depth
+        self.banks = [[0] * (2 * d), [0] * (2 * d)]
+        self.pending: dict[tuple[int, int], tuple[int, int]] = {}
+        self.cycle = 0
+        self.hazards: list[Hazard] = []
+        self.swap_banks = False
+
+    def _phys(self, role: int) -> int:
+        return role ^ 1 if self.swap_banks else role
+
+    def _commit_if_landed(self, loc: tuple[int, int]) -> None:
+        entry = self.pending.get(loc)
+        if entry is not None and entry[0] <= self.cycle:
+            self.banks[loc[0]][loc[1]] = entry[1]
+            del self.pending[loc]
+
+    def read(self, role: int, row: int) -> int:
+        loc = (self._phys(role), row)
+        self._commit_if_landed(loc)
+        entry = self.pending.get(loc)
+        if entry is not None:
+            self.hazards.append(Hazard(self.cycle, loc[0], loc[1], entry[0]))
+        return self.banks[loc[0]][loc[1]]
+
+    def write(self, role: int, row: int, word: int) -> None:
+        loc = (self._phys(role), row)
+        self._commit_if_landed(loc)
+        self.pending[loc] = (self.cycle + self.depth, word)
+
+    def tick(self) -> None:
+        self.cycle += 1
+
+    def drain(self) -> int:
+        """Advance time until every queued write has landed."""
+        start = self.cycle
+        if self.pending:
+            self.cycle = max(self.cycle,
+                             max(t for t, _ in self.pending.values()))
+        for loc in list(self.pending):
+            self._commit_if_landed(loc)
+        assert not self.pending
+        return self.cycle - start
+
+    def load(self, coeffs, geom: MemoryGeometry, region: int, layout,
+             mont: ModulusParams | None = None) -> None:
+        """Pack a polynomial into a region, Montgomery-scaled if mont."""
+        if mont is not None:
+            coeffs = [to_mont(v, mont) for v in coeffs]
+        off = region * geom.d
+        for role, rows in zip((BANK_A, BANK_B),
+                              pack_coefficients(coeffs, geom, layout)):
+            self.banks[self._phys(role)][off: off + geom.d] = rows
+
+    def extract(self, geom: MemoryGeometry, layout) -> list[int]:
+        """Unpack operand a (region 0); every write must have landed."""
+        assert not self.pending, "extract before drain"
+        bank_a, bank_b = (self.banks[self._phys(role)][:geom.d]
+                          for role in (BANK_A, BANK_B))
+        return unpack_coefficients(bank_a, bank_b, geom, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +472,6 @@ def build_twiddle_rom(scheme: str) -> TwiddleRom:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Hazard:
-    cycle: int
-    bank: int
-    row: int
-    lands_at: int          # when the pending write would have completed
-
-
-@dataclass(frozen=True)
 class ConflictReport:
     pipeline_depth: int
     d: int
@@ -403,26 +485,22 @@ class ConflictReport:
 
 def check_conflict_free(s: AddressSchedule, pipeline_depth: int,
                         d: int) -> ConflictReport:
-    """Replay the schedule with latency-delayed write-back.
+    """Replay the schedule through BankMemory.
 
-    A cycle's reads happen immediately; its writes to the same two
-    locations land pipeline_depth cycles later.  Reading a location
-    whose write is still in flight is a hazard.  Stages run back to
-    back with no gaps — that is the whole point of the schedule.
+    Each cycle reads both of its rows and writes them back; the writes
+    land pipeline_depth cycles later, and reading a row whose write is
+    still in flight is a hazard.  Stages run back to back with no gaps —
+    that is the whole point of the schedule.
     """
-    lands: dict[tuple[int, int], int] = {}
-    hazards = []
-    c = 0
+    m = BankMemory(s.d, pipeline_depth)
     for stage in s.stages:
         for e in stage.entries:
-            for loc in ((BANK_A, e.addr_a), (BANK_B, e.addr_b)):
-                t_land = lands.get(loc, -1)
-                if t_land > c:
-                    hazards.append(Hazard(c, loc[0], loc[1], t_land))
-                lands[loc] = c + pipeline_depth
-            c += 1
+            wa, wb = m.read(BANK_A, e.addr_a), m.read(BANK_B, e.addr_b)
+            m.write(BANK_A, e.addr_a, wa)
+            m.write(BANK_B, e.addr_b, wb)
+            m.tick()
     return ConflictReport(pipeline_depth, d, pipeline_depth <= d // 2,
-                          tuple(hazards))
+                          tuple(m.hazards))
 
 
 def enumerate_stage_pairs(s: AddressSchedule):
@@ -664,8 +742,9 @@ def decode_twiddle_image(text: str, design: str, scheme: str):
 
     The inverse of build_rom_images' twiddle packing for one scheme of a
     design; blank lines are skipped.  Raises ValueError, naming the
-    line, for a word that is not hex or holds a value outside [0, q),
-    and for an image too short to hold the scheme's run.
+    line, for a word that is not hex, has a bit set above its packed
+    values or holds a value outside [0, q), and for an image too short
+    to hold the scheme's run.
     """
     p = SCHEMES[scheme]
     rom = build_twiddle_rom(scheme)
@@ -682,8 +761,12 @@ def decode_twiddle_image(text: str, design: str, scheme: str):
         raise ValueError(f"too short for the {scheme} twiddles: "
                          f"{len(words)} words, need {offset + n_words}")
     mask = (1 << p.coeff_bits) - 1
+    used_bits = per_word * p.coeff_bits
     values = []
     for n, w in run:
+        if w >> used_bits:
+            raise ValueError(f"line {n}: word has bits set above the "
+                             f"{used_bits} that hold {scheme} twiddles")
         for i in range(per_word):
             v = (w >> (i * p.coeff_bits)) & mask
             if v >= p.q:

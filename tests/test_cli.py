@@ -77,7 +77,7 @@ def test_pwm_command(tmp_path):
     assert read_poly(str(out)).coeffs == want.coeffs
 
 
-def test_malformed_input_exits_2(tmp_path):
+def test_malformed_input_exits_2(tmp_path, capsys):
     cases = [
         "scheme=rsa n=256 domain=normal\n" + "0\n" * 256,
         "scheme=kyber n=128 domain=normal\n" + "0\n" * 256,
@@ -86,11 +86,13 @@ def test_malformed_input_exits_2(tmp_path):
         "scheme=kyber n=256 domain=normal\n" + "0\n" * 255 + "3329\n",
         "scheme=kyber n=256 domain=normal\n" + "0\n" * 255 + "ten\n",
         "no header at all\n",
+        b"scheme=kyber n=256 domain=normal\n\xff",   # not UTF-8
     ]
     for i, text in enumerate(cases):
         path = tmp_path / f"bad{i}.poly"
-        path.write_text(text)
+        path.write_bytes(text.encode() if isinstance(text, str) else text)
         assert main(["ntt", str(path)]) == 2, f"case {i}"
+        assert str(path) in capsys.readouterr().err, f"case {i}"
 
 
 def test_wrong_domain_for_op_exits_2(tmp_path):
@@ -252,6 +254,22 @@ def test_rom_override_out_of_range_or_short_exits_2(tmp_path, capsys):
     assert main(["polymul", str(pa), str(pb), "--design", "standalone-kyber",
                  "--rom-override", str(short)]) == 2
     assert "too short" in capsys.readouterr().err
+    # a word with a bit above its two 12-bit fields
+    image = tmp_path / "roms" / "standalone-kyber-twiddle.hex"
+    lines = image.read_text().split()
+    lines[1] = "1" + lines[1]
+    wide = tmp_path / "wide.hex"
+    wide.write_text("\n".join(lines) + "\n")
+    assert main(["polymul", str(pa), str(pb), "--design", "standalone-kyber",
+                 "--out", str(out), "--rom-override", str(wide)]) == 2
+    assert f"{wide}: line 2: word has bits set above" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    binary = tmp_path / "binary.hex"
+    binary.write_bytes(b"\xff\xfe")
+    assert main(["polymul", str(pa), str(pb), "--design", "standalone-kyber",
+                 "--rom-override", str(binary)]) == 2
+    assert f"{binary}: not UTF-8" in capsys.readouterr().err
 
 
 def test_rom_override_range_check_survives_python_O(tmp_path):

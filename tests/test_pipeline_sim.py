@@ -16,7 +16,14 @@ from kdntt.ntt_reference import (
     schoolbook_negacyclic,
 )
 from kdntt.bfu import fast_intt, fast_ntt
-from kdntt.memory_map import DESIGNS, build_rom_images, estimate_bram_usage
+from kdntt.memory_map import (
+    CH_NTT,
+    DESIGNS,
+    build_rom_images,
+    check_conflict_free,
+    estimate_bram_usage,
+    generate_addresses,
+)
 from kdntt.pipeline_sim import (
     OP_INTT,
     OP_NTT,
@@ -57,7 +64,7 @@ def test_for_design_matches_shipped_table():
 def test_config_validation():
     with pytest.raises(ValueError):
         CoreConfig.for_design("d4")
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         CoreConfig(design="d2", kyber_bfus=8, dilithium_bfus=2, pipeline_depth=15)
     with pytest.raises(ValueError):
         CoreConfig.for_design("d2", pipeline_depth=0)
@@ -194,6 +201,23 @@ def test_overdeep_pipeline_shows_hazards():
     out, rep = run_op(cfg, "kyber", OP_NTT, a, allow_hazards=True)
     assert rep.hazards
     assert out.coeffs != fast_ntt(a, SCHEMES["kyber"]).coeffs
+
+
+def test_simulator_and_gate_share_one_hazard_rule():
+    """Single-lane ntt programs are mirror stages only, so at an
+    over-deep pipeline the simulator must report exactly the hazards
+    that check_conflict_free finds in the forward schedule."""
+    rng = random.Random(0x6A7E)
+    for design, scheme in (("standalone-kyber", "kyber"),
+                           ("standalone-dilithium", "dilithium")):
+        a = Polynomial.random(scheme, rng)
+        d = DESIGNS[design].geometry(scheme).d
+        for depth in (d // 2 + 1, d):
+            cfg = CoreConfig.for_design(design)
+            object.__setattr__(cfg, "pipeline_depth", depth)
+            _, rep = run_op(cfg, scheme, OP_NTT, a, allow_hazards=True)
+            gate = check_conflict_free(generate_addresses(CH_NTT, d), depth, d)
+            assert rep.hazards and rep.hazards == gate.hazards, (design, depth)
 
 
 def test_deepest_legal_pipeline_is_clean():
