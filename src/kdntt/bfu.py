@@ -217,11 +217,6 @@ def _check_ctrl(mode: str, ctrl) -> None:
         raise ValueError(f"control words {ctrl} do not select mode {mode!r}")
 
 
-def _halve(s: int, q: int) -> int:
-    """Exact halving of s mod q (odd values borrow the odd modulus)."""
-    return s >> 1 if s % 2 == 0 else (s + q) >> 1
-
-
 def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
                      ctrl=None, carry=None,
                      counter: MultCounter | None = None):
@@ -276,8 +271,10 @@ def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
             dw0, dw1 = dual_lane_mult(pack_lanes(d0, d1),
                                       pack_lanes(lane0.in3, lane1.in3),
                                       KYBER_PAIR, counter)
-            return (replace(lane0, out1=_halve(s0, p.q), out2=mont_redc(dw0, p)),
-                    replace(lane1, out1=_halve(s1, p.q), out2=mont_redc(dw1, p)))
+            return (replace(lane0, out1=mod_add_half(s0, 0, p.q),
+                            out2=mont_redc(dw0, p)),
+                    replace(lane1, out1=mod_add_half(s1, 0, p.q),
+                            out2=mont_redc(dw1, p)))
         if mode == MODE_PWM0:
             a0, a1, b0, b1 = io.in1, io.in2, io.in3, io.in4
             raw00, raw11 = dual_lane_mult(pack_lanes(a0, a1),
@@ -318,7 +315,8 @@ def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
         s = shared_add_sub(io.in1, io.in2, DILITHIUM_SINGLE, "add", p)
         d = shared_add_sub(io.in1, io.in2, DILITHIUM_SINGLE, "sub", p)
         prod, _ = dual_lane_mult(d, io.in3, DILITHIUM_SINGLE, counter)
-        return replace(io, out1=_halve(s, p.q), out2=mont_redc(prod, p))
+        return replace(io, out1=mod_add_half(s, 0, p.q),
+                       out2=mont_redc(prod, p))
     # MODE_PWM
     prod, _ = dual_lane_mult(io.in1, io.in3, DILITHIUM_SINGLE, counter)
     return replace(io, out1=mont_redc(prod, p), out2=0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 
 from .core_arith import SCHEMES
@@ -92,7 +93,9 @@ def read_poly(path: str) -> Polynomial:
     coeffs = []
     for i, ln in enumerate(body, start=2):
         try:
-            v = int(ln, 10)
+            if not re.fullmatch("[0-9]+", ln):
+                raise ValueError(ln)
+            v = int(ln)  # also raises past int()'s digit limit
         except ValueError:
             raise CliError(EXIT_INPUT, f"{path}:{i}: not a decimal integer: {ln!r}")
         if not 0 <= v < q:

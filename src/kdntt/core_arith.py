@@ -14,7 +14,7 @@ Range checks are ``assert`` statements, so they vanish under ``python -O``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 N = 256  # ring degree, common to both schemes
 
@@ -57,14 +57,15 @@ class ModulusParams:
     r_bits: int  # Montgomery radix R = 2**r_bits
     coeff_bits: int  # arithmetic width of a coefficient
     slot_bits: int  # storage slot width in memory words
-    # derived (filled in __post_init__):
-    r: int = 0
-    mask: int = 0
-    q_prime: int = 0  # -q**-1 mod R, so q*q_prime == R-1 (mod R)
-    r_mod_q: int = 0
-    r2_mod_q: int = 0
-    inv2: int = 0  # 2**-1 mod q
-    min_len: int = 0  # shortest butterfly distance: 2 (Kyber) or 1 (Dilithium)
+    # derived in __post_init__, never passed in:
+    r: int = field(init=False)
+    mask: int = field(init=False)
+    q_prime: int = field(init=False)  # -q**-1 mod R: q*q_prime == R-1 (mod R)
+    r_mod_q: int = field(init=False)
+    r2_mod_q: int = field(init=False)
+    inv2: int = field(init=False)  # 2**-1 mod q
+    # shortest butterfly distance: 2 (Kyber) or 1 (Dilithium)
+    min_len: int = field(init=False)
 
     def __post_init__(self) -> None:
         r = 1 << self.r_bits

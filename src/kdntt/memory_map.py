@@ -37,8 +37,10 @@ inverse leaves the memory exactly in the starting arrangement.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .core_arith import N, SCHEMES, ModulusParams, from_mont, to_mont
 from .ntt_reference import basemul_zetas, forward_zetas, inverse_zetas
@@ -62,29 +64,26 @@ class MemoryGeometry:
 
     scheme: str
     t: int                 # butterfly lanes = coefficients per word
-    word_width: int        # bits per memory word
-    d: int                 # rows per operand region (two regions per bank)
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.t < 1 or self.t & (self.t - 1):
             raise ValueError("lane count must be a power of two")
-        if self.d != N // (2 * self.t):
-            raise ValueError("region depth must equal 256/(2t)")
-        expect = self.t * SCHEMES[self.scheme].slot_bits
-        if self.word_width != expect:
-            raise ValueError(f"word width {self.word_width} != {expect}")
 
-    @classmethod
-    def for_scheme(cls, scheme: str, t: int) -> "MemoryGeometry":
-        p = SCHEMES[scheme]
-        return cls(scheme=scheme, t=t, word_width=t * p.slot_bits,
-                   d=N // (2 * t))
+    @property
+    def d(self) -> int:
+        """Rows per operand region (two regions per bank): 256/(2t)."""
+        return N // (2 * self.t)
 
     @property
     def slot_bits(self) -> int:
         return SCHEMES[self.scheme].slot_bits
+
+    @property
+    def word_width(self) -> int:
+        """Bits per memory word."""
+        return self.t * self.slot_bits
 
 
 @dataclass(frozen=True)
@@ -116,12 +115,18 @@ class AddressSchedule:
     ch: int                # 0 = forward, 1 = inverse
     d: int
     stages: tuple[StageSchedule, ...]
-    initial_layout: tuple[tuple[int, ...], tuple[int, ...]]
-    final_layout: tuple[tuple[int, ...], tuple[int, ...]]
 
     @property
-    def cycles(self) -> int:
-        return sum(len(s.entries) for s in self.stages)
+    def initial_layout(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Bank occupancy the schedule starts from."""
+        return (initial_layout if self.ch == CH_NTT
+                else transformed_layout)(self.d)
+
+    @property
+    def final_layout(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Bank occupancy the schedule leaves behind."""
+        return (transformed_layout if self.ch == CH_NTT
+                else initial_layout)(self.d)
 
 
 def initial_layout(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -197,8 +202,7 @@ def generate_addresses(ch: int, d: int,
     if ch not in (CH_NTT, CH_INTT):
         raise ValueError("ch selects 0 (forward) or 1 (inverse)")
     if ch == CH_NTT:
-        return AddressSchedule(ch, d, _forward_stages(d, stage1_reversal),
-                               initial_layout(d), transformed_layout(d))
+        return AddressSchedule(ch, d, _forward_stages(d, stage1_reversal))
     stages = []
     for st in reversed(_forward_stages(d, stage1_reversal=False)):
         entries = tuple(
@@ -207,11 +211,10 @@ def generate_addresses(ch: int, d: int,
             for e in st.entries
         )
         stages.append(StageSchedule(st.kind, st.span, entries))
-    return AddressSchedule(ch, d, tuple(stages),
-                           transformed_layout(d), initial_layout(d))
+    return AddressSchedule(ch, d, tuple(stages))
 
 
-def intra_word_stages(p: ModulusParams, t: int, d: int,
+def intra_word_stages(geom: MemoryGeometry,
                       inverse: bool = False) -> tuple[StageSchedule, ...]:
     """Stages for layers narrower than a word: one in-place row sweep each.
 
@@ -220,6 +223,7 @@ def intra_word_stages(p: ModulusParams, t: int, d: int,
     128/L + t*j/L (stored per cycle as the base).  Forward order is
     descending L; the inverse runs them first, ascending.
     """
+    p, t, d = SCHEMES[geom.scheme], geom.t, geom.d
     ells = []
     ell = t // 2
     while ell >= p.min_len:
@@ -237,7 +241,7 @@ def intra_word_stages(p: ModulusParams, t: int, d: int,
     return tuple(stages)
 
 
-def pwm_schedule(p: ModulusParams, t: int, d: int) -> StageSchedule:
+def pwm_schedule(geom: MemoryGeometry) -> StageSchedule:
     """Pointwise-stage addressing: operand words a_w and b_w pairwise.
 
     The stage runs on the post-transform layout (even words in bank A
@@ -248,14 +252,15 @@ def pwm_schedule(p: ModulusParams, t: int, d: int) -> StageSchedule:
     stage, 4d total) and uses psi indices from t/2 * w; Dilithium one
     cycle per word (2d total).
     """
+    kyber = geom.scheme == "kyber"
     entries = []
-    for w in range(2 * d):
+    for w in range(2 * geom.d):
         row = w // 2
         a_in_b = w & 1
-        tw = (t // 2) * w if p.scheme == "kyber" else 0
+        tw = (geom.t // 2) * w if kyber else 0
         e = CycleEntry(row, row, a_in_b, a_in_b, tw)
         entries.append(e)
-        if p.scheme == "kyber":
+        if kyber:
             entries.append(e)  # second cycle: combine + write-back
     return StageSchedule("pwm", 0, tuple(entries))
 
@@ -287,12 +292,12 @@ class SchemeProgram:
 @lru_cache(maxsize=None)
 def scheme_program(geom: MemoryGeometry) -> SchemeProgram:
     """The program of one scheme geometry, built once and shared."""
-    p, t, d = SCHEMES[geom.scheme], geom.t, geom.d
+    d = geom.d
     return SchemeProgram(
-        ntt=generate_addresses(CH_NTT, d).stages + intra_word_stages(p, t, d),
-        intt=intra_word_stages(p, t, d, inverse=True)
+        ntt=generate_addresses(CH_NTT, d).stages + intra_word_stages(geom),
+        intt=intra_word_stages(geom, inverse=True)
         + generate_addresses(CH_INTT, d).stages,
-        pwm=(pwm_schedule(p, t, d),))
+        pwm=(pwm_schedule(geom),))
 
 
 # ---------------------------------------------------------------------------
@@ -430,41 +435,26 @@ class BankMemory:
 # Twiddle ROM.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwiddleRom:
-    """Logical twiddle store: forward, pre-halved inverse, and psi regions.
+class TwiddleRom(NamedTuple):
+    """Logical twiddle store: forward, pre-halved inverse, and psi tables.
 
-    Values are Montgomery-scaled.  Region offsets index the flat value
-    vector; word packing for a concrete image is applied at emission.
+    Values are Montgomery-scaled; psi is empty for a scheme without a
+    degree-1 basecase.  The image packs the three tables back to back
+    (see _twiddle_regions), and the simulator indexes them by position,
+    so a plain (forward, inverse, psi) tuple stands in for one.
     """
 
-    scheme: str
-    values: tuple[int, ...]
-    forward_offset: int
-    inverse_offset: int
-    psi_offset: int        # == len(values) when the scheme has no psi region
-
-    def forward(self, k: int) -> int:
-        return self.values[self.forward_offset + k]
-
-    def inverse(self, k: int) -> int:
-        return self.values[self.inverse_offset + k]
-
-    def psi(self, i: int) -> int:
-        return self.values[self.psi_offset + i]
+    forward: tuple[int, ...]
+    inverse: tuple[int, ...]
+    psi: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
 def build_twiddle_rom(scheme: str) -> TwiddleRom:
     p = SCHEMES[scheme]
-    fwd = forward_zetas(p)
-    inv = inverse_zetas(p)
-    psi = basemul_zetas(p)
-    assert from_mont(fwd[0], p) == 1
-    values = fwd + inv + psi
-    return TwiddleRom(scheme=scheme, values=values, forward_offset=0,
-                      inverse_offset=len(fwd),
-                      psi_offset=len(fwd) + len(inv))
+    rom = TwiddleRom(forward_zetas(p), inverse_zetas(p), basemul_zetas(p))
+    assert from_mont(rom.forward[0], p) == 1
+    return rom
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +465,19 @@ def build_twiddle_rom(scheme: str) -> TwiddleRom:
 class ConflictReport:
     pipeline_depth: int
     d: int
-    depth_within_bound: bool     # pipeline_depth <= d/2
     hazards: tuple[Hazard, ...]
+
+    @property
+    def depth_within_bound(self) -> bool:
+        return self.pipeline_depth <= self.d // 2
 
     @property
     def clean(self) -> bool:
         return not self.hazards
 
 
-def check_conflict_free(s: AddressSchedule, pipeline_depth: int,
-                        d: int) -> ConflictReport:
+def check_conflict_free(s: AddressSchedule,
+                        pipeline_depth: int) -> ConflictReport:
     """Replay the schedule through BankMemory.
 
     Each cycle reads both of its rows and writes them back; the writes
@@ -499,8 +492,7 @@ def check_conflict_free(s: AddressSchedule, pipeline_depth: int,
             m.write(BANK_A, e.addr_a, wa)
             m.write(BANK_B, e.addr_b, wb)
             m.tick()
-    return ConflictReport(pipeline_depth, d, pipeline_depth <= d // 2,
-                          tuple(m.hazards))
+    return ConflictReport(pipeline_depth, s.d, tuple(m.hazards))
 
 
 def enumerate_stage_pairs(s: AddressSchedule):
@@ -547,7 +539,7 @@ class DesignGeometry:
         t = self.kyber_t if scheme == "kyber" else self.dilithium_t
         if t is None:
             raise ValueError(f"{self.name} does not support {scheme}")
-        return MemoryGeometry.for_scheme(scheme, t)
+        return MemoryGeometry(scheme, t)
 
     @property
     def schemes(self) -> tuple[str, ...]:
@@ -571,25 +563,25 @@ class DesignGeometry:
         return min(self.geometry(s).d for s in self.schemes) // 2
 
 
-DESIGNS: dict[str, DesignGeometry] = {
-    "standalone-kyber": DesignGeometry("standalone-kyber", 2, None, 11, False),
-    "standalone-dilithium": DesignGeometry("standalone-dilithium", None, 1, 15, False),
-    "d1": DesignGeometry("d1", 2, 1, 15, False),
-    "d2": DesignGeometry("d2", 4, 2, 15, True),
-    "d3": DesignGeometry("d3", 8, 4, 8, True),
-}
+DESIGNS: dict[str, DesignGeometry] = {dg.name: dg for dg in (
+    DesignGeometry("standalone-kyber", 2, None, 11, False),
+    DesignGeometry("standalone-dilithium", None, 1, 15, False),
+    DesignGeometry("d1", 2, 1, 15, False),
+    DesignGeometry("d2", 4, 2, 15, True),
+    DesignGeometry("d3", 8, 4, 8, True),
+)}
 
 
 def _twiddle_regions(dg: DesignGeometry) -> dict[str, tuple[int, int, int]]:
     """Each scheme's (first word, values per word, words) in the twiddle image.
 
-    The image concatenates the schemes' TwiddleRom value runs, packing as
+    The image concatenates the schemes' TwiddleRom tables, packing as
     many coeff_bits-wide values as fit per word, value i at bit i*coeff_bits.
     """
     regions, offset = {}, 0
     for s in dg.schemes:
         per_word = dg.bank_width // SCHEMES[s].coeff_bits
-        words = math.ceil(len(build_twiddle_rom(s).values) / per_word)
+        words = math.ceil(sum(map(len, build_twiddle_rom(s))) / per_word)
         regions[s] = (offset, per_word, words)
         offset += words
     return regions
@@ -703,7 +695,7 @@ def build_rom_images(design: str) -> dict:
     tw_words: list[int] = []
     for s, (offset, per_word, _words) in _twiddle_regions(dg).items():
         bits = SCHEMES[s].coeff_bits
-        values = build_twiddle_rom(s).values
+        values = sum(build_twiddle_rom(s), ())
         manifest[f"{s}_twiddle_offset"] = offset
         manifest[f"{s}_twiddle_values_per_word"] = per_word
         for base in range(0, len(values), per_word):
@@ -737,25 +729,28 @@ def build_rom_images(design: str) -> dict:
     }
 
 
-def decode_twiddle_image(text: str, design: str, scheme: str):
-    """Parse a twiddle image back into (forward, inverse, psi) value tuples.
+_HEX_WORD = re.compile("[0-9a-fA-F]+")
+
+
+def decode_twiddle_image(text: str, design: str, scheme: str) -> TwiddleRom:
+    """Parse a twiddle image back into one scheme's TwiddleRom.
 
     The inverse of build_rom_images' twiddle packing for one scheme of a
     design; blank lines are skipped.  Raises ValueError, naming the
-    line, for a word that is not hex, has a bit set above its packed
-    values or holds a value outside [0, q), and for an image too short
-    to hold the scheme's run.
+    line, for a word that is not ASCII hex digits, has a bit set above
+    its packed values or holds a value outside [0, q), and for an image
+    too short to hold the scheme's run.
     """
     p = SCHEMES[scheme]
     rom = build_twiddle_rom(scheme)
     offset, per_word, n_words = _twiddle_regions(DESIGNS[design])[scheme]
     words = []
     for n, ln in enumerate(text.splitlines(), start=1):
-        if ln.strip():
-            try:
-                words.append((n, int(ln, 16)))
-            except ValueError:
-                raise ValueError(f"line {n}: not a hex word: {ln.strip()!r}")
+        ln = ln.strip()
+        if ln:
+            if not _HEX_WORD.fullmatch(ln):
+                raise ValueError(f"line {n}: not a hex word: {ln!r}")
+            words.append((n, int(ln, 16)))
     run = words[offset: offset + n_words]
     if len(run) < n_words:
         raise ValueError(f"too short for the {scheme} twiddles: "
@@ -773,6 +768,6 @@ def decode_twiddle_image(text: str, design: str, scheme: str):
                 raise ValueError(f"line {n}: {scheme} twiddle {v} outside "
                                  f"[0, {p.q})")
             values.append(v)
-    return (tuple(values[rom.forward_offset: rom.inverse_offset]),
-            tuple(values[rom.inverse_offset: rom.psi_offset]),
-            tuple(values[rom.psi_offset: len(rom.values)]))
+    nf, ni, npsi = map(len, rom)
+    return TwiddleRom(tuple(values[:nf]), tuple(values[nf: nf + ni]),
+                      tuple(values[nf + ni: nf + ni + npsi]))

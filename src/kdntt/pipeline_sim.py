@@ -24,14 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core_arith import SCHEMES, ModulusParams
-from .ntt_reference import (
-    DOMAIN_NORMAL,
-    DOMAIN_NTT_BR,
-    Polynomial,
-    basemul_zetas,
-    forward_zetas,
-    inverse_zetas,
-)
+from .ntt_reference import DOMAIN_NORMAL, DOMAIN_NTT_BR, Polynomial
 from .bfu import (
     MODE_PWM0,
     MODE_PWM1,
@@ -47,6 +40,7 @@ from .memory_map import (
     BankMemory,
     Hazard,
     MemoryGeometry,
+    build_twiddle_rom,
     estimate_bram_usage,
     initial_layout,
     pack_word,
@@ -248,8 +242,8 @@ def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
         raise ValueError(f"{op} expects {d_in}-domain operands")
     p = SCHEMES[scheme]
     geom = cfg.geometry(scheme)
-    tw = rom_override if rom_override is not None else (
-        forward_zetas(p), inverse_zetas(p), basemul_zetas(p))
+    tw = (rom_override if rom_override is not None
+          else build_twiddle_rom(scheme))
     m = BankMemory(geom.d, cfg.pipeline_depth)
     layout_in = _layout(d_in, geom.d)
     m.load(a.coeffs, geom, 0, layout_in)

@@ -85,6 +85,10 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         "scheme=kyber n=256 domain=normal\n" + "0\n" * 255,
         "scheme=kyber n=256 domain=normal\n" + "0\n" * 255 + "3329\n",
         "scheme=kyber n=256 domain=normal\n" + "0\n" * 255 + "ten\n",
+        # numerals int(..., 10) takes but the format does not
+        "scheme=kyber n=256 domain=normal\n" + "0\n" * 255 + "9_74\n",
+        "scheme=kyber n=256 domain=normal\n" + "0\n" * 255 + "+5\n",
+        "scheme=kyber n=256 domain=normal\n" + "0\n" * 255 + "\u0663\n",
         "no header at all\n",
         b"scheme=kyber n=256 domain=normal\n\xff",   # not UTF-8
     ]
@@ -265,6 +269,18 @@ def test_rom_override_out_of_range_or_short_exits_2(tmp_path, capsys):
     assert f"{wide}: line 2: word has bits set above" in \
         capsys.readouterr().err
     assert not out.exists()
+    # numerals int(..., 16) takes but the hex-word format does not
+    word = image.read_text().split()[1]
+    for i, numeral in enumerate(("0x" + word, "+" + word,
+                                 word[:1] + "_" + word[1:])):
+        lines[1] = numeral
+        odd = tmp_path / f"numeral{i}.hex"
+        odd.write_text("\n".join(lines) + "\n")
+        assert main(["polymul", str(pa), str(pb), "--design",
+                     "standalone-kyber", "--out", str(out),
+                     "--rom-override", str(odd)]) == 2, numeral
+        assert f"{odd}: line 2: not a hex word" in capsys.readouterr().err
+        assert not out.exists()
     binary = tmp_path / "binary.hex"
     binary.write_bytes(b"\xff\xfe")
     assert main(["polymul", str(pa), str(pb), "--design", "standalone-kyber",

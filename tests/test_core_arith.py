@@ -16,6 +16,7 @@ from kdntt.core_arith import (
     KYBER,
     KYBER_PAIR,
     SCHEMES,
+    ModulusParams,
     from_mont,
     mod_add,
     mod_add_half,
@@ -41,6 +42,8 @@ def test_scheme_constants():
     assert KYBER.q_prime == 3327
     assert DILITHIUM.q_prime == 8380415
     assert KYBER.min_len == 2 and DILITHIUM.min_len == 1
+    with pytest.raises(TypeError):  # derived, never passed in
+        ModulusParams("kyber", 3329, 17, 256, 7, 12, 12, 12, q_prime=5)
 
 
 def test_root_orders():

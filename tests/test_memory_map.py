@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from kdntt.core_arith import DILITHIUM, KYBER, SCHEMES, from_mont
+from kdntt.core_arith import KYBER, SCHEMES, from_mont
 from kdntt.ntt_reference import bit_reverse
 from kdntt.memory_map import (
     CH_INTT,
@@ -16,6 +16,7 @@ from kdntt.memory_map import (
     build_rom_images,
     build_twiddle_rom,
     check_conflict_free,
+    decode_twiddle_image,
     enumerate_stage_pairs,
     estimate_bram_usage,
     generate_addresses,
@@ -116,10 +117,10 @@ def test_conflict_free_all_depths_within_bound():
         for ch in (CH_NTT, CH_INTT):
             s = generate_addresses(ch, d)
             for depth in range(1, d // 2 + 1):
-                rep = check_conflict_free(s, depth, d)
+                rep = check_conflict_free(s, depth)
                 assert rep.clean and rep.depth_within_bound
-            beyond = check_conflict_free(s, d // 2 + 1, d)
-            assert not beyond.depth_within_bound
+            beyond = check_conflict_free(s, d // 2 + 1)
+            assert beyond.d == d and not beyond.depth_within_bound
             if d >= 4:
                 assert not beyond.clean
 
@@ -131,7 +132,7 @@ def test_shipped_depths_are_conflict_free():
             assert dg.pipeline_depth <= d // 2
             for ch in (CH_NTT, CH_INTT):
                 s = generate_addresses(ch, d)
-                assert check_conflict_free(s, dg.pipeline_depth, d).clean
+                assert check_conflict_free(s, dg.pipeline_depth).clean
 
 
 def test_reversal_is_needed_at_bound():
@@ -142,12 +143,12 @@ def test_reversal_is_needed_at_bound():
     reversal never hurts it."""
     for d in (4, 8, 16, 32, 64, 128):
         plain = generate_addresses(CH_NTT, d, stage1_reversal=False)
-        assert not check_conflict_free(plain, d // 2, d).clean
+        assert not check_conflict_free(plain, d // 2).clean
         if d >= 4:
-            assert not check_conflict_free(plain, 2, d).clean
+            assert not check_conflict_free(plain, 2).clean
         for ch in (CH_NTT, CH_INTT):
             assert check_conflict_free(generate_addresses(ch, d),
-                                       d // 2, d).clean
+                                       d // 2).clean
 
 
 def test_reversal_noop_for_two_words():
@@ -159,25 +160,25 @@ def test_reversal_noop_for_two_words():
 
 def test_intra_word_stage_indices():
     # Kyber t=4 (d2): one in-word stage at length 2 touching every row.
-    stages = intra_word_stages(KYBER, 4, 32)
+    stages = intra_word_stages(MemoryGeometry("kyber", 4))
     assert [st.span for st in stages] == [2]
     assert [e.addr_a for e in stages[0].entries] == list(range(32))
     ks = [e.tw_index for e in stages[0].entries]
     assert ks[0] == 64 and len(set(ks)) == 32  # one group index per row
     # Dilithium t=4 (d3): lengths 2 then 1.
-    stages = intra_word_stages(DILITHIUM, 4, 32)
+    stages = intra_word_stages(MemoryGeometry("dilithium", 4))
     assert [st.span for st in stages] == [2, 1]
-    inv = intra_word_stages(DILITHIUM, 4, 32, inverse=True)
+    inv = intra_word_stages(MemoryGeometry("dilithium", 4), inverse=True)
     assert [st.span for st in inv] == [1, 2]
     # t=1: no in-word layers at all
-    assert intra_word_stages(DILITHIUM, 1, 128) == ()
+    assert intra_word_stages(MemoryGeometry("dilithium", 1)) == ()
 
 
 def test_pwm_schedule_layouts():
     # post-transform layout: word w lives at row w//2, bank w&1
-    st = pwm_schedule(DILITHIUM, 1, 128)
+    st = pwm_schedule(MemoryGeometry("dilithium", 1))
     assert st.kind == "pwm" and len(st.entries) == 2 * 128
-    st = pwm_schedule(KYBER, 2, 64)
+    st = pwm_schedule(MemoryGeometry("kyber", 2))
     assert len(st.entries) == 4 * 64  # two cycles per word pair
     rows = [e.addr_a for e in st.entries]
     assert rows[0] == 0 and max(rows) == 63
@@ -212,18 +213,18 @@ def test_twiddle_rom_structure():
     for scheme, p in SCHEMES.items():
         rom = build_twiddle_rom(scheme)
         per_transform = 1 << p.layers
-        assert rom.inverse_offset == per_transform
-        assert from_mont(rom.forward(0), p) == 1
+        assert len(rom.forward) == per_transform
+        assert from_mont(rom.forward[0], p) == 1
         # gamma^(n/2) == -1 spot check through the Montgomery scaling
         if scheme == "kyber":
-            assert from_mont(rom.forward(1), p) == pow(17, 64, 3329)
-            assert len(rom.values) == 384
+            assert from_mont(rom.forward[1], p) == pow(17, 64, 3329)
+            assert len(sum(rom, ())) == 384
         else:
-            assert len(rom.values) == 512
+            assert len(sum(rom, ())) == 512
         # inverse entries are pre-halved inverses of the forward entries
         for k in (1, 2, 3, 77):
-            f = from_mont(rom.forward(k), p)
-            i = from_mont(rom.inverse(k), p)
+            f = from_mont(rom.forward[k], p)
+            i = from_mont(rom.inverse[k], p)
             assert i * 2 * f % p.q == 1
 
 
@@ -231,10 +232,10 @@ def test_kyber_psi_table():
     rom = build_twiddle_rom("kyber")
     for i in range(128):
         want = pow(17, 2 * bit_reverse(i, 7) + 1, 3329)
-        assert from_mont(rom.psi(i), KYBER) == want
+        assert from_mont(rom.psi[i], KYBER) == want
     # consecutive entries negate each other: exponents differ by 128 and
     # gamma^128 == -1
-    assert from_mont(rom.psi(1), KYBER) == 3329 - from_mont(rom.psi(0), KYBER)
+    assert from_mont(rom.psi[1], KYBER) == 3329 - from_mont(rom.psi[0], KYBER)
 
 
 def test_bram_totals_and_splits():
@@ -287,7 +288,8 @@ def test_build_rom_images_deterministic_and_consistent():
 
 
 def test_rom_image_twiddles_parse_back():
-    """The packed image decodes to exactly build_twiddle_rom's values."""
+    """The packed image decodes to exactly build_twiddle_rom's values,
+    by hand and through decode_twiddle_image."""
     for design, dg in DESIGNS.items():
         images = build_rom_images(design)
         lines, width = images["twiddle"]
@@ -297,14 +299,17 @@ def test_rom_image_twiddles_parse_back():
             per_word = man[f"{scheme}_twiddle_values_per_word"]
             off = man[f"{scheme}_twiddle_offset"]
             rom = build_twiddle_rom(scheme)
+            values = sum(rom, ())
             vals = []
             for ln in lines[off:]:
                 w = int(ln, 16)
                 for i in range(per_word):
                     vals.append((w >> (i * p.coeff_bits)) & ((1 << p.coeff_bits) - 1))
-                if len(vals) >= len(rom.values):
+                if len(vals) >= len(values):
                     break
-            assert tuple(vals[: len(rom.values)]) == rom.values
+            assert tuple(vals[: len(values)]) == values
+            assert decode_twiddle_image("\n".join(lines), design,
+                                        scheme) == rom
 
 
 def test_addr_rom_dimensions():
@@ -327,9 +332,9 @@ def test_generate_addresses_input_validation():
 
 
 def test_memory_geometry_validation():
-    g = MemoryGeometry.for_scheme("kyber", 2)
+    g = MemoryGeometry("kyber", 2)
     assert g.d == 64 and g.word_width == 24
+    with pytest.raises(TypeError):  # d and word_width follow from t
+        MemoryGeometry("kyber", 2, 24, 64)
     with pytest.raises(ValueError):
-        MemoryGeometry(scheme="kyber", t=2, word_width=24, d=63)
-    with pytest.raises(ValueError):
-        MemoryGeometry(scheme="kyber", t=3, word_width=36, d=42)
+        MemoryGeometry(scheme="kyber", t=3)

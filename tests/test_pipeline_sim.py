@@ -216,7 +216,7 @@ def test_simulator_and_gate_share_one_hazard_rule():
             cfg = CoreConfig.for_design(design)
             object.__setattr__(cfg, "pipeline_depth", depth)
             _, rep = run_op(cfg, scheme, OP_NTT, a, allow_hazards=True)
-            gate = check_conflict_free(generate_addresses(CH_NTT, d), depth, d)
+            gate = check_conflict_free(generate_addresses(CH_NTT, d), depth)
             assert rep.hazards and rep.hazards == gate.hazards, (design, depth)
 
 
