@@ -4,6 +4,7 @@ oracles on a sample of runs (the full statistical sweep is in
 test_acceptance.py)."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from kdntt.bfu import fast_intt, fast_ntt
 from kdntt.memory_map import (
     CH_NTT,
     DESIGNS,
+    Hazard,
     build_rom_images,
     check_conflict_free,
     estimate_bram_usage,
@@ -206,18 +208,65 @@ def test_overdeep_pipeline_shows_hazards():
 def test_simulator_and_gate_share_one_hazard_rule():
     """Single-lane ntt programs are mirror stages only, so at an
     over-deep pipeline the simulator must report exactly the hazards
-    that check_conflict_free finds in the forward schedule."""
+    that check_conflict_free finds in the forward schedule.  A polymul
+    runs NTT(b) on region 1 right after NTT(a), so its region-1 hazards
+    are the ntt's moved to the mirrored bank, the region-1 rows and the
+    cycles after NTT(a); d3 kyber adds in-word stages to that check."""
     rng = random.Random(0x6A7E)
     for design, scheme in (("standalone-kyber", "kyber"),
-                           ("standalone-dilithium", "dilithium")):
-        a = Polynomial.random(scheme, rng)
+                           ("standalone-dilithium", "dilithium"),
+                           ("d3", "kyber")):
+        a, b = Polynomial.random(scheme, rng), Polynomial.random(scheme, rng)
         d = DESIGNS[design].geometry(scheme).d
         for depth in (d // 2 + 1, d):
             cfg = CoreConfig.for_design(design)
             object.__setattr__(cfg, "pipeline_depth", depth)
             _, rep = run_op(cfg, scheme, OP_NTT, a, allow_hazards=True)
-            gate = check_conflict_free(generate_addresses(CH_NTT, d), depth)
-            assert rep.hazards and rep.hazards == gate.hazards, (design, depth)
+            if design != "d3":  # programs of mirror stages only
+                gate = check_conflict_free(generate_addresses(CH_NTT, d), depth)
+                assert rep.hazards and rep.hazards == gate.hazards, (design, depth)
+            shift = latency_model(cfg, scheme, OP_NTT)
+            moved = [Hazard(h.cycle + shift, h.bank ^ 1, h.row + d,
+                            h.lands_at + shift) for h in rep.hazards]
+            _, full = run_polymul(cfg, scheme, a, b, allow_hazards=True)
+            assert moved and [h for h in full.hazards if h.row >= d] == moved, \
+                (design, depth)
+
+
+def test_simulator_behaviour_is_pinned():
+    """Outputs, busy and fill/drain cycles and hazards of every op,
+    design and scheme at legal and over-deep depths (188 runs) hash to
+    a fixed digest, so a rewrite of the executor or the bank model must
+    leave them bit-identical."""
+    rng = random.Random(0x5EED)
+    h = hashlib.sha256()
+    runs = 0
+    for design, dg in DESIGNS.items():
+        for scheme in dg.schemes:
+            d = dg.geometry(scheme).d
+            a, b = (Polynomial.random(scheme, rng) for _ in range(2))
+            sa, sb = (Polynomial.random(scheme, rng, DOMAIN_NTT_BR)
+                      for _ in range(2))
+            for depth in sorted({1, dg.pipeline_depth, d // 2, d // 2 + 1,
+                                 d // 2 + 5, d}):
+                cfg = CoreConfig.for_design(design)
+                object.__setattr__(cfg, "pipeline_depth", depth)
+                for op, x, y in ((OP_NTT, a, None), (OP_INTT, sa, None),
+                                 (OP_PWM, sa, sb), (OP_POLYMUL, a, b)):
+                    if op == OP_POLYMUL:
+                        out, rep = run_polymul(cfg, scheme, x, y,
+                                               allow_hazards=True)
+                    else:
+                        out, rep = run_op(cfg, scheme, op, x, y,
+                                          allow_hazards=True)
+                    h.update(repr((
+                        out.coeffs, rep.busy_cycles, rep.fill_drain_cycles,
+                        [(z.cycle, z.bank, z.row, z.lands_at)
+                         for z in rep.hazards])).encode())
+                    runs += 1
+    assert runs == 188
+    assert h.hexdigest() == ("5a1de78b1b96828941ba8a7e26d9d546"
+                             "0720f7eacccfec6d0a30b63f6136918a")
 
 
 def test_deepest_legal_pipeline_is_clean():
