@@ -69,6 +69,14 @@ class ModulusParams:
 
     def __post_init__(self) -> None:
         r = 1 << self.r_bits
+        # A single conditional subtraction after reduction needs R > q.
+        if r <= self.q:
+            raise ValueError(f"Montgomery radix 2**{self.r_bits} is not "
+                             f"above q = {self.q}")
+        # The root really has the claimed order: root**(order/2) == -1.
+        if pow(self.root, self.root_order // 2, self.q) != self.q - 1:
+            raise ValueError(f"root {self.root} does not have order "
+                             f"{self.root_order} mod {self.q}")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "mask", r - 1)
         object.__setattr__(self, "q_prime", (-pow(self.q, -1, r)) % r)
@@ -76,11 +84,6 @@ class ModulusParams:
         object.__setattr__(self, "r2_mod_q", r * r % self.q)
         object.__setattr__(self, "inv2", (self.q + 1) // 2)
         object.__setattr__(self, "min_len", N >> self.layers)
-        # A single conditional subtraction after reduction needs R > q.
-        assert r > self.q
-        assert self.q * self.q_prime % r == r - 1
-        # The root really has the claimed order: root**(order/2) == -1.
-        assert pow(self.root, self.root_order // 2, self.q) == self.q - 1
 
 
 KYBER = ModulusParams(

@@ -5,12 +5,13 @@ port + one write port each).  A word holds t adjacent coefficients in
 fixed-width slots; each operand polynomial occupies a region of
 d = 256/(2t) rows per bank.  Operand a sits in region 0 with bank A
 holding words 0..d-1 in order and bank B holding words d..2d-1 in
-REVERSE order (row r keeps word 2d-1-r); operand b mirrors that across
-the banks in region 1.  The mirrored split is what lets every butterfly
-stage read its two partner words from different banks in the same cycle.
-BankMemory is the one model of the banks: a write lands pipeline_depth
-cycles after issue, and reading a row whose write is still in flight is
-a hazard.  The simulator and check_conflict_free both run on it.
+REVERSE order (row r keeps word 2d-1-r); operand b sits in region 1.
+The mirrored split is what lets every butterfly stage read its two
+partner words from different banks in the same cycle.  BankMemory is
+the one model of the banks: it maps a (region, role, row) address to a
+physical bank and row, a write lands pipeline_depth cycles after issue,
+and reading a row whose write is still in flight is a hazard.  The
+simulator and check_conflict_free both run on it.
 
 Transform scheduling.  Word-level stages pair words (x, x+p) for spans
 p = d, d/2, ..., 1, one stage per layer.  Within a span-p row group the
@@ -245,12 +246,11 @@ def pwm_schedule(geom: MemoryGeometry) -> StageSchedule:
     """Pointwise-stage addressing: operand words a_w and b_w pairwise.
 
     The stage runs on the post-transform layout (even words in bank A
-    at row w/2, odd words in bank B), and operand b was loaded with the
-    banks mirrored, so word w of a and word w of b always sit in
-    opposite banks at the same region-relative row: one cycle reads
-    both.  Kyber spends two cycles per word (product stage then combine
-    stage, 4d total) and uses psi indices from t/2 * w; Dilithium one
-    cycle per word (2d total).
+    at row w/2, odd words in bank B).  Word w of operand b is read at
+    the same role and row in region 1, so one cycle reads both (see
+    BankMemory).  Kyber spends two cycles per word (product stage then
+    combine stage, 4d total) and uses psi indices from t/2 * w;
+    Dilithium one cycle per word (2d total).
     """
     kyber = geom.scheme == "kyber"
     entries = []
@@ -362,23 +362,24 @@ class Hazard:
 class BankMemory:
     """The two coefficient banks and their delayed write-back.
 
-    Each bank has 2d rows, one d-row region per operand.  A write issued
-    at cycle c lands at c + pipeline_depth; a read of a row whose write
-    is still in flight is recorded as a Hazard and sees the stale word,
-    as the hardware would.  swap_banks flips the role -> physical bank
-    mapping for the b-operand pass.
+    Each bank has 2d rows, one d-row region per operand, and callers
+    address a word by (region, role, row).  Operand b in region 1 is
+    mirrored across the banks, so role BANK_A of region 1 is physical
+    bank B: the physical bank is role ^ region and the physical row
+    region * d + row.  That is what lets one pointwise cycle read a_w
+    and b_w from opposite banks at the same row.  A write issued at
+    cycle c lands at c + pipeline_depth; a read of a row whose write is
+    still in flight is recorded as a Hazard (physical bank and row) and
+    sees the stale word, as the hardware would.
     """
 
     def __init__(self, d: int, pipeline_depth: int) -> None:
+        self.d = d
         self.depth = pipeline_depth
         self.banks = [[0] * (2 * d), [0] * (2 * d)]
         self.pending: dict[tuple[int, int], tuple[int, int]] = {}
         self.cycle = 0
         self.hazards: list[Hazard] = []
-        self.swap_banks = False
-
-    def _phys(self, role: int) -> int:
-        return role ^ 1 if self.swap_banks else role
 
     def _commit_if_landed(self, loc: tuple[int, int]) -> None:
         entry = self.pending.get(loc)
@@ -386,16 +387,16 @@ class BankMemory:
             self.banks[loc[0]][loc[1]] = entry[1]
             del self.pending[loc]
 
-    def read(self, role: int, row: int) -> int:
-        loc = (self._phys(role), row)
+    def read(self, region: int, role: int, row: int) -> int:
+        loc = (role ^ region, region * self.d + row)
         self._commit_if_landed(loc)
         entry = self.pending.get(loc)
         if entry is not None:
             self.hazards.append(Hazard(self.cycle, loc[0], loc[1], entry[0]))
         return self.banks[loc[0]][loc[1]]
 
-    def write(self, role: int, row: int, word: int) -> None:
-        loc = (self._phys(role), row)
+    def write(self, region: int, role: int, row: int, word: int) -> None:
+        loc = (role ^ region, region * self.d + row)
         self._commit_if_landed(loc)
         self.pending[loc] = (self.cycle + self.depth, word)
 
@@ -418,17 +419,16 @@ class BankMemory:
         """Pack a polynomial into a region, Montgomery-scaled if mont."""
         if mont is not None:
             coeffs = [to_mont(v, mont) for v in coeffs]
-        off = region * geom.d
+        off = region * self.d
         for role, rows in zip((BANK_A, BANK_B),
                               pack_coefficients(coeffs, geom, layout)):
-            self.banks[self._phys(role)][off: off + geom.d] = rows
+            self.banks[role ^ region][off: off + self.d] = rows
 
     def extract(self, geom: MemoryGeometry, layout) -> list[int]:
         """Unpack operand a (region 0); every write must have landed."""
         assert not self.pending, "extract before drain"
-        bank_a, bank_b = (self.banks[self._phys(role)][:geom.d]
-                          for role in (BANK_A, BANK_B))
-        return unpack_coefficients(bank_a, bank_b, geom, layout)
+        return unpack_coefficients(self.banks[BANK_A][:self.d],
+                                   self.banks[BANK_B][:self.d], geom, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +488,9 @@ def check_conflict_free(s: AddressSchedule,
     m = BankMemory(s.d, pipeline_depth)
     for stage in s.stages:
         for e in stage.entries:
-            wa, wb = m.read(BANK_A, e.addr_a), m.read(BANK_B, e.addr_b)
-            m.write(BANK_A, e.addr_a, wa)
-            m.write(BANK_B, e.addr_b, wb)
+            wa, wb = m.read(0, BANK_A, e.addr_a), m.read(0, BANK_B, e.addr_b)
+            m.write(0, BANK_A, e.addr_a, wa)
+            m.write(0, BANK_B, e.addr_b, wb)
             m.tick()
     return ConflictReport(pipeline_depth, s.d, tuple(m.hazards))
 
@@ -739,11 +739,12 @@ def decode_twiddle_image(text: str, design: str, scheme: str) -> TwiddleRom:
     design; blank lines are skipped.  Raises ValueError, naming the
     line, for a word that is not ASCII hex digits, has a bit set above
     its packed values or holds a value outside [0, q), and for an image
-    too short to hold the scheme's run.
+    whose word count is not the design's own.
     """
     p = SCHEMES[scheme]
     rom = build_twiddle_rom(scheme)
-    offset, per_word, n_words = _twiddle_regions(DESIGNS[design])[scheme]
+    regions = _twiddle_regions(DESIGNS[design])
+    offset, per_word, n_words = regions[scheme]
     words = []
     for n, ln in enumerate(text.splitlines(), start=1):
         ln = ln.strip()
@@ -751,10 +752,12 @@ def decode_twiddle_image(text: str, design: str, scheme: str) -> TwiddleRom:
             if not _HEX_WORD.fullmatch(ln):
                 raise ValueError(f"line {n}: not a hex word: {ln!r}")
             words.append((n, int(ln, 16)))
+    need = sum(w for _, _, w in regions.values())
+    if len(words) != need:
+        raise ValueError(f"too {'short' if len(words) < need else 'long'} "
+                         f"for the {design} twiddles: {len(words)} words, "
+                         f"the image has {need}")
     run = words[offset: offset + n_words]
-    if len(run) < n_words:
-        raise ValueError(f"too short for the {scheme} twiddles: "
-                         f"{len(words)} words, need {offset + n_words}")
     mask = (1 << p.coeff_bits) - 1
     used_bits = per_word * p.coeff_bits
     values = []

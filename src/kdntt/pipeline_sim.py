@@ -5,7 +5,10 @@ memory_map.BankMemory, feeds the butterfly lanes, and writes the results
 back to the same two rows; the bank memory delays each write by
 pipeline_depth cycles and records any read of a row whose write is
 still in flight as a hazard (the read sees the stale word, exactly like
-the hardware would).
+the hardware would).  One loop runs every transform stage, word-pairing
+and in-word alike: only the stage's butterfly list over the cycle's
+two words differs.  Operands are addressed by region (a in 0, b in 1);
+the bank memory alone decides where a region sits.
 
 Latency accounting follows the convention of the published cycle
 counts: busy_cycles counts issued butterfly/product cycles only
@@ -119,48 +122,40 @@ class SimReport:
         ]) + "\n"
 
 
+def _butterflies(kind: str, span: int, t: int):
+    """A stage's (lo slot, hi slot, twiddle offset) list over the 2t slots
+    of a cycle's two words.  A mirror stage pairs slot s of the low word
+    with slot s of the high one under one twiddle; an in-word stage of
+    length L pairs slots inside each block of 2L, one twiddle per block
+    counted across both words."""
+    ell = t if kind == "mirror" else span
+    return [(i, i + ell, i // (2 * ell))
+            for i in range(2 * t) if i % (2 * ell) < ell]
+
+
 def _run_transform(m: BankMemory, p: ModulusParams, geom: MemoryGeometry,
-                   phase: str, region: int, twiddles) -> int:
-    """Execute one ntt or intt phase, one tick per program entry."""
-    t, d, sb = geom.t, geom.d, geom.slot_bits
+                   phase: str, region: int, twiddles) -> None:
+    """Execute one ntt or intt phase, one tick per program entry: read
+    both rows, run the stage's butterflies, write both rows back."""
+    t, sb = geom.t, geom.slot_bits
     forward = phase == OP_NTT
     table = twiddles[0] if forward else twiddles[1]
-    stages = getattr(scheme_program(geom), phase)
-    off = region * d
     step = ct_butterfly if forward else gs_butterfly_halving
-    for stage in stages:
-        if stage.kind == "mirror":
-            for e in stage.entries:
-                wa = m.read(BANK_A, off + e.addr_a)
-                wb = m.read(BANK_B, off + e.addr_b)
-                lo_w, hi_w = (wb, wa) if e.read_swap else (wa, wb)
-                lo = unpack_word(lo_w, t, sb)
-                hi = unpack_word(hi_w, t, sb)
-                z = table[e.tw_index]
-                for s in range(t):
-                    lo[s], hi[s] = step(lo[s], hi[s], z, p)
-                out_lo, out_hi = pack_word(lo, sb), pack_word(hi, sb)
-                if e.write_swap:
-                    out_lo, out_hi = out_hi, out_lo
-                m.write(BANK_A, off + e.addr_a, out_lo)
-                m.write(BANK_B, off + e.addr_b, out_hi)
-                m.tick()
-        else:  # in-word stage: one row of each bank, blocks inside words
-            ell = stage.span
-            for e in stage.entries:
-                k = e.tw_index
-                for bank, row in ((BANK_A, e.addr_a), (BANK_B, e.addr_b)):
-                    slots = unpack_word(m.read(bank, off + row), t, sb)
-                    for blk in range(t // (2 * ell)):
-                        z = table[k]
-                        k += 1
-                        base = blk * 2 * ell
-                        for i in range(base, base + ell):
-                            slots[i], slots[i + ell] = step(slots[i],
-                                                            slots[i + ell],
-                                                            z, p)
-                    m.write(bank, off + row, pack_word(slots, sb))
-                m.tick()
+    for stage in getattr(scheme_program(geom), phase):
+        bfly = _butterflies(stage.kind, stage.span, t)
+        for e in stage.entries:
+            wa = m.read(region, BANK_A, e.addr_a)
+            wb = m.read(region, BANK_B, e.addr_b)
+            lo_w, hi_w = (wb, wa) if e.read_swap else (wa, wb)
+            x = unpack_word(lo_w, t, sb) + unpack_word(hi_w, t, sb)
+            for i, j, k in bfly:
+                x[i], x[j] = step(x[i], x[j], table[e.tw_index + k], p)
+            out_lo, out_hi = pack_word(x[:t], sb), pack_word(x[t:], sb)
+            if e.write_swap:
+                out_lo, out_hi = out_hi, out_lo
+            m.write(region, BANK_A, e.addr_a, out_lo)
+            m.write(region, BANK_B, e.addr_b, out_hi)
+            m.tick()
 
 
 def _run_pwm(m: BankMemory, p: ModulusParams, geom: MemoryGeometry,
@@ -170,23 +165,23 @@ def _run_pwm(m: BankMemory, p: ModulusParams, geom: MemoryGeometry,
     Dilithium multiplies and writes back in one cycle per word; Kyber
     spends a product cycle and then a combine cycle on each word.
     """
-    t, d, sb = geom.t, geom.d, geom.slot_bits
+    t, sb = geom.t, geom.slot_bits
     psi = twiddles[2]
     kyber = p.scheme == "kyber"
     carries = None
     for i, e in enumerate(scheme_program(geom).pwm[0].entries):
-        a_bank, b_bank = (BANK_B, BANK_A) if e.read_swap else (BANK_A, BANK_B)
+        role = BANK_B if e.read_swap else BANK_A
         if kyber and i % 2:  # combine stage: psi products, assemble
             out = []
             for j, carry in enumerate(carries):
                 out.extend(kyber_pwm_pair(MODE_PWM1, (0, 0), (0, 0),
                                           psi[e.tw_index + j], p,
                                           carry_state=carry))
-            m.write(a_bank, e.addr_a, pack_word(out, sb))
+            m.write(0, role, e.addr_a, pack_word(out, sb))
             carries = None
         else:  # read both operand words
-            a = unpack_word(m.read(a_bank, e.addr_a), t, sb)
-            b = unpack_word(m.read(b_bank, d + e.addr_b), t, sb)
+            a = unpack_word(m.read(0, role, e.addr_a), t, sb)
+            b = unpack_word(m.read(1, role, e.addr_b), t, sb)
             if kyber:
                 carries = [
                     kyber_pwm_pair(MODE_PWM0, (a[2 * j], a[2 * j + 1]),
@@ -195,7 +190,7 @@ def _run_pwm(m: BankMemory, p: ModulusParams, geom: MemoryGeometry,
                 ]
             else:
                 out = [dilithium_pwm(ai, bi, p) for ai, bi in zip(a, b)]
-                m.write(a_bank, e.addr_a, pack_word(out, sb))
+                m.write(0, role, e.addr_a, pack_word(out, sb))
         m.tick()
 
 
@@ -230,8 +225,8 @@ def _layout(domain: str, d: int):
 def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
          b: Polynomial | None, rom_override,
          allow_hazards: bool) -> tuple[Polynomial, SimReport]:
-    """Load a (region 0) and b (region 1, banks swapped, Montgomery-scaled),
-    run the op's phases with a drain after each, and read a's region back."""
+    """Load a (region 0) and b (region 1, Montgomery-scaled), run the
+    op's phases with a drain after each, and read a's region back."""
     if scheme not in cfg.schemes:
         raise ValueError(f"design {cfg.design} has no {scheme} lanes")
     operands = (a,) if b is None else (a, b)
@@ -248,9 +243,7 @@ def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
     layout_in = _layout(d_in, geom.d)
     m.load(a.coeffs, geom, 0, layout_in)
     if b is not None:
-        m.swap_banks = True
         m.load(b.coeffs, geom, 1, layout_in, mont=p)
-        m.swap_banks = False
     busy = fill_drain = 0
     for phase in phases:
         start = m.cycle
@@ -262,9 +255,7 @@ def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
         if phase == OP_NTT and b is not None:
             # NTT(b) preparation: counted in neither total (see the
             # module docstring) and not drained apart from NTT(a).
-            m.swap_banks = True
             _run_transform(m, p, geom, OP_NTT, 1, tw)
-            m.swap_banks = False
         fill_drain += m.drain()
     out = a.with_coeffs(m.extract(geom, _layout(d_out, geom.d)),
                         domain=d_out)
@@ -298,11 +289,11 @@ def run_polymul(cfg: CoreConfig, scheme: str, a: Polynomial, b: Polynomial,
     """Full negacyclic product on the core: NTT(a), PWM, INTT.
 
     Both inputs are normal-domain polynomials.  The b operand is loaded
-    mirrored into region 1 and forward-transformed in place with the
-    bank roles swapped; those preparation cycles are excluded from both
-    busy_cycles and fill_drain_cycles per the pre-transformed-operand
-    accounting (see module docstring).  The result equals
-    schoolbook_negacyclic(a, b) exactly.
+    into region 1 and forward-transformed in place by the same program;
+    those preparation cycles are excluded from both busy_cycles and
+    fill_drain_cycles per the pre-transformed-operand accounting (see
+    module docstring).  The result equals schoolbook_negacyclic(a, b)
+    exactly.
     """
     return _run(cfg, scheme, OP_POLYMUL, a, b, rom_override, allow_hazards)
 

@@ -258,8 +258,21 @@ def test_rom_override_out_of_range_or_short_exits_2(tmp_path, capsys):
     assert main(["polymul", str(pa), str(pb), "--design", "standalone-kyber",
                  "--rom-override", str(short)]) == 2
     assert "too short" in capsys.readouterr().err
-    # a word with a bit above its two 12-bit fields
+    # an image longer than the design's own: extra words after the run,
+    # and d1's whole kyber + dilithium image
     image = tmp_path / "roms" / "standalone-kyber-twiddle.hex"
+    long = tmp_path / "long.hex"
+    long.write_text(image.read_text() + "ffffff\n" * 50)
+    assert main(["gen-roms", "--design", "d1",
+                 "--outdir", str(tmp_path / "roms")]) == 0
+    for extra in (long, tmp_path / "roms" / "d1-twiddle.hex"):
+        assert main(["polymul", str(pa), str(pb), "--design",
+                     "standalone-kyber", "--out", str(out),
+                     "--rom-override", str(extra)]) == 2, extra
+        err = capsys.readouterr().err
+        assert "too long" in err and "the image has 192" in err, err
+        assert not out.exists()
+    # a word with a bit above its two 12-bit fields
     lines = image.read_text().split()
     lines[1] = "1" + lines[1]
     wide = tmp_path / "wide.hex"

@@ -5,10 +5,15 @@ here we pin the documented examples, boundary cases, and rejection of
 malformed inputs, plus moderately sized random cross-checks.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kdntt
 from kdntt.core_arith import (
     DILITHIUM,
     DILITHIUM_SINGLE,
@@ -44,6 +49,28 @@ def test_scheme_constants():
     assert KYBER.min_len == 2 and DILITHIUM.min_len == 1
     with pytest.raises(TypeError):  # derived, never passed in
         ModulusParams("kyber", 3329, 17, 256, 7, 12, 12, 12, q_prime=5)
+    with pytest.raises(ValueError, match="order 256"):  # 3**128 != -1
+        ModulusParams("kyber", 3329, 3, 256, 7, 12, 12, 12)
+    with pytest.raises(ValueError, match="not above q"):  # R = 2048 < q
+        ModulusParams("kyber", 3329, 17, 256, 7, 11, 12, 12)
+    with pytest.raises(ValueError, match="not above q"):  # R == q
+        ModulusParams("kyber", 4096, 17, 256, 7, 12, 12, 12)
+
+
+def test_scheme_constant_checks_survive_python_O():
+    src = str(Path(kdntt.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from kdntt.core_arith import ModulusParams\n"
+         "for args in ((3329, 3, 256, 7, 12), (3329, 17, 256, 7, 11)):\n"
+         "    try:\n"
+         "        ModulusParams('kyber', *args, 12, 12)\n"
+         "    except ValueError as e:\n"
+         "        print('rejected:', e)\n"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("rejected:") == 2, proc.stdout
 
 
 def test_root_orders():

@@ -223,8 +223,10 @@ def test_simulator_and_gate_share_one_hazard_rule():
             object.__setattr__(cfg, "pipeline_depth", depth)
             _, rep = run_op(cfg, scheme, OP_NTT, a, allow_hazards=True)
             if design != "d3":  # programs of mirror stages only
-                gate = check_conflict_free(generate_addresses(CH_NTT, d), depth)
-                assert rep.hazards and rep.hazards == gate.hazards, (design, depth)
+                gate = check_conflict_free(generate_addresses(CH_NTT, d),
+                                           depth)
+                assert rep.hazards and rep.hazards == gate.hazards, \
+                    (design, depth)
             shift = latency_model(cfg, scheme, OP_NTT)
             moved = [Hazard(h.cycle + shift, h.bank ^ 1, h.row + d,
                             h.lands_at + shift) for h in rep.hazards]
