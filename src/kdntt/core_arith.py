@@ -43,21 +43,24 @@ GUARD_SEL = {
 class ModulusParams:
     """Per-scheme arithmetic constants.
 
-    The derived Montgomery values are computed once here; hot loops then
-    see plain attributes.  ``root`` generates the twiddle group: for
-    Dilithium it is a 2n-th root of unity (root**n == -1 mod q), for Kyber
-    only an n-th root exists (root**(n/2) == -1 mod q).
+    Only q and the root are chosen; every width is derived once here,
+    so hot loops see plain attributes.  A coefficient and the Montgomery
+    radix take q's bit length (so R > q), a memory slot whole 12-bit
+    lanes, and a transform one butterfly layer per halving of the root's
+    order down to 4.  ``root`` generates the twiddle group: for
+    Dilithium it is a 2n-th root of unity (root**n == -1 mod q), for
+    Kyber only an n-th root exists (root**(n/2) == -1 mod q).
     """
 
     scheme: str
     q: int
     root: int
     root_order: int  # 2n for Dilithium (512), n for Kyber (256)
-    layers: int  # butterfly layers per transform: 7 (incomplete) or 8 (complete)
-    r_bits: int  # Montgomery radix R = 2**r_bits
-    coeff_bits: int  # arithmetic width of a coefficient
-    slot_bits: int  # storage slot width in memory words
     # derived in __post_init__, never passed in:
+    coeff_bits: int = field(init=False)  # arithmetic width of a coefficient
+    r_bits: int = field(init=False)  # Montgomery radix R = 2**r_bits
+    slot_bits: int = field(init=False)  # storage slot width in memory words
+    layers: int = field(init=False)  # 7 (incomplete) or 8 (complete)
     r: int = field(init=False)
     mask: int = field(init=False)
     q_prime: int = field(init=False)  # -q**-1 mod R: q*q_prime == R-1 (mod R)
@@ -68,45 +71,27 @@ class ModulusParams:
     min_len: int = field(init=False)
 
     def __post_init__(self) -> None:
-        r = 1 << self.r_bits
-        # A single conditional subtraction after reduction needs R > q.
-        if r <= self.q:
-            raise ValueError(f"Montgomery radix 2**{self.r_bits} is not "
-                             f"above q = {self.q}")
-        # The root really has the claimed order: root**(order/2) == -1.
-        if pow(self.root, self.root_order // 2, self.q) != self.q - 1:
-            raise ValueError(f"root {self.root} does not have order "
-                             f"{self.root_order} mod {self.q}")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "mask", r - 1)
-        object.__setattr__(self, "q_prime", (-pow(self.q, -1, r)) % r)
-        object.__setattr__(self, "r_mod_q", r % self.q)
-        object.__setattr__(self, "r2_mod_q", r * r % self.q)
-        object.__setattr__(self, "inv2", (self.q + 1) // 2)
-        object.__setattr__(self, "min_len", N >> self.layers)
+        # The root has the claimed power-of-two order: root**(o/2) == -1.
+        o = self.root_order
+        if o & (o - 1) or pow(self.root, o // 2, self.q) != self.q - 1:
+            raise ValueError(f"root {self.root} does not have power-of-two "
+                             f"order {o} mod {self.q}")
+        bits = self.q.bit_length()
+        r = 1 << bits
+        layers = self.root_order.bit_length() - 2
+        for name, value in (
+                ("coeff_bits", bits), ("r_bits", bits),
+                ("slot_bits", -(-bits // _LANE_BITS) * _LANE_BITS),
+                ("layers", layers), ("r", r), ("mask", r - 1),
+                ("q_prime", (-pow(self.q, -1, r)) % r),
+                ("r_mod_q", r % self.q), ("r2_mod_q", r * r % self.q),
+                ("inv2", (self.q + 1) // 2), ("min_len", N >> layers)):
+            object.__setattr__(self, name, value)
 
 
-KYBER = ModulusParams(
-    scheme="kyber",
-    q=3329,
-    root=17,
-    root_order=256,
-    layers=7,
-    r_bits=12,
-    coeff_bits=12,
-    slot_bits=12,
-)
-
-DILITHIUM = ModulusParams(
-    scheme="dilithium",
-    q=8380417,  # 2**23 - 2**13 + 1
-    root=1753,
-    root_order=512,
-    layers=8,
-    r_bits=23,
-    coeff_bits=23,
-    slot_bits=24,
-)
+KYBER = ModulusParams("kyber", q=3329, root=17, root_order=256)
+# q = 2**23 - 2**13 + 1
+DILITHIUM = ModulusParams("dilithium", q=8380417, root=1753, root_order=512)
 
 SCHEMES = {"kyber": KYBER, "dilithium": DILITHIUM}
 

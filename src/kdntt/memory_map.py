@@ -69,8 +69,11 @@ class MemoryGeometry:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.t < 1 or self.t & (self.t - 1):
-            raise ValueError("lane count must be a power of two")
+        # A word holds a shortest butterfly, and a region d >= 2 rows.
+        lo = SCHEMES[self.scheme].min_len
+        if self.t & (self.t - 1) or not lo <= self.t <= N // 4:
+            raise ValueError(f"lane count must be a power of two in "
+                             f"[{lo}, {N // 4}] for {self.scheme}")
 
     @property
     def d(self) -> int:
@@ -476,9 +479,29 @@ class ConflictReport:
         return not self.hazards
 
 
+def run_stages(m: BankMemory, stages, region: int, cycle) -> None:
+    """Run transform stages on m, one tick per entry: read both rows,
+    order them (low, high) by read_swap, pass them to cycle(stage,
+    entry, low, high) and route the (low, high) it returns back by
+    write_swap.  The one reader of a transform's routing flags: the
+    simulator, the conflict gate and the pairing oracle all run it."""
+    for stage in stages:
+        for e in stage.entries:
+            lo = m.read(region, BANK_A, e.addr_a)
+            hi = m.read(region, BANK_B, e.addr_b)
+            if e.read_swap:
+                lo, hi = hi, lo
+            lo, hi = cycle(stage, e, lo, hi)
+            if e.write_swap:
+                lo, hi = hi, lo
+            m.write(region, BANK_A, e.addr_a, lo)
+            m.write(region, BANK_B, e.addr_b, hi)
+            m.tick()
+
+
 def check_conflict_free(s: AddressSchedule,
                         pipeline_depth: int) -> ConflictReport:
-    """Replay the schedule through BankMemory.
+    """Replay the schedule through run_stages, words passing unchanged.
 
     Each cycle reads both of its rows and writes them back; the writes
     land pipeline_depth cycles later, and reading a row whose write is
@@ -486,38 +509,29 @@ def check_conflict_free(s: AddressSchedule,
     that is the whole point of the schedule.
     """
     m = BankMemory(s.d, pipeline_depth)
-    for stage in s.stages:
-        for e in stage.entries:
-            wa, wb = m.read(0, BANK_A, e.addr_a), m.read(0, BANK_B, e.addr_b)
-            m.write(0, BANK_A, e.addr_a, wa)
-            m.write(0, BANK_B, e.addr_b, wb)
-            m.tick()
+    run_stages(m, s.stages, 0, lambda _st, _e, lo, hi: (lo, hi))
     return ConflictReport(pipeline_depth, s.d, tuple(m.hazards))
 
 
 def enumerate_stage_pairs(s: AddressSchedule):
-    """Word-index partner pairs per stage, tracking occupancy — the
-    oracle view used to prove schedule completeness against a reference
-    transform trace."""
-    la, lb = (list(x) for x in s.initial_layout)
+    """Word-index partner pairs per stage: run_stages on banks holding
+    word indices, recording each cycle's (low, high) — the oracle view
+    used to prove schedule completeness against a reference transform
+    trace."""
+    m = BankMemory(s.d, 1)
+    m.banks[BANK_A][:s.d], m.banks[BANK_B][:s.d] = s.initial_layout
     out = []
+
+    def pair(_stage, _e, low, high):
+        out[-1].append((low, high))
+        return low, high
+
     for stage in s.stages:
-        pairs = []
-        writes = {}
-        for e in stage.entries:
-            wa, wb = la[e.addr_a], lb[e.addr_b]
-            low, high = (wb, wa) if e.read_swap else (wa, wb)
-            pairs.append((low, high))
-            if e.write_swap:
-                writes[(BANK_A, e.addr_a)] = high
-                writes[(BANK_B, e.addr_b)] = low
-            else:
-                writes[(BANK_A, e.addr_a)] = low
-                writes[(BANK_B, e.addr_b)] = high
-        for (bank, row), w in writes.items():
-            (la if bank == BANK_A else lb)[row] = w
-        out.append(pairs)
-    assert (tuple(la), tuple(lb)) == s.final_layout
+        out.append([])
+        run_stages(m, (stage,), 0, pair)
+    m.drain()
+    assert (tuple(m.banks[BANK_A][:s.d]),
+            tuple(m.banks[BANK_B][:s.d])) == s.final_layout
     return out
 
 
@@ -609,7 +623,12 @@ class BramMemory:
     label: str
     depth: int
     width: int
-    halves: int
+
+    @property
+    def halves(self) -> int:
+        """9Kb halves covering both the width and the bit volume."""
+        return max(math.ceil(self.width / _BRAM_MAX_WIDTH),
+                   math.ceil(self.width * self.depth / _BRAM_BITS))
 
     @property
     def units(self) -> float:
@@ -624,12 +643,6 @@ class BramEstimate:
     @property
     def total_units(self) -> float:
         return sum(m.units for m in self.memories)
-
-
-def _mem(label: str, depth: int, width: int) -> BramMemory:
-    halves = max(math.ceil(width / _BRAM_MAX_WIDTH),
-                 math.ceil(width * depth / _BRAM_BITS))
-    return BramMemory(label, depth, width, halves)
 
 
 @lru_cache(maxsize=None)
@@ -649,13 +662,13 @@ def estimate_bram_usage(design: str) -> BramEstimate:
         geoms = [dg.geometry(s) for s in schemes]
         rows = max(2 * g.d for g in geoms)
         width = max(g.word_width for g in geoms)
-        mems.append(_mem(f"{prefix}bank A", rows, width))
-        mems.append(_mem(f"{prefix}bank B", rows, width))
-        mems.append(_mem(f"{prefix}twiddle rom",
-                         sum(tw[s][2] for s in schemes), width))
-        mems.append(_mem(f"{prefix}address rom",
-                         sum(len(scheme_program(g).entries) for g in geoms),
-                         max(_addr_fields(dg, s)[2] for s in schemes)))
+        mems += [BramMemory(f"{prefix}bank A", rows, width),
+                 BramMemory(f"{prefix}bank B", rows, width),
+                 BramMemory(f"{prefix}twiddle rom",
+                            sum(tw[s][2] for s in schemes), width),
+                 BramMemory(f"{prefix}address rom",
+                            sum(len(scheme_program(g).entries) for g in geoms),
+                            max(_addr_fields(dg, s)[2] for s in schemes))]
     return BramEstimate(design, tuple(mems))
 
 

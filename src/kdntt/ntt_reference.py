@@ -92,31 +92,22 @@ def bit_reverse(i: int, width: int) -> int:
     return out
 
 
-def bit_reverse_permutation(a: Polynomial, width: int) -> Polynomial:
+def bit_reverse_permutation(a: Polynomial) -> Polynomial:
     """Swap a spectral polynomial between standard and bit-reversed order.
 
-    width=8 permutes all 256 entries (Dilithium's full transform); width=7
-    permutes the 128 degree-1 *pairs* as units (Kyber's incomplete
-    transform, where (2i, 2i+1) always travel together).  Involution.
+    The scheme fixes the ordering: blocks of min_len coefficients move as
+    units, indexed on ``layers`` bits — all 256 entries on 8 bits for
+    Dilithium's full transform, the 128 degree-1 *pairs* on 7 bits for
+    Kyber's incomplete one.  Involution.
     """
     if a.domain == DOMAIN_NORMAL:
         raise ValueError("bit reversal applies to spectral (ntt/ntt-br) data")
-    if width == 8:
-        if a.scheme != "dilithium":
-            raise ValueError("width 8 is the 256-point (dilithium) ordering")
-        out = [0] * N
-        for i in range(N):
-            out[bit_reverse(i, 8)] = a.coeffs[i]
-    elif width == 7:
-        if a.scheme != "kyber":
-            raise ValueError("width 7 is the 128-pair (kyber) ordering")
-        out = [0] * N
-        for i in range(N // 2):
-            j = bit_reverse(i, 7)
-            out[2 * j] = a.coeffs[2 * i]
-            out[2 * j + 1] = a.coeffs[2 * i + 1]
-    else:
-        raise ValueError("width must be 7 (kyber pairs) or 8 (dilithium)")
+    p = a.params
+    blk = p.min_len
+    out = [0] * N
+    for i in range(N // blk):
+        j = bit_reverse(i, p.layers) * blk
+        out[j: j + blk] = a.coeffs[i * blk: i * blk + blk]
     flipped = DOMAIN_NTT_BR if a.domain == DOMAIN_NTT else DOMAIN_NTT
     return a.with_coeffs(out, domain=flipped)
 

@@ -47,6 +47,7 @@ from .memory_map import (
     estimate_bram_usage,
     initial_layout,
     pack_word,
+    run_stages,
     scheme_program,
     transformed_layout,
     unpack_word,
@@ -107,8 +108,11 @@ class SimReport:
     busy_cycles: int
     fill_drain_cycles: int
     hazards: tuple[Hazard, ...]
-    bfu_utilization: float
     bram_estimate: float
+
+    @property
+    def bfu_utilization(self) -> float:
+        return 1.0 if self.busy_cycles else 0.0
 
     def to_text(self) -> str:
         return "\n".join([
@@ -135,27 +139,23 @@ def _butterflies(kind: str, span: int, t: int):
 
 def _run_transform(m: BankMemory, p: ModulusParams, geom: MemoryGeometry,
                    phase: str, region: int, twiddles) -> None:
-    """Execute one ntt or intt phase, one tick per program entry: read
-    both rows, run the stage's butterflies, write both rows back."""
+    """Execute one ntt or intt phase through run_stages, a stage at a
+    time: each cycle runs the stage's butterflies over its (low, high)
+    words."""
     t, sb = geom.t, geom.slot_bits
     forward = phase == OP_NTT
     table = twiddles[0] if forward else twiddles[1]
     step = ct_butterfly if forward else gs_butterfly_halving
+
+    def cycle(_stage, e, low, high):
+        x = unpack_word(low, t, sb) + unpack_word(high, t, sb)
+        for i, j, k in bfly:
+            x[i], x[j] = step(x[i], x[j], table[e.tw_index + k], p)
+        return pack_word(x[:t], sb), pack_word(x[t:], sb)
+
     for stage in getattr(scheme_program(geom), phase):
         bfly = _butterflies(stage.kind, stage.span, t)
-        for e in stage.entries:
-            wa = m.read(region, BANK_A, e.addr_a)
-            wb = m.read(region, BANK_B, e.addr_b)
-            lo_w, hi_w = (wb, wa) if e.read_swap else (wa, wb)
-            x = unpack_word(lo_w, t, sb) + unpack_word(hi_w, t, sb)
-            for i, j, k in bfly:
-                x[i], x[j] = step(x[i], x[j], table[e.tw_index + k], p)
-            out_lo, out_hi = pack_word(x[:t], sb), pack_word(x[t:], sb)
-            if e.write_swap:
-                out_lo, out_hi = out_hi, out_lo
-            m.write(region, BANK_A, e.addr_a, out_lo)
-            m.write(region, BANK_B, e.addr_b, out_hi)
-            m.tick()
+        run_stages(m, (stage,), region, cycle)
 
 
 def _run_pwm(m: BankMemory, p: ModulusParams, geom: MemoryGeometry,
@@ -204,7 +204,6 @@ def _report(op, scheme, busy, fill_drain, m: BankMemory, cfg: CoreConfig,
     return SimReport(op=op, scheme=scheme, busy_cycles=busy,
                      fill_drain_cycles=fill_drain,
                      hazards=tuple(m.hazards),
-                     bfu_utilization=1.0 if busy else 0.0,
                      bram_estimate=estimate_bram_usage(cfg.design).total_units)
 
 
@@ -237,8 +236,13 @@ def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
         raise ValueError(f"{op} expects {d_in}-domain operands")
     p = SCHEMES[scheme]
     geom = cfg.geometry(scheme)
-    tw = (rom_override if rom_override is not None
-          else build_twiddle_rom(scheme))
+    tw = build_twiddle_rom(scheme)
+    if rom_override is not None:
+        if (tuple(map(len, rom_override)) != tuple(map(len, tw)) or not
+                all(0 <= v < p.q for table in rom_override for v in table)):
+            raise ValueError(f"rom_override must hold tables of lengths "
+                             f"{tuple(map(len, tw))} in [0, {p.q})")
+        tw = rom_override
     m = BankMemory(geom.d, cfg.pipeline_depth)
     layout_in = _layout(d_in, geom.d)
     m.load(a.coeffs, geom, 0, layout_in)

@@ -113,8 +113,6 @@ def test_wrong_domain_for_op_exits_2(tmp_path):
 def test_config_errors_exit_3(tmp_path):
     pa, _ = _poly_file(tmp_path, "a.poly", scheme="dilithium")
     assert main(["ntt", str(pa), "--design", "standalone-kyber"]) == 3
-    pk, _ = _poly_file(tmp_path, "k.poly")
-    assert main(["ntt", str(pk), "--scheme", "dilithium"]) == 3
     assert main(["verify", "--trials", "0"]) == 3
     assert main(["verify", "--design", "standalone-dilithium",
                  "--scheme", "kyber", "--trials", "1"]) == 3
@@ -331,10 +329,17 @@ def test_table_bram(capsys):
     assert "4.5" in out and "5.5" in out and "2.0" in out
 
 
-def test_scheme_flag_agreement_is_accepted(tmp_path):
-    pa, _ = _poly_file(tmp_path, "a.poly")
-    assert main(["ntt", str(pa), "--scheme", "kyber",
+def test_scheme_flag_agreement_is_accepted(tmp_path, capsys):
+    """The file's header fixes the scheme, so a run command takes no
+    --scheme to agree or disagree with it."""
+    pa, _ = _poly_file(tmp_path, "a.poly", scheme="dilithium")
+    assert main(["ntt", str(pa), "--report", "-",
                  "--out", str(tmp_path / "o.poly")]) == 0
+    assert "scheme=dilithium\n" in capsys.readouterr().out
+    for flag in ("dilithium", "kyber"):
+        with pytest.raises(SystemExit) as e:
+            main(["ntt", str(pa), "--scheme", flag])
+        assert e.value.code == 2
 
 
 def test_report_to_stdout(tmp_path, capsys):

@@ -47,14 +47,21 @@ def test_scheme_constants():
     assert KYBER.q_prime == 3327
     assert DILITHIUM.q_prime == 8380415
     assert KYBER.min_len == 2 and DILITHIUM.min_len == 1
+    # every width follows from q and the root's order
+    for p, want in ((KYBER, (12, 12, 12, 7)), (DILITHIUM, (23, 23, 24, 8))):
+        assert (p.coeff_bits, p.r_bits, p.slot_bits, p.layers) == want
+        assert p.r > p.q  # R = 2**bit_length(q), so never too small
     with pytest.raises(TypeError):  # derived, never passed in
-        ModulusParams("kyber", 3329, 17, 256, 7, 12, 12, 12, q_prime=5)
+        ModulusParams("kyber", 3329, 17, 256, q_prime=5)
+    with pytest.raises(TypeError):
+        ModulusParams("kyber", 3329, 17, 256, 7, 12, 12, 12)
     with pytest.raises(ValueError, match="order 256"):  # 3**128 != -1
-        ModulusParams("kyber", 3329, 3, 256, 7, 12, 12, 12)
-    with pytest.raises(ValueError, match="not above q"):  # R = 2048 < q
-        ModulusParams("kyber", 3329, 17, 256, 7, 11, 12, 12)
-    with pytest.raises(ValueError, match="not above q"):  # R == q
-        ModulusParams("kyber", 4096, 17, 256, 7, 12, 12, 12)
+        ModulusParams("kyber", 3329, 3, 256)
+    with pytest.raises(ValueError, match="order 512"):  # 17**256 == 1
+        ModulusParams("kyber", 3329, 17, 512)
+    # 234**13 == -1, but an order of 26 fixes no layer count
+    with pytest.raises(ValueError, match="power-of-two order 26"):
+        ModulusParams("kyber", 3329, 234, 26)
 
 
 def test_scheme_constant_checks_survive_python_O():
@@ -62,9 +69,9 @@ def test_scheme_constant_checks_survive_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-c",
          "from kdntt.core_arith import ModulusParams\n"
-         "for args in ((3329, 3, 256, 7, 12), (3329, 17, 256, 7, 11)):\n"
+         "for args in ((3329, 3, 256), (3329, 17, 512)):\n"
          "    try:\n"
-         "        ModulusParams('kyber', *args, 12, 12)\n"
+         "        ModulusParams('kyber', *args)\n"
          "    except ValueError as e:\n"
          "        print('rejected:', e)\n"],
         capture_output=True, text=True, timeout=120,

@@ -12,6 +12,7 @@ from kdntt.memory_map import (
     CH_INTT,
     CH_NTT,
     DESIGNS,
+    AddressSchedule,
     MemoryGeometry,
     build_rom_images,
     build_twiddle_rom,
@@ -25,6 +26,7 @@ from kdntt.memory_map import (
     pack_coefficients,
     pwm_schedule,
     rom_image_lines,
+    scheme_program,
     transformed_layout,
     unpack_coefficients,
     pack_word,
@@ -133,6 +135,21 @@ def test_shipped_depths_are_conflict_free():
             for ch in (CH_NTT, CH_INTT):
                 s = generate_addresses(ch, d)
                 assert check_conflict_free(s, dg.pipeline_depth).clean
+
+
+def test_gate_replays_whole_scheme_phases():
+    """check_conflict_free over a shipped scheme's whole ntt or intt
+    phase, in-word stages included: clean at every depth up to d/2,
+    hazardous one past it."""
+    for dg in DESIGNS.values():
+        for scheme in dg.schemes:
+            g = dg.geometry(scheme)
+            prog = scheme_program(g)
+            for ch, stages in ((CH_NTT, prog.ntt), (CH_INTT, prog.intt)):
+                s = AddressSchedule(ch, g.d, stages)
+                for depth in range(1, g.d // 2 + 1):
+                    assert check_conflict_free(s, depth).clean
+                assert not check_conflict_free(s, g.d // 2 + 1).clean
 
 
 def test_reversal_is_needed_at_bound():
@@ -338,3 +355,10 @@ def test_memory_geometry_validation():
         MemoryGeometry("kyber", 2, 24, 64)
     with pytest.raises(ValueError):
         MemoryGeometry(scheme="kyber", t=3)
+    # t runs from the scheme's shortest butterfly (min_len) to 64 (d = 2)
+    for scheme, lo in (("kyber", 2), ("dilithium", 1)):
+        assert MemoryGeometry(scheme, lo).d == 128 // lo
+        assert MemoryGeometry(scheme, 64).d == 2
+        for t in (lo // 2, 128, -2):
+            with pytest.raises(ValueError, match="lane count"):
+                MemoryGeometry(scheme, t)

@@ -39,34 +39,33 @@ def test_bit_reverse_values():
 
 
 def test_bit_reverse_permutation_involution():
-    for scheme, width in (("dilithium", 8), ("kyber", 7)):
+    for scheme in ("dilithium", "kyber"):
         a = Polynomial.random(scheme, RNG, domain=DOMAIN_NTT)
-        twice = bit_reverse_permutation(
-            bit_reverse_permutation(a, width), width)
+        twice = bit_reverse_permutation(bit_reverse_permutation(a))
         assert twice.coeffs == a.coeffs
-        assert bit_reverse_permutation(a, width).domain == DOMAIN_NTT_BR
+        assert bit_reverse_permutation(a).domain == DOMAIN_NTT_BR
+    # Dilithium's 8-bit view moves single coefficients.
+    a = Polynomial.delta("dilithium", index=3, domain=DOMAIN_NTT)
+    assert bit_reverse_permutation(a).coeffs[bit_reverse(3, 8)] == 1
 
 
 def test_bit_reverse_permutation_kyber_moves_pairs():
     # Kyber's 7-bit view permutes 128 two-coefficient chunks as units.
     a = Polynomial.delta("kyber", index=2, domain=DOMAIN_NTT)   # pair 1, slot 0
-    b = bit_reverse_permutation(a, 7)
+    b = bit_reverse_permutation(a)
     assert b.coeffs[2 * bit_reverse(1, 7)] == 1
     assert sum(b.coeffs) == 1
     a = Polynomial.delta("kyber", index=3, domain=DOMAIN_NTT)   # pair 1, slot 1
-    b = bit_reverse_permutation(a, 7)
+    b = bit_reverse_permutation(a)
     assert b.coeffs[2 * bit_reverse(1, 7) + 1] == 1
 
 
 def test_bit_reverse_permutation_rejects_bad_width():
     a = Polynomial.random("kyber", RNG, domain=DOMAIN_NTT)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the scheme fixes the width
         bit_reverse_permutation(a, 8)
     with pytest.raises(ValueError):
-        bit_reverse_permutation(
-            Polynomial.random("dilithium", RNG, domain=DOMAIN_NTT), 7)
-    with pytest.raises(ValueError):
-        bit_reverse_permutation(Polynomial.random("kyber", RNG), 7)
+        bit_reverse_permutation(Polynomial.random("kyber", RNG))
 
 
 def test_polynomial_validation():
@@ -159,7 +158,6 @@ def test_convolution_theorem_both_orders():
     """intt(pwm(ntt(a), ntt(b))) == schoolbook(a, b), in standard order and
     (via the permutation) in bit-reversed order."""
     for scheme, p in SCHEMES.items():
-        width = 8 if scheme == "dilithium" else 7
         for _ in range(10):
             a = Polynomial.random(scheme, RNG)
             b = Polynomial.random(scheme, RNG)
@@ -169,10 +167,10 @@ def test_convolution_theorem_both_orders():
             prod = reference_pwm(fa, fb)
             assert direct_intt(prod, p).coeffs == want.coeffs
             # same through the bit-reversed domain
-            fa_br = bit_reverse_permutation(fa, width)
-            fb_br = bit_reverse_permutation(fb, width)
+            fa_br = bit_reverse_permutation(fa)
+            fb_br = bit_reverse_permutation(fb)
             prod_br = reference_pwm(fa_br, fb_br)
-            assert bit_reverse_permutation(prod_br, width).coeffs == prod.coeffs
+            assert bit_reverse_permutation(prod_br).coeffs == prod.coeffs
 
 
 def test_reference_pwm_domain_rules():
@@ -181,7 +179,7 @@ def test_reference_pwm_domain_rules():
         reference_pwm(a, a)  # normal domain is not a spectral domain
     fa = direct_ntt(a, KYBER)
     with pytest.raises(ValueError):
-        reference_pwm(fa, bit_reverse_permutation(fa, 7))  # mixed orders
+        reference_pwm(fa, bit_reverse_permutation(fa))  # mixed orders
 
 
 def test_poly_add_sub_roundtrip():

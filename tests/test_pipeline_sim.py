@@ -5,10 +5,15 @@ test_acceptance.py)."""
 
 import dataclasses
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kdntt
 from kdntt.core_arith import SCHEMES
 from kdntt.ntt_reference import (
     DOMAIN_NTT_BR,
@@ -22,6 +27,7 @@ from kdntt.memory_map import (
     DESIGNS,
     Hazard,
     build_rom_images,
+    build_twiddle_rom,
     check_conflict_free,
     estimate_bram_usage,
     generate_addresses,
@@ -304,6 +310,47 @@ def test_rom_override_corruption_changes_result():
     got, rep = run_op(cfg, "dilithium", OP_NTT, a, rom_override=override)
     assert not rep.hazards  # addressing is unaffected ...
     assert got.coeffs != fast_ntt(a, p).coeffs  # ... but the data is wrong
+
+
+def test_rom_override_out_of_range_or_short_is_rejected():
+    """A library override gets the checks an image does: each table as
+    long as the built-in one, every twiddle in [0, q)."""
+    cfg = CoreConfig.for_design("standalone-kyber")
+    rom = build_twiddle_rom("kyber")
+    a = Polynomial.random("kyber", RNG)
+    b = Polynomial.random("kyber", RNG)
+    for override in ((rom.forward[:1] + (4095,) + rom.forward[2:],
+                      rom.inverse, rom.psi),
+                     (rom.forward[:10], rom.inverse, rom.psi),
+                     (rom.forward, rom.inverse, rom.psi + (0,)),
+                     (rom.forward, rom.inverse)):
+        with pytest.raises(ValueError, match="rom_override"):
+            run_polymul(cfg, "kyber", a, b, rom_override=override)
+        with pytest.raises(ValueError, match="rom_override"):
+            run_op(cfg, "kyber", OP_NTT, a, rom_override=override)
+
+
+def test_rom_override_check_survives_python_O():
+    src = str(Path(kdntt.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import random\n"
+         "from kdntt import CoreConfig, Polynomial, build_twiddle_rom, "
+         "run_polymul\n"
+         "rom = build_twiddle_rom('kyber')\n"
+         "rng = random.Random(1)\n"
+         "a, b = (Polynomial.random('kyber', rng) for _ in 'ab')\n"
+         "bad = (rom.forward[:1] + (4095,) + rom.forward[2:], "
+         "rom.inverse, rom.psi)\n"
+         "try:\n"
+         "    run_polymul(CoreConfig.for_design('standalone-kyber'), "
+         "'kyber', a, b, rom_override=bad)\n"
+         "except ValueError as e:\n"
+         "    print('rejected:', e)\n"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected:"), proc.stdout
 
 
 def test_report_text_format():
