@@ -1,6 +1,7 @@
 """Tests for the two-bank address scheduling, the hazard checker, twiddle
 ROM construction, coefficient packing, and the BRAM estimator."""
 
+import hashlib
 import math
 import random
 
@@ -166,6 +167,28 @@ def test_reversal_is_needed_at_bound():
         for ch in (CH_NTT, CH_INTT):
             assert check_conflict_free(generate_addresses(ch, d),
                                        d // 2).clean
+
+
+def test_programs_are_pinned():
+    """The exact entries of every generate_addresses schedule (d 2..128,
+    both directions, stage-1 reversal on and off) and of scheme_program
+    for all 13 valid (scheme, t) hash to fixed digests, so a rewrite of
+    the schedule builders must leave every program bit-identical."""
+    h = hashlib.sha256()
+    for d in WORD_COUNTS:
+        for ch in (CH_NTT, CH_INTT):
+            for reversal in (True, False):
+                h.update(repr(generate_addresses(ch, d, reversal)).encode())
+    assert h.hexdigest() == ("2bd8bfe60bba3441b3226c00d0defecc"
+                             "49bbf569940efd97019d9ad21a94f487")
+    h = hashlib.sha256()
+    geoms = [MemoryGeometry(scheme, t) for scheme, p in SCHEMES.items()
+             for t in (1, 2, 4, 8, 16, 32, 64) if t >= p.min_len]
+    assert len(geoms) == 13
+    for g in geoms:
+        h.update(repr(scheme_program(g)).encode())
+    assert h.hexdigest() == ("4096e476b073f7d97b44aa42906cce95"
+                             "54d8f756c1304d6dc59be08206698fd6")
 
 
 def test_reversal_noop_for_two_words():
