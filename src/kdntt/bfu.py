@@ -19,7 +19,7 @@ cycle-level simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core_arith import (
     DILITHIUM_SINGLE,
@@ -78,21 +78,18 @@ CONTROL_WORDS: dict[str, tuple[ControlWord, ControlWord]] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class BfuIo:
-    """One butterfly core's port set.
+    """One butterfly core's input ports.
 
     in1/in2 carry the coefficient pair, in3 carries the twiddle factor or
-    a third coefficient, and in4 is used only by the PWM modes.  out1/out2
-    are filled by the step functions.
+    a third coefficient, and in4 is used only by the PWM modes.
     """
 
     in1: int = 0
     in2: int = 0
     in3: int = 0
     in4: int = 0
-    out1: int | None = None
-    out2: int | None = None
 
 
 class MultCounter:
@@ -222,15 +219,17 @@ def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
                      counter: MultCounter | None = None):
     """Advance the unified butterfly unit by one cycle.
 
+    Each mode returns what its standalone reference returns.
     scheme="kyber", mode ntt/intt: ``io`` is a pair of BfuIo records, one
-    independent butterfly per lane; returns the pair with outputs filled.
+    independent butterfly per lane; returns one (out1, out2) per lane.
     scheme="kyber", mode pwm0/pwm1: both lanes cooperate on ONE
     coefficient pair; ``io`` is a single BfuIo with
     (in1,in2,in3,in4) = (a0, a1, b0, b1) for pwm0 and in3 = psi for pwm1
     (the twiddle port's second job); pwm0 returns a PwmCarry, pwm1
-    returns the finished BfuIo.
+    returns (res0, res1).
     scheme="dilithium": lanes fuse into one wide butterfly; ``io`` is a
-    single BfuIo; mode pwm multiplies in1 by in3.
+    single BfuIo and ntt/intt return (out1, out2); mode pwm multiplies
+    in1 by in3 and returns (product, 0).
 
     ``ctrl``, when supplied for a Kyber mode, must be the matching
     CONTROL_WORDS pair.  Raises ValueError on any other combination.
@@ -241,40 +240,6 @@ def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
         if mode == MODE_PWM:
             raise ValueError("single-stage pwm is the dilithium mode")
         _check_ctrl(mode, ctrl)
-        if mode == MODE_NTT:
-            lane0, lane1 = io
-            # Both twiddle products share the multiplier pair ...
-            prod0, prod1 = dual_lane_mult(pack_lanes(lane0.in2, lane1.in2),
-                                          pack_lanes(lane0.in3, lane1.in3),
-                                          KYBER_PAIR, counter)
-            t0 = mont_redc(prod0, p)
-            t1 = mont_redc(prod1, p)
-            # ... and the +/- pair each shares the two-lane adder.
-            sums = shared_add_sub(pack_lanes(lane0.in1, lane1.in1),
-                                  pack_lanes(t0, t1), KYBER_PAIR, "add", p)
-            diffs = shared_add_sub(pack_lanes(lane0.in1, lane1.in1),
-                                   pack_lanes(t0, t1), KYBER_PAIR, "sub", p)
-            o0 = unpack_lanes(sums)
-            o1 = unpack_lanes(diffs)
-            return (replace(lane0, out1=o0[0], out2=o1[0]),
-                    replace(lane1, out1=o0[1], out2=o1[1]))
-        if mode == MODE_INTT:
-            lane0, lane1 = io
-            sums = shared_add_sub(pack_lanes(lane0.in1, lane1.in1),
-                                  pack_lanes(lane0.in2, lane1.in2),
-                                  KYBER_PAIR, "add", p)
-            diffs = shared_add_sub(pack_lanes(lane0.in1, lane1.in1),
-                                   pack_lanes(lane0.in2, lane1.in2),
-                                   KYBER_PAIR, "sub", p)
-            s0, s1 = unpack_lanes(sums)
-            d0, d1 = unpack_lanes(diffs)
-            dw0, dw1 = dual_lane_mult(pack_lanes(d0, d1),
-                                      pack_lanes(lane0.in3, lane1.in3),
-                                      KYBER_PAIR, counter)
-            return (replace(lane0, out1=mod_add_half(s0, 0, p.q),
-                            out2=mont_redc(dw0, p)),
-                    replace(lane1, out1=mod_add_half(s1, 0, p.q),
-                            out2=mont_redc(dw1, p)))
         if mode == MODE_PWM0:
             a0, a1, b0, b1 = io.in1, io.in2, io.in3, io.in4
             raw00, raw11 = dual_lane_mult(pack_lanes(a0, a1),
@@ -286,18 +251,37 @@ def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
             s_a, s_b = unpack_lanes(sums)
             return PwmCarry(m00=mont_redc(raw00, p), m11=mont_redc(raw11, p),
                             s_a=s_a, s_b=s_b)
-        # MODE_PWM1
-        if carry is None:
-            raise ValueError("PWM1 issued without a matching PWM0 carry state")
-        raw_sum, raw_psi = dual_lane_mult(pack_lanes(carry.s_a, io.in3),
-                                          pack_lanes(carry.s_b, carry.m11),
-                                          KYBER_PAIR, counter)
-        # Lane roles: (s_a * s_b, psi * m11) — note lane1 multiplies in3.
-        msum = mont_redc(raw_sum, p)
-        mpsi = mont_redc(raw_psi, p)
-        res0 = mod_add(carry.m00, mpsi, p.q)
-        res1 = mod_sub(mod_sub(msum, carry.m00, p.q), carry.m11, p.q)
-        return replace(io, out1=res0, out2=res1)
+        if mode == MODE_PWM1:
+            if carry is None:
+                raise ValueError("PWM1 issued without a matching PWM0 carry "
+                                 "state")
+            raw_sum, raw_psi = dual_lane_mult(
+                pack_lanes(carry.s_a, io.in3),
+                pack_lanes(carry.s_b, carry.m11), KYBER_PAIR, counter)
+            # Lane roles: (s_a * s_b, psi * m11) — note lane1 multiplies in3.
+            msum = mont_redc(raw_sum, p)
+            mpsi = mont_redc(raw_psi, p)
+            res0 = mod_add(carry.m00, mpsi, p.q)
+            res1 = mod_sub(mod_sub(msum, carry.m00, p.q), carry.m11, p.q)
+            return res0, res1
+        lane0, lane1 = io
+        a = pack_lanes(lane0.in1, lane1.in1)
+        b = pack_lanes(lane0.in2, lane1.in2)
+        w = pack_lanes(lane0.in3, lane1.in3)
+        if mode == MODE_NTT:
+            # Both twiddle products share the multiplier pair ...
+            prod0, prod1 = dual_lane_mult(b, w, KYBER_PAIR, counter)
+            t = pack_lanes(mont_redc(prod0, p), mont_redc(prod1, p))
+            # ... and the +/- pair each shares the two-lane adder.
+            o1 = unpack_lanes(shared_add_sub(a, t, KYBER_PAIR, "add", p))
+            o2 = unpack_lanes(shared_add_sub(a, t, KYBER_PAIR, "sub", p))
+            return tuple(zip(o1, o2))
+        # MODE_INTT
+        s0, s1 = unpack_lanes(shared_add_sub(a, b, KYBER_PAIR, "add", p))
+        d0, d1 = unpack_lanes(shared_add_sub(a, b, KYBER_PAIR, "sub", p))
+        dw0, dw1 = dual_lane_mult(pack_lanes(d0, d1), w, KYBER_PAIR, counter)
+        return ((mod_add_half(s0, 0, p.q), mont_redc(dw0, p)),
+                (mod_add_half(s1, 0, p.q), mont_redc(dw1, p)))
 
     if scheme != "dilithium":
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -308,52 +292,50 @@ def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
     if mode == MODE_NTT:
         prod, _ = dual_lane_mult(io.in2, io.in3, DILITHIUM_SINGLE, counter)
         t = mont_redc(prod, p)
-        return replace(io,
-                       out1=shared_add_sub(io.in1, t, DILITHIUM_SINGLE, "add", p),
-                       out2=shared_add_sub(io.in1, t, DILITHIUM_SINGLE, "sub", p))
+        return (shared_add_sub(io.in1, t, DILITHIUM_SINGLE, "add", p),
+                shared_add_sub(io.in1, t, DILITHIUM_SINGLE, "sub", p))
     if mode == MODE_INTT:
         s = shared_add_sub(io.in1, io.in2, DILITHIUM_SINGLE, "add", p)
         d = shared_add_sub(io.in1, io.in2, DILITHIUM_SINGLE, "sub", p)
         prod, _ = dual_lane_mult(d, io.in3, DILITHIUM_SINGLE, counter)
-        return replace(io, out1=mod_add_half(s, 0, p.q),
-                       out2=mont_redc(prod, p))
+        return mod_add_half(s, 0, p.q), mont_redc(prod, p)
     # MODE_PWM
     prod, _ = dual_lane_mult(io.in1, io.in3, DILITHIUM_SINGLE, counter)
-    return replace(io, out1=mont_redc(prod, p), out2=0)
+    return mont_redc(prod, p), 0
 
 
 # ---------------------------------------------------------------------------
 # Fast in-place transforms assembled from the butterflies.
 # ---------------------------------------------------------------------------
 
-def _layer_lengths(p: ModulusParams, forward: bool):
-    lens = []
-    length = 128
-    while length >= p.min_len:
-        lens.append(length)
-        length //= 2
-    return lens if forward else lens[::-1]
+def _layers(a: Polynomial, p: ModulusParams, domains, lengths, table,
+            butterfly) -> Polynomial:
+    """Run butterfly over every group of each layer length in turn, in
+    place: group k of the length-L layer uses table[128//L + k].  The
+    input must be in domains[0]; the result is tagged domains[1]."""
+    if a.scheme != p.scheme:
+        raise ValueError("polynomial/params scheme mismatch")
+    if a.domain != domains[0]:
+        raise ValueError(f"expected a {domains[0]!r} polynomial, "
+                         f"got {a.domain!r}")
+    c = list(a.coeffs)
+    for length in lengths:
+        for start in range(0, 256, 2 * length):
+            z = table[128 // length + start // (2 * length)]
+            for j in range(start, start + length):
+                c[j], c[j + length] = butterfly(c[j], c[j + length], z, p)
+    return a.with_coeffs(c, domain=domains[1])
 
 
 def fast_ntt(a: Polynomial, p: ModulusParams) -> Polynomial:
     """In-place forward transform: normal domain in, bit-reversed out.
 
-    Kyber stops at length 2 (7 layers, pairs survive); Dilithium runs to
-    length 1 (8 layers).  Group k of the length-L layer uses twiddle
-    index 128//L + start//(2L) into forward_zetas.
+    Cooley-Tukey layers of length 128 down to min_len: Kyber stops at
+    length 2 (7 layers, pairs survive), Dilithium runs to length 1 (8).
     """
-    if a.scheme != p.scheme:
-        raise ValueError("polynomial/params scheme mismatch")
-    if a.domain != DOMAIN_NORMAL:
-        raise ValueError("fast_ntt expects a normal-domain polynomial")
-    c = list(a.coeffs)
-    zetas = forward_zetas(p)
-    for length in _layer_lengths(p, forward=True):
-        for start in range(0, 256, 2 * length):
-            z = zetas[128 // length + start // (2 * length)]
-            for j in range(start, start + length):
-                c[j], c[j + length] = ct_butterfly(c[j], c[j + length], z, p)
-    return a.with_coeffs(c, domain=DOMAIN_NTT_BR)
+    return _layers(a, p, (DOMAIN_NORMAL, DOMAIN_NTT_BR),
+                   [128 >> k for k in range(p.layers)], forward_zetas(p),
+                   ct_butterfly)
 
 
 def fast_intt(a: Polynomial, p: ModulusParams) -> Polynomial:
@@ -363,16 +345,6 @@ def fast_intt(a: Polynomial, p: ModulusParams) -> Polynomial:
     7 or 8 per-stage halvings accumulate to exactly n'**-1, so there is
     no separate scaling pass.
     """
-    if a.scheme != p.scheme:
-        raise ValueError("polynomial/params scheme mismatch")
-    if a.domain != DOMAIN_NTT_BR:
-        raise ValueError("fast_intt expects bit-reversed spectral input")
-    c = list(a.coeffs)
-    izetas = inverse_zetas(p)
-    for length in _layer_lengths(p, forward=False):
-        for start in range(0, 256, 2 * length):
-            z = izetas[128 // length + start // (2 * length)]
-            for j in range(start, start + length):
-                c[j], c[j + length] = gs_butterfly_halving(c[j], c[j + length],
-                                                           z, p)
-    return a.with_coeffs(c, domain=DOMAIN_NORMAL)
+    return _layers(a, p, (DOMAIN_NTT_BR, DOMAIN_NORMAL),
+                   [p.min_len << k for k in range(p.layers)],
+                   inverse_zetas(p), gs_butterfly_halving)

@@ -189,6 +189,18 @@ def _forward_stages(d: int, stage1_reversal: bool):
     return tuple(stages)
 
 
+def _inverse(stages) -> tuple[StageSchedule, ...]:
+    """The inverse of a forward phase: its stages in reverse order, each
+    entry's read_swap and write_swap exchanged.  It starts from the
+    layout the forward phase leaves and restores the one it started
+    from, so no extra permutation pass exists anywhere."""
+    return tuple(
+        StageSchedule(st.kind, st.span, tuple(
+            CycleEntry(e.addr_a, e.addr_b, e.write_swap, e.read_swap,
+                       e.tw_index) for e in st.entries))
+        for st in reversed(stages))
+
+
 def generate_addresses(ch: int, d: int,
                        stage1_reversal: bool = True) -> AddressSchedule:
     """Build the full word-level schedule for a forward (ch=0) or inverse
@@ -196,10 +208,8 @@ def generate_addresses(ch: int, d: int,
 
     The forward schedule emits log2(2d) stages of d cycles; stage 1's
     second half is emitted in reverse (disable via stage1_reversal to
-    reproduce the hazard it prevents).  The inverse schedule is the
-    forward one replayed stage-by-stage backwards with read/write flag
-    roles exchanged; it starts from the transformed layout and restores
-    the load-time layout, so no extra permutation pass exists anywhere.
+    reproduce the hazard it prevents).  The inverse schedule is
+    _inverse of the forward one without the reversal.
     """
     if d < 2 or d & (d - 1):
         raise ValueError("region depth must be a power of two >= 2")
@@ -207,42 +217,22 @@ def generate_addresses(ch: int, d: int,
         raise ValueError("ch selects 0 (forward) or 1 (inverse)")
     if ch == CH_NTT:
         return AddressSchedule(ch, d, _forward_stages(d, stage1_reversal))
-    stages = []
-    for st in reversed(_forward_stages(d, stage1_reversal=False)):
-        entries = tuple(
-            CycleEntry(e.addr_a, e.addr_b, read_swap=e.write_swap,
-                       write_swap=e.read_swap, tw_index=e.tw_index)
-            for e in st.entries
-        )
-        stages.append(StageSchedule(st.kind, st.span, entries))
-    return AddressSchedule(ch, d, tuple(stages))
+    return AddressSchedule(ch, d, _inverse(_forward_stages(d, False)))
 
 
-def intra_word_stages(geom: MemoryGeometry,
-                      inverse: bool = False) -> tuple[StageSchedule, ...]:
+def intra_word_stages(geom: MemoryGeometry) -> tuple[StageSchedule, ...]:
     """Stages for layers narrower than a word: one in-place row sweep each.
 
     Row j holds words (2j, 2j+1) after the word-level stages; a length-L
     layer uses t/L consecutive twiddle indices per row starting at
-    128/L + t*j/L (stored per cycle as the base).  Forward order is
-    descending L; the inverse runs them first, ascending.
+    128/L + t*j/L (stored per cycle as the base), in descending L.
     """
-    p, t, d = SCHEMES[geom.scheme], geom.t, geom.d
-    ells = []
-    ell = t // 2
-    while ell >= p.min_len:
-        ells.append(ell)
-        ell //= 2
-    if inverse:
-        ells.reverse()
-    stages = []
-    for ell in ells:
-        entries = tuple(
+    lo, t, d = SCHEMES[geom.scheme].min_len, geom.t, geom.d
+    return tuple(
+        StageSchedule("intra", ell, tuple(
             CycleEntry(j, j, 0, 0, 128 // ell + t * j // ell)
-            for j in range(d)
-        )
-        stages.append(StageSchedule("intra", ell, entries))
-    return tuple(stages)
+            for j in range(d)))
+        for ell in (t >> k for k in range(1, (t // lo).bit_length())))
 
 
 def pwm_schedule(geom: MemoryGeometry) -> StageSchedule:
@@ -294,12 +284,14 @@ class SchemeProgram:
 
 @lru_cache(maxsize=None)
 def scheme_program(geom: MemoryGeometry) -> SchemeProgram:
-    """The program of one scheme geometry, built once and shared."""
-    d = geom.d
+    """The program of one scheme geometry, built once and shared.
+
+    The intt phase is _inverse of the forward phase without the stage-1
+    reversal, mirror and in-word stages alike."""
+    intra = intra_word_stages(geom)
     return SchemeProgram(
-        ntt=generate_addresses(CH_NTT, d).stages + intra_word_stages(geom),
-        intt=intra_word_stages(geom, inverse=True)
-        + generate_addresses(CH_INTT, d).stages,
+        ntt=generate_addresses(CH_NTT, geom.d).stages + intra,
+        intt=_inverse(_forward_stages(geom.d, False) + intra),
         pwm=(pwm_schedule(geom),))
 
 
@@ -377,6 +369,9 @@ class BankMemory:
     """
 
     def __init__(self, d: int, pipeline_depth: int) -> None:
+        if not isinstance(pipeline_depth, int) or pipeline_depth < 1:
+            raise ValueError(f"pipeline depth must be an integer >= 1, "
+                             f"got {pipeline_depth!r}")
         self.d = d
         self.depth = pipeline_depth
         self.banks = [[0] * (2 * d), [0] * (2 * d)]

@@ -84,7 +84,8 @@ class Polynomial:
 
 def bit_reverse(i: int, width: int) -> int:
     """Reverse the low ``width`` bits of ``i``."""
-    assert 0 <= i < (1 << width)
+    if not 0 <= i < (1 << width):
+        raise ValueError(f"{i} does not fit in {width} bits")
     out = 0
     for _ in range(width):
         out = (out << 1) | (i & 1)
@@ -184,6 +185,21 @@ def _direct_matrices(p: ModulusParams) -> tuple[np.ndarray, np.ndarray]:
     return fwd, inv
 
 
+def _evaluate(a: Polynomial, p: ModulusParams, matrix: np.ndarray,
+              domains: tuple[str, str]) -> Polynomial:
+    """Apply matrix to each of the min_len interleaved coefficient
+    streams (two for Kyber, one for Dilithium), results interleaved in
+    place.  The input must be in domains[0]; the result is domains[1]."""
+    if a.scheme != p.scheme:
+        raise ValueError("polynomial/params scheme mismatch")
+    if a.domain != domains[0]:
+        raise ValueError(f"expected a {domains[0]!r} polynomial, "
+                         f"got {a.domain!r}")
+    streams = np.array(a.coeffs, dtype=np.int64).reshape(-1, p.min_len)
+    return a.with_coeffs(((matrix @ streams) % p.q).ravel(),
+                         domain=domains[1])
+
+
 def direct_ntt(a: Polynomial, p: ModulusParams) -> Polynomial:
     """Evaluate the forward transform straight from its defining sum.
 
@@ -192,36 +208,12 @@ def direct_ntt(a: Polynomial, p: ModulusParams) -> Polynomial:
     independently to the even and odd coefficient streams, results
     interleaved in place.  Output is standard spectral order.
     """
-    if a.scheme != p.scheme:
-        raise ValueError("polynomial/params scheme mismatch")
-    if a.domain != DOMAIN_NORMAL:
-        raise ValueError("direct_ntt expects a normal-domain polynomial")
-    fwd, _ = _direct_matrices(p)
-    c = np.array(a.coeffs, dtype=np.int64)
-    if p.scheme == "dilithium":
-        out = (fwd @ c) % p.q
-    else:
-        out = np.empty(N, dtype=np.int64)
-        out[0::2] = (fwd @ c[0::2]) % p.q
-        out[1::2] = (fwd @ c[1::2]) % p.q
-    return a.with_coeffs(out, domain=DOMAIN_NTT)
+    return _evaluate(a, p, _direct_matrices(p)[0], (DOMAIN_NORMAL, DOMAIN_NTT))
 
 
 def direct_intt(a: Polynomial, p: ModulusParams) -> Polynomial:
     """Inverse of direct_ntt, with the explicit n'**-1 scaling built in."""
-    if a.scheme != p.scheme:
-        raise ValueError("polynomial/params scheme mismatch")
-    if a.domain != DOMAIN_NTT:
-        raise ValueError("direct_intt expects standard spectral order")
-    _, inv = _direct_matrices(p)
-    c = np.array(a.coeffs, dtype=np.int64)
-    if p.scheme == "dilithium":
-        out = (inv @ c) % p.q
-    else:
-        out = np.empty(N, dtype=np.int64)
-        out[0::2] = (inv @ c[0::2]) % p.q
-        out[1::2] = (inv @ c[1::2]) % p.q
-    return a.with_coeffs(out, domain=DOMAIN_NORMAL)
+    return _evaluate(a, p, _direct_matrices(p)[1], (DOMAIN_NTT, DOMAIN_NORMAL))
 
 
 def schoolbook_negacyclic(a: Polynomial, b: Polynomial) -> Polynomial:

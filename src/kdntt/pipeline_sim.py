@@ -71,9 +71,11 @@ class CoreConfig:
         if self.design not in DESIGNS:
             raise ValueError(f"unknown design {self.design!r}")
         bound = DESIGNS[self.design].max_pipeline_depth
-        if not 1 <= self.pipeline_depth <= bound:
+        if (not isinstance(self.pipeline_depth, int)
+                or not 1 <= self.pipeline_depth <= bound):
             raise ValueError(
-                f"pipeline depth {self.pipeline_depth} outside [1, {bound}] "
+                f"pipeline depth {self.pipeline_depth!r} is not an integer "
+                f"in [1, {bound}] "
                 f"for {self.design} (bound is half the smallest region depth)")
 
     @classmethod

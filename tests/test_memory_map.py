@@ -153,6 +153,13 @@ def test_gate_replays_whole_scheme_phases():
                 assert not check_conflict_free(s, g.d // 2 + 1).clean
 
 
+def test_gate_rejects_depth_below_one():
+    s = generate_addresses(CH_NTT, 8)
+    for depth in (0, -3, 1.5):
+        with pytest.raises(ValueError, match="pipeline depth"):
+            check_conflict_free(s, depth)
+
+
 def test_reversal_is_needed_at_bound():
     """The stage-1 last-half reversal is what buys the forward pass its
     depth-d/2 margin: turning it off leaves hazards from depth 2 up.  The
@@ -208,8 +215,8 @@ def test_intra_word_stage_indices():
     # Dilithium t=4 (d3): lengths 2 then 1.
     stages = intra_word_stages(MemoryGeometry("dilithium", 4))
     assert [st.span for st in stages] == [2, 1]
-    inv = intra_word_stages(MemoryGeometry("dilithium", 4), inverse=True)
-    assert [st.span for st in inv] == [1, 2]
+    inv = scheme_program(MemoryGeometry("dilithium", 4)).intt
+    assert [st.span for st in inv if st.kind == "intra"] == [1, 2]
     # t=1: no in-word layers at all
     assert intra_word_stages(MemoryGeometry("dilithium", 1)) == ()
 

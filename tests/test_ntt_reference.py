@@ -36,6 +36,9 @@ def test_bit_reverse_values():
             assert bit_reverse(bit_reverse(i, w), w) == i
             # independent oracle: reverse the zero-padded bit string
             assert bit_reverse(i, w) == int(format(i, f"0{w}b")[::-1], 2)
+    for i, w in ((300, 8), (128, 7), (-1, 8)):
+        with pytest.raises(ValueError, match="bits"):
+            bit_reverse(i, w)
 
 
 def test_bit_reverse_permutation_involution():

@@ -79,6 +79,8 @@ def test_config_validation():
     # bound is half the smallest region depth: d3 kyber has d=16 -> max 8
     with pytest.raises(ValueError):
         CoreConfig.for_design("d3", pipeline_depth=9)
+    with pytest.raises(ValueError):  # was accepted, busy_cycles=288.0
+        CoreConfig("d3", 7.5)
     assert CoreConfig.for_design("d3", pipeline_depth=8).pipeline_depth == 8
 
 
@@ -351,6 +353,31 @@ def test_rom_override_check_survives_python_O():
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("rejected:"), proc.stdout
+
+
+def test_depth_and_bit_width_checks_survive_python_O():
+    """The three public guards that used to be asserts or missing: a
+    bit_reverse input wider than its width, a conflict gate depth below
+    1 and a non-integer core pipeline depth, each rejected under -O."""
+    src = str(Path(kdntt.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from kdntt import CoreConfig, check_conflict_free, "
+         "generate_addresses\n"
+         "from kdntt.ntt_reference import bit_reverse\n"
+         "for f in (lambda: bit_reverse(300, 8),\n"
+         "          lambda: check_conflict_free(generate_addresses(0, 8), 0),\n"
+         "          lambda: CoreConfig('d3', 7.5)):\n"
+         "    try:\n"
+         "        print('accepted:', f())\n"
+         "    except ValueError as e:\n"
+         "        print('rejected:', e)\n"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3 and all(ln.startswith("rejected:")
+                                   for ln in lines), proc.stdout
 
 
 def test_report_text_format():
