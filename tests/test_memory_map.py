@@ -198,6 +198,37 @@ def test_programs_are_pinned():
                              "54d8f756c1304d6dc59be08206698fd6")
 
 
+def test_gate_hazards_are_pinned():
+    """check_conflict_free's exact hazard lists, not just its clean flags:
+    every generate_addresses schedule (d 2..128, both directions, stage-1
+    reversal on and off) and the ntt and intt phases of scheme_program
+    for all 13 valid (scheme, t), each at depths 1, 2, d/2, d/2+1, d/2+5
+    and d, hash to one fixed digest.  A rewrite of the bank model must
+    report every hazard at the same cycle, row and landing cycle."""
+    scheds = [((d, ch, rev), generate_addresses(ch, d, rev))
+              for d in WORD_COUNTS for ch in (CH_NTT, CH_INTT)
+              for rev in (True, False)]
+    for scheme, p in SCHEMES.items():
+        for t in (1, 2, 4, 8, 16, 32, 64):
+            if t >= p.min_len:
+                g = MemoryGeometry(scheme, t)
+                prog = scheme_program(g)
+                scheds += [((scheme, t, ch), AddressSchedule(ch, g.d, st))
+                           for ch, st in ((CH_NTT, prog.ntt),
+                                          (CH_INTT, prog.intt))]
+    h, reports = hashlib.sha256(), 0
+    for key, s in scheds:
+        d = s.d
+        for depth in sorted({1, 2, d // 2, d // 2 + 1, d // 2 + 5, d}):
+            rep = check_conflict_free(s, depth)
+            h.update(repr((key, depth, [(x.cycle, x.bank, x.row, x.lands_at)
+                                        for x in rep.hazards])).encode())
+            reports += 1
+    assert reports == 292
+    assert h.hexdigest() == ("d5dffc81c165d084c3cc05d70bfee93a"
+                             "29e7b70970073d5813f008603d1cbae5")
+
+
 def test_reversal_noop_for_two_words():
     # d = 2 has a single pair per half; reversal changes nothing.
     a = generate_addresses(CH_NTT, 2, stage1_reversal=True)
