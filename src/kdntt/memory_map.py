@@ -296,7 +296,7 @@ def scheme_program(geom: MemoryGeometry) -> SchemeProgram:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient packing.
+# Word packing and bank memory.
 # ---------------------------------------------------------------------------
 
 def pack_word(coeffs, slot_bits: int) -> int:
@@ -311,47 +311,12 @@ def unpack_word(word: int, t: int, slot_bits: int) -> list[int]:
     mask = (1 << slot_bits) - 1
     return [(word >> (s * slot_bits)) & mask for s in range(t)]
 
-
-def pack_coefficients(coeffs, geom: MemoryGeometry,
-                      layout=None) -> tuple[list[int], list[int]]:
-    """Split 256 coefficients into the two banks' region rows.
-
-    Word w covers coefficients [t*w, t*w + t); bank A row r gets word
-    layout[0][r] and bank B row r word layout[1][r].  The default,
-    initial_layout, reverses the upper words into B so that stage-1
-    partners (x, x+d) meet at mirrored rows.
-    """
-    if len(coeffs) != N:
-        raise ValueError(f"expected {N} coefficients")
-    t, sb = geom.t, geom.slot_bits
-    la, lb = layout if layout is not None else initial_layout(geom.d)
-    return ([pack_word(coeffs[t * w: t * w + t], sb) for w in la],
-            [pack_word(coeffs[t * w: t * w + t], sb) for w in lb])
-
-
-def unpack_coefficients(bank_a, bank_b, geom: MemoryGeometry,
-                        layout=None) -> list[int]:
-    """Inverse of pack_coefficients under a given bank occupancy map."""
-    t, d, sb = geom.t, geom.d, geom.slot_bits
-    la, lb = layout if layout is not None else initial_layout(d)
-    out = [0] * N
-    for r in range(d):
-        for bank, lay in ((bank_a, la), (bank_b, lb)):
-            w = lay[r]
-            out[t * w: t * w + t] = unpack_word(bank[r], t, sb)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Bank memory.
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class Hazard:
     cycle: int
     bank: int
     row: int
-    lands_at: int          # when the pending write would have completed
+    lands_at: int          # when the in-flight write lands
 
 
 class BankMemory:
@@ -362,10 +327,17 @@ class BankMemory:
     mirrored across the banks, so role BANK_A of region 1 is physical
     bank B: the physical bank is role ^ region and the physical row
     region * d + row.  That is what lets one pointwise cycle read a_w
-    and b_w from opposite banks at the same row.  A write issued at
-    cycle c lands at c + pipeline_depth; a read of a row whose write is
-    still in flight is recorded as a Hazard (physical bank and row) and
-    sees the stale word, as the hardware would.
+    and b_w from opposite banks at the same row.
+
+    Each physical row keeps one write record: banks holds the last word
+    written to it, old the word a read sees until that write lands, and
+    lands the cycle it lands at (issue cycle + pipeline_depth); settled
+    is when the memory's last write lands.  A read before the landing
+    cycle is recorded as a Hazard (physical bank and row) and sees the
+    older word, as the hardware would.  A write to a row whose previous
+    write has landed first moves that word into old; a write to a row
+    whose previous write is still in flight replaces it, and the
+    replaced write never lands.
     """
 
     def __init__(self, d: int, pipeline_depth: int) -> None:
@@ -375,58 +347,59 @@ class BankMemory:
         self.d = d
         self.depth = pipeline_depth
         self.banks = [[0] * (2 * d), [0] * (2 * d)]
-        self.pending: dict[tuple[int, int], tuple[int, int]] = {}
-        self.cycle = 0
+        self.old = [[0] * (2 * d), [0] * (2 * d)]
+        self.lands = [[0] * (2 * d), [0] * (2 * d)]
+        self.cycle = self.settled = 0
         self.hazards: list[Hazard] = []
 
-    def _commit_if_landed(self, loc: tuple[int, int]) -> None:
-        entry = self.pending.get(loc)
-        if entry is not None and entry[0] <= self.cycle:
-            self.banks[loc[0]][loc[1]] = entry[1]
-            del self.pending[loc]
-
     def read(self, region: int, role: int, row: int) -> int:
-        loc = (role ^ region, region * self.d + row)
-        self._commit_if_landed(loc)
-        entry = self.pending.get(loc)
-        if entry is not None:
-            self.hazards.append(Hazard(self.cycle, loc[0], loc[1], entry[0]))
-        return self.banks[loc[0]][loc[1]]
+        bank, row = role ^ region, region * self.d + row
+        lands = self.lands[bank][row]
+        if self.cycle < lands:
+            self.hazards.append(Hazard(self.cycle, bank, row, lands))
+            return self.old[bank][row]
+        return self.banks[bank][row]
 
     def write(self, region: int, role: int, row: int, word: int) -> None:
-        loc = (role ^ region, region * self.d + row)
-        self._commit_if_landed(loc)
-        self.pending[loc] = (self.cycle + self.depth, word)
+        bank, row = role ^ region, region * self.d + row
+        if self.lands[bank][row] <= self.cycle:
+            self.old[bank][row] = self.banks[bank][row]
+        self.banks[bank][row] = word
+        self.lands[bank][row] = self.settled = self.cycle + self.depth
 
     def tick(self) -> None:
         self.cycle += 1
 
     def drain(self) -> int:
-        """Advance time until every queued write has landed."""
-        start = self.cycle
-        if self.pending:
-            self.cycle = max(self.cycle,
-                             max(t for t, _ in self.pending.values()))
-        for loc in list(self.pending):
-            self._commit_if_landed(loc)
-        assert not self.pending
+        """Advance time until every write has landed; the cycles it took."""
+        start, self.cycle = self.cycle, max(self.cycle, self.settled)
         return self.cycle - start
 
     def load(self, coeffs, geom: MemoryGeometry, region: int, layout,
              mont: ModulusParams | None = None) -> None:
-        """Pack a polynomial into a region, Montgomery-scaled if mont."""
+        """Pack a polynomial into a region, Montgomery-scaled if mont.
+
+        Word w covers coefficients [t*w, t*w + t); role BANK_A row r gets
+        word layout[0][r] and role BANK_B row r word layout[1][r].
+        """
+        if len(coeffs) != N:
+            raise ValueError(f"expected {N} coefficients")
         if mont is not None:
             coeffs = [to_mont(v, mont) for v in coeffs]
-        off = region * self.d
-        for role, rows in zip((BANK_A, BANK_B),
-                              pack_coefficients(coeffs, geom, layout)):
-            self.banks[role ^ region][off: off + self.d] = rows
+        t, sb, off = geom.t, geom.slot_bits, region * self.d
+        for role, words in zip((BANK_A, BANK_B), layout):
+            self.banks[role ^ region][off: off + self.d] = [
+                pack_word(coeffs[t * w: t * w + t], sb) for w in words]
 
     def extract(self, geom: MemoryGeometry, layout) -> list[int]:
         """Unpack operand a (region 0); every write must have landed."""
-        assert not self.pending, "extract before drain"
-        return unpack_coefficients(self.banks[BANK_A][:self.d],
-                                   self.banks[BANK_B][:self.d], geom, layout)
+        assert self.cycle >= self.settled, "extract before drain"
+        t, sb = geom.t, geom.slot_bits
+        out = [0] * N
+        for bank, words in zip(self.banks, layout):
+            for r, w in enumerate(words):
+                out[t * w: t * w + t] = unpack_word(bank[r], t, sb)
+        return out
 
 
 # ---------------------------------------------------------------------------

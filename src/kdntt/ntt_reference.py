@@ -15,6 +15,7 @@ Kyber.  ``bit_reverse_permutation`` converts between the two.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,10 +50,15 @@ class Polynomial:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
-        if len(self.coeffs) != N:
-            raise ValueError(f"expected {N} coefficients, got {len(self.coeffs)}")
+        try:
+            coeffs = tuple(map(operator.index, self.coeffs))
+        except TypeError:
+            raise ValueError("coefficients must be integers") from None
+        object.__setattr__(self, "coeffs", coeffs)
+        if len(coeffs) != N:
+            raise ValueError(f"expected {N} coefficients, got {len(coeffs)}")
         q = SCHEMES[self.scheme].q
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(coeffs):
             if not 0 <= c < q:
                 raise ValueError(f"coefficient {i} = {c} out of range [0, {q})")
 
@@ -61,7 +67,7 @@ class Polynomial:
         return SCHEMES[self.scheme]
 
     def with_coeffs(self, coeffs, domain: str | None = None) -> "Polynomial":
-        return Polynomial(tuple(int(c) for c in coeffs), self.scheme,
+        return Polynomial(coeffs, self.scheme,
                           self.domain if domain is None else domain)
 
     @classmethod

@@ -241,9 +241,10 @@ def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
     tw = build_twiddle_rom(scheme)
     if rom_override is not None:
         if (tuple(map(len, rom_override)) != tuple(map(len, tw)) or not
-                all(0 <= v < p.q for table in rom_override for v in table)):
-            raise ValueError(f"rom_override must hold tables of lengths "
-                             f"{tuple(map(len, tw))} in [0, {p.q})")
+                all(isinstance(v, int) and 0 <= v < p.q
+                    for table in rom_override for v in table)):
+            raise ValueError(f"rom_override must hold integer tables of "
+                             f"lengths {tuple(map(len, tw))} in [0, {p.q})")
         tw = rom_override
     m = BankMemory(geom.d, cfg.pipeline_depth)
     layout_in = _layout(d_in, geom.d)

@@ -13,7 +13,11 @@ from kdntt.memory_map import (
     CH_INTT,
     CH_NTT,
     DESIGNS,
+    BANK_A,
+    BANK_B,
     AddressSchedule,
+    BankMemory,
+    Hazard,
     MemoryGeometry,
     build_rom_images,
     build_twiddle_rom,
@@ -24,12 +28,10 @@ from kdntt.memory_map import (
     generate_addresses,
     initial_layout,
     intra_word_stages,
-    pack_coefficients,
     pwm_schedule,
     rom_image_lines,
     scheme_program,
     transformed_layout,
-    unpack_coefficients,
     pack_word,
     unpack_word,
 )
@@ -278,13 +280,49 @@ def test_pack_coefficients_roundtrip():
                            ("d2", "dilithium"), ("d3", "kyber")):
         geom = DESIGNS[design].geometry(scheme)
         coeffs = [RNG.randrange(SCHEMES[scheme].q) for _ in range(256)]
-        bank_a, bank_b = pack_coefficients(coeffs, geom)
-        assert len(bank_a) == len(bank_b) == geom.d
-        back = unpack_coefficients(bank_a, bank_b, geom)
+        m = BankMemory(geom.d, 1)
+        m.load(coeffs, geom, 0, initial_layout(geom.d))
+        assert len(m.banks[BANK_A]) == len(m.banks[BANK_B]) == 2 * geom.d
+        back = m.extract(geom, initial_layout(geom.d))
         assert back == coeffs
         # B holds the upper words mirrored: row 0 carries the last word
         top_word = coeffs[(2 * geom.d - 1) * geom.t:]
-        assert unpack_word(bank_b[0], geom.t, geom.slot_bits) == top_word
+        assert unpack_word(m.read(0, BANK_B, 0), geom.t,
+                           geom.slot_bits) == top_word
+
+
+def test_bank_write_record_rule():
+    """A write lands pipeline_depth cycles after issue; a read before
+    that sees the older word and is a Hazard; a write issued while the
+    row's previous write is in flight replaces it, and the replaced
+    write never lands."""
+    m = BankMemory(2, 3)
+    m.load(list(range(256)), MemoryGeometry("dilithium", 64), 0,
+           initial_layout(2))
+    orig = m.read(0, BANK_A, 1)
+    m.write(0, BANK_A, 1, 111)                    # issued at 0, lands at 3
+    m.tick()
+    assert m.read(0, BANK_A, 1) == orig
+    assert m.hazards == [Hazard(1, BANK_A, 1, 3)]
+    m.tick()
+    m.tick()
+    assert m.read(0, BANK_A, 1) == 111            # cycle 3: landed
+    assert len(m.hazards) == 1
+    m.write(0, BANK_A, 1, 222)                    # issued at 3, lands at 6
+    m.tick()
+    m.write(0, BANK_A, 1, 333)                    # issued at 4, replaces 222
+    m.tick()
+    m.tick()
+    assert m.read(0, BANK_A, 1) == 111            # cycle 6: 222 never lands
+    assert m.hazards[-1] == Hazard(6, BANK_A, 1, 7)
+    assert m.drain() == 1 and m.cycle == 7
+    assert m.read(0, BANK_A, 1) == 333
+    assert m.drain() == 0 and m.cycle == 7
+    # Region 1, role BANK_A, row r is physical bank B, row d + r.
+    m.write(1, BANK_A, 0, 444)
+    assert m.drain() == 3
+    assert m.banks[BANK_B][2] == 444 and m.read(0, BANK_B, 0) != 444
+    assert m.read(1, BANK_A, 0) == 444
 
 
 def test_twiddle_rom_structure():

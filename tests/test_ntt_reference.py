@@ -80,6 +80,13 @@ def test_polynomial_validation():
         Polynomial((0,) * 256, "kyber", "frequency")
     with pytest.raises(ValueError):
         Polynomial((0,) * 256, "ntru", DOMAIN_NORMAL)
+    with pytest.raises(ValueError, match="integers"):
+        Polynomial((2.5,) * 256, "kyber", DOMAIN_NORMAL)
+    # Any integer sequence is stored as a tuple of ints: equal and hashable.
+    listed = Polynomial([0] * 256, "kyber")
+    assert type(listed.coeffs) is tuple
+    assert listed == Polynomial.zero("kyber")
+    assert hash(listed) == hash(Polynomial.zero("kyber"))
 
 
 def test_direct_ntt_trivial_inputs():

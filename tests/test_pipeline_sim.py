@@ -316,7 +316,7 @@ def test_rom_override_corruption_changes_result():
 
 def test_rom_override_out_of_range_or_short_is_rejected():
     """A library override gets the checks an image does: each table as
-    long as the built-in one, every twiddle in [0, q)."""
+    long as the built-in one, every twiddle an integer in [0, q)."""
     cfg = CoreConfig.for_design("standalone-kyber")
     rom = build_twiddle_rom("kyber")
     a = Polynomial.random("kyber", RNG)
@@ -325,7 +325,8 @@ def test_rom_override_out_of_range_or_short_is_rejected():
                       rom.inverse, rom.psi),
                      (rom.forward[:10], rom.inverse, rom.psi),
                      (rom.forward, rom.inverse, rom.psi + (0,)),
-                     (rom.forward, rom.inverse)):
+                     (rom.forward, rom.inverse),
+                     (tuple(map(float, rom.forward)), rom.inverse, rom.psi)):
         with pytest.raises(ValueError, match="rom_override"):
             run_polymul(cfg, "kyber", a, b, rom_override=override)
         with pytest.raises(ValueError, match="rom_override"):
