@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .core_arith import N, SCHEMES, ModulusParams, from_mont, to_mont
+from .core_arith import N, SCHEMES, from_mont
 from .ntt_reference import basemul_zetas, forward_zetas, inverse_zetas
 
 CH_NTT = 0
@@ -375,30 +375,22 @@ class BankMemory:
         start, self.cycle = self.cycle, max(self.cycle, self.settled)
         return self.cycle - start
 
-    def load(self, coeffs, geom: MemoryGeometry, region: int, layout,
-             mont: ModulusParams | None = None) -> None:
-        """Pack a polynomial into a region, Montgomery-scaled if mont.
-
-        Word w covers coefficients [t*w, t*w + t); role BANK_A row r gets
-        word layout[0][r] and role BANK_B row r word layout[1][r].
-        """
-        if len(coeffs) != N:
-            raise ValueError(f"expected {N} coefficients")
-        if mont is not None:
-            coeffs = [to_mont(v, mont) for v in coeffs]
-        t, sb, off = geom.t, geom.slot_bits, region * self.d
-        for role, words in zip((BANK_A, BANK_B), layout):
+    def load(self, region: int, layout, words) -> None:
+        """Place a region's words: role BANK_A row r gets
+        words[layout[0][r]] and role BANK_B row r words[layout[1][r]]."""
+        off = region * self.d
+        for role, order in zip((BANK_A, BANK_B), layout):
             self.banks[role ^ region][off: off + self.d] = [
-                pack_word(coeffs[t * w: t * w + t], sb) for w in words]
+                words[w] for w in order]
 
-    def extract(self, geom: MemoryGeometry, layout) -> list[int]:
-        """Unpack operand a (region 0); every write must have landed."""
+    def extract(self, layout) -> list:
+        """Region 0's words in word order, read back through the layout
+        load places them by; every write must have landed."""
         assert self.cycle >= self.settled, "extract before drain"
-        t, sb = geom.t, geom.slot_bits
-        out = [0] * N
-        for bank, words in zip(self.banks, layout):
-            for r, w in enumerate(words):
-                out[t * w: t * w + t] = unpack_word(bank[r], t, sb)
+        out = [0] * (2 * self.d)
+        for bank, order in zip(self.banks, layout):
+            for r, w in enumerate(order):
+                out[w] = bank[r]
         return out
 
 
@@ -487,7 +479,7 @@ def enumerate_stage_pairs(s: AddressSchedule):
     used to prove schedule completeness against a reference transform
     trace."""
     m = BankMemory(s.d, 1)
-    m.banks[BANK_A][:s.d], m.banks[BANK_B][:s.d] = s.initial_layout
+    m.load(0, s.initial_layout, range(2 * s.d))
     out = []
 
     def pair(_stage, _e, low, high):
@@ -498,8 +490,7 @@ def enumerate_stage_pairs(s: AddressSchedule):
         out.append([])
         run_stages(m, (stage,), 0, pair)
     m.drain()
-    assert (tuple(m.banks[BANK_A][:s.d]),
-            tuple(m.banks[BANK_B][:s.d])) == s.final_layout
+    assert m.extract(s.final_layout) == list(range(2 * s.d))
     return out
 
 

@@ -1,14 +1,20 @@
 """Cycle-accurate execution of transforms and products on a configured core.
 
-Every scheduled cycle reads one word from each bank of a
-memory_map.BankMemory, feeds the butterfly lanes, and writes the results
-back to the same two rows; the bank memory delays each write by
-pipeline_depth cycles and records any read of a row whose write is
-still in flight as a hazard (the read sees the stale word, exactly like
-the hardware would).  One loop runs every transform stage, word-pairing
-and in-word alike: only the stage's butterfly list over the cycle's
-two words differs.  Operands are addressed by region (a in 0, b in 1);
-the bank memory alone decides where a region sits.
+An op runs in two steps.  The compile step, once per (geometry,
+pipeline depth, op), runs the op's program on a memory_map.BankMemory
+whose rows hold word ids instead of words: every scheduled cycle reads
+one id from each bank and writes two fresh ids back to the same two
+rows.  The bank memory delays each write by pipeline_depth cycles and
+records a read of a row whose write is still in flight as a hazard; the
+read sees the stale id, as the hardware would see the stale word.  No
+address, routing flag or landing cycle depends on the data, so the plan
+(per stage, the ids every cycle reads and its twiddle base), the cycle
+counts and the hazards are all fixed by those three.  The execute step
+then runs only arithmetic: it walks the plan over a list of
+coefficients, one loop for every transform stage, word-pairing and
+in-word alike, with only the stage's butterfly list differing.
+Operands are addressed by region (a in 0, b in 1); the bank memory
+alone decides where a region sits.
 
 Latency accounting follows the convention of the published cycle
 counts: busy_cycles counts issued butterfly/product cycles only
@@ -24,9 +30,13 @@ second operand as arriving pre-transformed.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count
+from typing import NamedTuple
 
-from .core_arith import SCHEMES, ModulusParams
+from .core_arith import SCHEMES, ModulusParams, to_mont
 from .ntt_reference import DOMAIN_NORMAL, DOMAIN_NTT_BR, Polynomial
 from .bfu import (
     MODE_PWM0,
@@ -46,11 +56,9 @@ from .memory_map import (
     build_twiddle_rom,
     estimate_bram_usage,
     initial_layout,
-    pack_word,
     run_stages,
     scheme_program,
     transformed_layout,
-    unpack_word,
 )
 
 OP_NTT = "ntt"
@@ -139,76 +147,6 @@ def _butterflies(kind: str, span: int, t: int):
             for i in range(2 * t) if i % (2 * ell) < ell]
 
 
-def _run_transform(m: BankMemory, p: ModulusParams, geom: MemoryGeometry,
-                   phase: str, region: int, twiddles) -> None:
-    """Execute one ntt or intt phase through run_stages, a stage at a
-    time: each cycle runs the stage's butterflies over its (low, high)
-    words."""
-    t, sb = geom.t, geom.slot_bits
-    forward = phase == OP_NTT
-    table = twiddles[0] if forward else twiddles[1]
-    step = ct_butterfly if forward else gs_butterfly_halving
-
-    def cycle(_stage, e, low, high):
-        x = unpack_word(low, t, sb) + unpack_word(high, t, sb)
-        for i, j, k in bfly:
-            x[i], x[j] = step(x[i], x[j], table[e.tw_index + k], p)
-        return pack_word(x[:t], sb), pack_word(x[t:], sb)
-
-    for stage in getattr(scheme_program(geom), phase):
-        bfly = _butterflies(stage.kind, stage.span, t)
-        run_stages(m, (stage,), region, cycle)
-
-
-def _run_pwm(m: BankMemory, p: ModulusParams, geom: MemoryGeometry,
-             twiddles) -> None:
-    """Pointwise stage: operand a in region 0, operand b in region 1.
-
-    Dilithium multiplies and writes back in one cycle per word; Kyber
-    spends a product cycle and then a combine cycle on each word.
-    """
-    t, sb = geom.t, geom.slot_bits
-    psi = twiddles[2]
-    kyber = p.scheme == "kyber"
-    carries = None
-    for i, e in enumerate(scheme_program(geom).pwm[0].entries):
-        role = BANK_B if e.read_swap else BANK_A
-        if kyber and i % 2:  # combine stage: psi products, assemble
-            out = []
-            for j, carry in enumerate(carries):
-                out.extend(kyber_pwm_pair(MODE_PWM1, (0, 0), (0, 0),
-                                          psi[e.tw_index + j], p,
-                                          carry_state=carry))
-            m.write(0, role, e.addr_a, pack_word(out, sb))
-            carries = None
-        else:  # read both operand words
-            a = unpack_word(m.read(0, role, e.addr_a), t, sb)
-            b = unpack_word(m.read(1, role, e.addr_b), t, sb)
-            if kyber:
-                carries = [
-                    kyber_pwm_pair(MODE_PWM0, (a[2 * j], a[2 * j + 1]),
-                                   (b[2 * j], b[2 * j + 1]), 0, p)
-                    for j in range(t // 2)
-                ]
-            else:
-                out = [dilithium_pwm(ai, bi, p) for ai, bi in zip(a, b)]
-                m.write(0, role, e.addr_a, pack_word(out, sb))
-        m.tick()
-
-
-def _report(op, scheme, busy, fill_drain, m: BankMemory, cfg: CoreConfig,
-            allow_hazards: bool) -> SimReport:
-    if m.hazards and not allow_hazards:
-        h = m.hazards[0]
-        raise RuntimeError(
-            f"memory hazard at cycle {h.cycle}: bank {h.bank} row {h.row} "
-            f"read before its write lands at {h.lands_at}")
-    return SimReport(op=op, scheme=scheme, busy_cycles=busy,
-                     fill_drain_cycles=fill_drain,
-                     hazards=tuple(m.hazards),
-                     bram_estimate=estimate_bram_usage(cfg.design).total_units)
-
-
 # op -> (input domain, output domain, program phases).  A domain fixes the
 # bank layout the operands are loaded in or the result is read back from.
 _OPS = {
@@ -223,17 +161,129 @@ def _layout(domain: str, d: int):
     return initial_layout(d) if domain == DOMAIN_NORMAL else transformed_layout(d)
 
 
+class _Plan(NamedTuple):
+    # Per stage: (phase, butterfly list or None for pwm, the word
+    # offsets its cycles read, in pairs, and each read's twiddle base).
+    stages: tuple[tuple[str, list | None, array, array], ...]
+    busy: int
+    fill_drain: int
+    hazards: tuple[Hazard, ...]
+    out: tuple[int, ...]     # region 0's word offsets, in word order
+
+
+@lru_cache(maxsize=64)  # all 32 shipped (design, scheme, op), twice
+def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
+    """The op's phases run on banks holding word ids: a's word w is id w,
+    b's (for pwm and polymul) id 2d + w, and each written word takes the
+    next id, so _execute keeps every word in one list in id order."""
+    t, d = geom.t, geom.d
+    d_in, d_out, phases = _OPS[op]
+    with_b = op in (OP_PWM, OP_POLYMUL)
+    prog = scheme_program(geom)
+    m = BankMemory(d, depth)
+    m.load(0, _layout(d_in, d), range(2 * d))
+    if with_b:
+        m.load(1, _layout(d_in, d), range(2 * d, 4 * d))
+    ids = count(2 * d * (1 + with_b))
+    stages = []
+
+    def transform(phase: str, region: int) -> None:
+        for stage in getattr(prog, phase):
+            reads, bases = array("I"), array("I")
+
+            def cycle(_stage, e, lo, hi):
+                reads.extend((t * lo, t * hi))
+                bases.append(e.tw_index)
+                return next(ids), next(ids)
+
+            run_stages(m, (stage,), region, cycle)
+            bfly = _butterflies(stage.kind, stage.span, t)
+            stages.append((phase, bfly, reads, bases))
+
+    def pwm() -> None:
+        # Operand a in region 0, b in region 1.  Dilithium multiplies
+        # and writes back in one cycle per word; Kyber spends a product
+        # cycle and then a combine cycle on each word.
+        reads, bases = array("I"), array("I")
+        kyber = geom.scheme == "kyber"
+        for i, e in enumerate(prog.pwm[0].entries):
+            role = BANK_B if e.read_swap else BANK_A
+            if not (kyber and i % 2):  # read both operand words
+                reads.extend((t * m.read(0, role, e.addr_a),
+                              t * m.read(1, role, e.addr_b)))
+                bases.append(e.tw_index)
+            if not kyber or i % 2:  # write the product word back
+                m.write(0, role, e.addr_a, next(ids))
+            m.tick()
+        stages.append((OP_PWM, None, reads, bases))
+
+    busy = fill_drain = 0
+    for phase in phases:
+        start = m.cycle
+        if phase == OP_PWM:
+            pwm()
+        else:
+            transform(phase, 0)
+        busy += m.cycle - start
+        if phase == OP_NTT and with_b:
+            # NTT(b) preparation: counted in neither total (see the
+            # module docstring) and not drained apart from NTT(a).
+            transform(OP_NTT, 1)
+        fill_drain += m.drain()
+    out = tuple(t * i for i in m.extract(_layout(d_out, d)))
+    return _Plan(tuple(stages), busy, fill_drain, tuple(m.hazards), out)
+
+
+def _execute(plan: _Plan, p: ModulusParams, t: int, tw, a: Polynomial,
+             b: Polynomial | None) -> list[int]:
+    """The plan's arithmetic over one list of words in id order, word
+    id i being vals[t*i: t*i + t].  The butterflies are looked up by
+    name on every call, so a replaced module function is what runs."""
+    vals = list(a.coeffs)
+    if b is not None:
+        vals += [to_mont(v, p) for v in b.coeffs]
+    for phase, bfly, reads, bases in plan.stages:
+        pairs = iter(reads)
+        if phase == OP_PWM and p.scheme == "kyber":
+            for i, j, base in zip(pairs, pairs, bases):
+                x, y = vals[i: i + t], vals[j: j + t]
+                carries = [kyber_pwm_pair(MODE_PWM0, (x[k], x[k + 1]),
+                                          (y[k], y[k + 1]), 0, p)
+                           for k in range(0, t, 2)]
+                for k, carry in enumerate(carries):
+                    vals += kyber_pwm_pair(MODE_PWM1, (0, 0), (0, 0),
+                                           tw[2][base + k], p,
+                                           carry_state=carry)
+        elif phase == OP_PWM:
+            for i, j in zip(pairs, pairs):
+                vals += [dilithium_pwm(u, v, p)
+                         for u, v in zip(vals[i: i + t], vals[j: j + t])]
+        else:
+            forward = phase == OP_NTT
+            table = tw[0] if forward else tw[1]
+            step = ct_butterfly if forward else gs_butterfly_halving
+            for lo, hi, base in zip(pairs, pairs, bases):
+                x = vals[lo: lo + t] + vals[hi: hi + t]
+                for i, j, k in bfly:
+                    x[i], x[j] = step(x[i], x[j], table[base + k], p)
+                vals += x
+    return [c for i in plan.out for c in vals[i: i + t]]
+
+
 def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
          b: Polynomial | None, rom_override,
          allow_hazards: bool) -> tuple[Polynomial, SimReport]:
-    """Load a (region 0) and b (region 1, Montgomery-scaled), run the
-    op's phases with a drain after each, and read a's region back."""
+    """Check the operands, take the op's plan for this geometry and
+    depth (compiled on first use), refuse a hazardous one before any
+    arithmetic runs, and execute it on a (and b)."""
     if scheme not in cfg.schemes:
         raise ValueError(f"design {cfg.design} has no {scheme} lanes")
+    if b is None and op in (OP_PWM, OP_POLYMUL):
+        raise ValueError(f"{op} needs two operands")
     operands = (a,) if b is None else (a, b)
     if any(x.scheme != scheme for x in operands):
         raise ValueError("operand scheme does not match the run")
-    d_in, d_out, phases = _OPS[op]
+    d_in, d_out, _phases = _OPS[op]
     if any(x.domain != d_in for x in operands):
         raise ValueError(f"{op} expects {d_in}-domain operands")
     p = SCHEMES[scheme]
@@ -246,27 +296,17 @@ def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
             raise ValueError(f"rom_override must hold integer tables of "
                              f"lengths {tuple(map(len, tw))} in [0, {p.q})")
         tw = rom_override
-    m = BankMemory(geom.d, cfg.pipeline_depth)
-    layout_in = _layout(d_in, geom.d)
-    m.load(a.coeffs, geom, 0, layout_in)
-    if b is not None:
-        m.load(b.coeffs, geom, 1, layout_in, mont=p)
-    busy = fill_drain = 0
-    for phase in phases:
-        start = m.cycle
-        if phase == OP_PWM:
-            _run_pwm(m, p, geom, tw)
-        else:
-            _run_transform(m, p, geom, phase, 0, tw)
-        busy += m.cycle - start
-        if phase == OP_NTT and b is not None:
-            # NTT(b) preparation: counted in neither total (see the
-            # module docstring) and not drained apart from NTT(a).
-            _run_transform(m, p, geom, OP_NTT, 1, tw)
-        fill_drain += m.drain()
-    out = a.with_coeffs(m.extract(geom, _layout(d_out, geom.d)),
-                        domain=d_out)
-    return out, _report(op, scheme, busy, fill_drain, m, cfg, allow_hazards)
+    plan = _compile(geom, cfg.pipeline_depth, op)
+    if plan.hazards and not allow_hazards:
+        h = plan.hazards[0]
+        raise RuntimeError(
+            f"memory hazard at cycle {h.cycle}: bank {h.bank} row {h.row} "
+            f"read before its write lands at {h.lands_at}")
+    out = a.with_coeffs(_execute(plan, p, geom.t, tw, a, b), domain=d_out)
+    return out, SimReport(
+        op=op, scheme=scheme, busy_cycles=plan.busy,
+        fill_drain_cycles=plan.fill_drain, hazards=plan.hazards,
+        bram_estimate=estimate_bram_usage(cfg.design).total_units)
 
 
 def run_op(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
@@ -284,8 +324,6 @@ def run_op(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
         raise ValueError(f"unknown op {op!r}")
     if b is not None and b.scheme != scheme:
         raise ValueError("operand scheme does not match the run")
-    if op == OP_PWM and b is None:
-        raise ValueError("pwm needs two operands")
     return _run(cfg, scheme, op, a, b if op == OP_PWM else None,
                 rom_override, allow_hazards)
 

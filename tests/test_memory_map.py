@@ -280,10 +280,14 @@ def test_pack_coefficients_roundtrip():
                            ("d2", "dilithium"), ("d3", "kyber")):
         geom = DESIGNS[design].geometry(scheme)
         coeffs = [RNG.randrange(SCHEMES[scheme].q) for _ in range(256)]
+        t, sb = geom.t, geom.slot_bits
         m = BankMemory(geom.d, 1)
-        m.load(coeffs, geom, 0, initial_layout(geom.d))
+        m.load(0, initial_layout(geom.d),
+               [pack_word(coeffs[t * w: t * w + t], sb)
+                for w in range(2 * geom.d)])
         assert len(m.banks[BANK_A]) == len(m.banks[BANK_B]) == 2 * geom.d
-        back = m.extract(geom, initial_layout(geom.d))
+        back = [c for word in m.extract(initial_layout(geom.d))
+                for c in unpack_word(word, t, sb)]
         assert back == coeffs
         # B holds the upper words mirrored: row 0 carries the last word
         top_word = coeffs[(2 * geom.d - 1) * geom.t:]
@@ -297,8 +301,7 @@ def test_bank_write_record_rule():
     row's previous write is in flight replaces it, and the replaced
     write never lands."""
     m = BankMemory(2, 3)
-    m.load(list(range(256)), MemoryGeometry("dilithium", 64), 0,
-           initial_layout(2))
+    m.load(0, initial_layout(2), [10, 20, 30, 40])
     orig = m.read(0, BANK_A, 1)
     m.write(0, BANK_A, 1, 111)                    # issued at 0, lands at 3
     m.tick()

@@ -126,15 +126,71 @@ def test_measured_busy_equals_model():
 
 
 def test_latency_is_data_independent():
+    """Cycle counts, and at an over-deep pipeline (d/2 + 1) the hazards,
+    are the same for two different operand pairs: a plan depends only
+    on the geometry, the depth and the op."""
     cfg = CoreConfig.for_design("d2")
+    deep = CoreConfig.for_design("d2")
+    object.__setattr__(deep, "pipeline_depth",
+                       cfg.geometry("kyber").d // 2 + 1)
     reports = []
     for seed in (1, 2):
         rng = random.Random(seed)
         a = Polynomial.random("kyber", rng)
         b = Polynomial.random("kyber", rng)
         _, rep = run_polymul(cfg, "kyber", a, b)
-        reports.append((rep.busy_cycles, rep.fill_drain_cycles))
+        _, over = run_polymul(deep, "kyber", a, b, allow_hazards=True)
+        reports.append((rep.busy_cycles, rep.fill_drain_cycles,
+                        over.hazards))
     assert reports[0] == reports[1]
+    assert reports[0][2]
+
+
+def test_plan_follows_a_mutated_depth():
+    """One config moved from its shipped depth to d/2 + 1 and back runs
+    at each depth it holds: hazards, then a clean exact product."""
+    rng = random.Random(0xDE97)
+    cfg = CoreConfig.for_design("d3")
+    shipped, d = cfg.pipeline_depth, cfg.geometry("kyber").d
+    a, b = Polynomial.random("kyber", rng), Polynomial.random("kyber", rng)
+    hazards = []
+    for depth in (shipped, d // 2 + 1, shipped):
+        object.__setattr__(cfg, "pipeline_depth", depth)
+        out, rep = run_polymul(cfg, "kyber", a, b, allow_hazards=True)
+        hazards.append(len(rep.hazards))
+    assert hazards[0] == hazards[2] == 0 and hazards[1] > 0
+    assert out.coeffs == schoolbook_negacyclic(a, b).coeffs
+
+
+def test_executor_looks_butterflies_up_at_call_time(monkeypatch):
+    """A cached plan must not capture the butterfly functions: a wrapper
+    installed after the plan is compiled sees every forward butterfly of
+    the next polymul (NTT(a) and NTT(b), 128 per layer), and an
+    over-deep run is refused before any butterfly runs."""
+    import kdntt.pipeline_sim as ps
+    rng = random.Random(0xB7F)
+    for design, scheme, layers in (("standalone-kyber", "kyber", 7),
+                                   ("standalone-dilithium", "dilithium", 8)):
+        cfg = CoreConfig.for_design(design)
+        a, b = Polynomial.random(scheme, rng), Polynomial.random(scheme, rng)
+        run_polymul(cfg, scheme, a, b)
+        calls = []
+
+        def counting(*args, fn=ps.ct_butterfly):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(ps, "ct_butterfly", counting)
+        out, _ = run_polymul(cfg, scheme, a, b)
+        assert len(calls) == 2 * layers * 128, (design, len(calls))
+        assert out.coeffs == schoolbook_negacyclic(a, b).coeffs
+        calls.clear()
+        object.__setattr__(cfg, "pipeline_depth",
+                           cfg.geometry(scheme).d // 2 + 1)
+        with pytest.raises(RuntimeError, match="memory hazard"):
+            run_polymul(cfg, scheme, a, b)
+        assert not calls
+        monkeypatch.undo()
 
 
 def test_fill_drain_accounting():
@@ -197,6 +253,8 @@ def test_run_op_domain_and_scheme_guards():
     with pytest.raises(ValueError):
         run_op(cfg, "kyber", OP_PWM, fast_ntt(a, SCHEMES["kyber"]),
                a)                                  # second operand not spectral
+    with pytest.raises(ValueError, match="two operands"):
+        run_polymul(cfg, "kyber", a, None)       # was an all-zero product
 
 
 def test_overdeep_pipeline_shows_hazards():
