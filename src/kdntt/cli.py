@@ -113,12 +113,12 @@ def write_poly(path: str, a: Polynomial) -> None:
 
 
 def _write_text(path: str, text: str) -> None:
+    if path == "-":
+        sys.stdout.write(text)  # main reports a failing stdout
+        return
     try:
-        if path == "-":
-            sys.stdout.write(text)
-        else:
-            with open(path, "w", encoding="utf-8") as f:
-                f.write(text)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as e:
         raise CliError(EXIT_IO, f"{path}: {e.strerror or e}")
 
@@ -320,10 +320,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a failing stdout fails here, not at exit
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except OSError as e:
+        # Every file a command opens reports its own errors as CliError, so
+        # this is stdout: a closed pipe or a full disk.  The unwritten output
+        # goes to devnull, so the interpreter's flush at exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: stdout: {e.strerror or e}", file=sys.stderr)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

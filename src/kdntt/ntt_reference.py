@@ -4,6 +4,8 @@ Everything in this module is O(n**2) and written for clarity: direct
 evaluation of the transforms from their defining sums, schoolbook
 negacyclic multiplication, and the Kyber degree-1 basecase product.
 The fast paths (bfu, pipeline_sim) are always tested against these.
+numpy is imported only inside the functions that use it, never at module
+level, so the CLI's simulator commands start without paying for it.
 
 Order conventions.  ``ntt`` (standard order) indexes spectral values by
 ascending evaluation point: entry j corresponds to the root gamma**(2j+1)
@@ -19,8 +21,6 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .core_arith import (
     N,
@@ -180,6 +180,7 @@ def _direct_matrices(p: ModulusParams) -> tuple[np.ndarray, np.ndarray]:
     coefficients are < 2**23, so a 256-term dot product stays < 2**54 and
     int64 accumulation is exact.
     """
+    import numpy as np
     half = p.root_order // 2  # points per sub-transform: 128 (K), 256 (D)
     powers = [pow(p.root, e, p.q) for e in range(p.root_order)]
     idx = np.arange(half, dtype=np.int64)
@@ -201,6 +202,7 @@ def _evaluate(a: Polynomial, p: ModulusParams, matrix: np.ndarray,
     if a.domain != domains[0]:
         raise ValueError(f"expected a {domains[0]!r} polynomial, "
                          f"got {a.domain!r}")
+    import numpy as np
     streams = np.array(a.coeffs, dtype=np.int64).reshape(-1, p.min_len)
     return a.with_coeffs(((matrix @ streams) % p.q).ravel(),
                          domain=domains[1])
@@ -232,6 +234,7 @@ def schoolbook_negacyclic(a: Polynomial, b: Polynomial) -> Polynomial:
         raise ValueError("scheme mismatch")
     if a.domain != DOMAIN_NORMAL or b.domain != DOMAIN_NORMAL:
         raise ValueError("schoolbook multiplication needs normal-domain inputs")
+    import numpy as np
     q = a.params.q
     # Largest term: 256 * (q-1)**2 < 2**54 for Dilithium — int64 is exact.
     conv = np.convolve(np.array(a.coeffs, dtype=np.int64),

@@ -17,6 +17,7 @@ from kdntt.bfu import fast_ntt
 from kdntt.core_arith import KYBER
 
 RNG = random.Random(0xC11)
+SRC = str(Path(kdntt.__file__).resolve().parents[1])
 
 
 def _poly_file(tmp_path, name, scheme="kyber", domain="normal", coeffs=None):
@@ -304,8 +305,7 @@ def test_rom_override_range_check_survives_python_O(tmp_path):
     pa, _ = _poly_file(tmp_path, "a.poly")
     pb, _ = _poly_file(tmp_path, "b.poly")
     out = tmp_path / "c.poly"
-    src = str(Path(kdntt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "kdntt.cli", "polymul", str(pa),
          str(pb), "--design", "standalone-kyber", "--out", str(out),
@@ -313,6 +313,77 @@ def test_rom_override_range_check_survives_python_O(tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "line 2" in proc.stderr and not out.exists()
+
+
+def _cli_to(stdout, argv, unbuffered):
+    """Run the CLI in a fresh interpreter with stdout on the given fd."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    return subprocess.run(
+        [sys.executable, "-m", "kdntt.cli", *argv], stdout=stdout,
+        stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+@pytest.mark.parametrize("argv", [["table"], ["verify", "--trials", "1"],
+                                  ["ntt", "A", "--report", "-"]])
+def test_closed_stdout_exits_4_without_traceback(tmp_path, argv, unbuffered):
+    """Output to a pipe nobody reads is an I/O error (4), not a
+    verification failure (1), and neither the command nor the
+    interpreter's exit-time flush prints a traceback."""
+    pa, _ = _poly_file(tmp_path, "a.poly")
+    argv = [str(pa) if arg == "A" else arg for arg in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = _cli_to(write_end, argv, unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "error: stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_full_stdout_exits_4_without_traceback(unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _cli_to(full.fileno(), ["table"], unbuffered)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr == "error: stdout: No space left on device\n"
+
+
+def _numpy_loaded_after(*commands):
+    """Run CLI commands in one fresh interpreter; was numpy imported?"""
+    script = ("import sys\n"
+              "from kdntt.cli import main\n"
+              "for argv in sys.argv[1:]:\n"
+              "    assert main(argv.split()) == 0, argv\n"
+              "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *commands],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_simulator_commands_never_import_numpy(tmp_path):
+    """Only the slow oracles need numpy, so a cold polymul, ntt, gen-roms
+    or table process never pays for its import; verify loads it."""
+    ka, _ = _poly_file(tmp_path, "ka.poly")
+    kb, _ = _poly_file(tmp_path, "kb.poly")
+    da, _ = _poly_file(tmp_path, "da.poly", scheme="dilithium")
+    db, _ = _poly_file(tmp_path, "db.poly", scheme="dilithium")
+    out = tmp_path / "out.poly"
+    assert not _numpy_loaded_after(
+        f"polymul {ka} {kb} --design d2 --out {out}",
+        f"polymul {da} {db} --design d2 --out {out} --report {tmp_path}/r",
+        f"ntt {ka} --design d3 --out {out}",
+        f"gen-roms --design d1 --outdir {tmp_path}/roms",
+        "table --which latency",
+        "table --which bram")
+    assert _numpy_loaded_after("verify --design d3 --trials 1")
 
 
 def test_table_latency(capsys):
