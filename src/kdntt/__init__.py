@@ -27,16 +27,12 @@ from .core_arith import (
 )
 from .ntt_reference import (
     DOMAIN_NORMAL,
-    DOMAIN_NTT,
     DOMAIN_NTT_BR,
     DOMAINS,
     Polynomial,
     bit_reverse,
-    bit_reverse_permutation,
     direct_intt,
     direct_ntt,
-    poly_add,
-    poly_sub,
     reference_pwm,
     schoolbook_negacyclic,
 )
@@ -87,17 +83,16 @@ __version__ = "0.1.0"
 __all__ = [
     "BFU_MODES", "BfuIo", "BramEstimate", "CONTROL_WORDS", "ConflictReport",
     "ControlWord", "CoreConfig", "DESIGNS", "DILITHIUM", "DOMAINS",
-    "DOMAIN_NORMAL", "DOMAIN_NTT", "DOMAIN_NTT_BR", "DesignGeometry",
-    "KYBER", "MemoryGeometry", "ModulusParams", "MultCounter", "N",
-    "OP_INTT", "OP_NTT", "OP_POLYMUL", "OP_PWM", "Polynomial", "SCHEMES",
-    "SIM_OPS", "SimReport", "TwiddleRom", "bit_reverse",
-    "bit_reverse_permutation", "build_rom_images", "build_twiddle_rom",
-    "check_conflict_free", "ct_butterfly", "dilithium_pwm", "direct_intt",
-    "direct_ntt", "estimate_bram_usage", "fast_intt", "fast_ntt",
-    "from_mont", "generate_addresses", "gs_butterfly_halving",
-    "initial_layout", "kyber_pwm_pair", "latency_model", "mod_add",
-    "mod_add_half", "mod_sub", "mont_mul", "mont_redc", "poly_add",
-    "poly_sub", "reference_pwm", "run_op", "run_polymul",
+    "DOMAIN_NORMAL", "DOMAIN_NTT_BR", "DesignGeometry", "KYBER",
+    "MemoryGeometry", "ModulusParams", "MultCounter", "N", "OP_INTT",
+    "OP_NTT", "OP_POLYMUL", "OP_PWM", "Polynomial", "SCHEMES", "SIM_OPS",
+    "SimReport", "TwiddleRom", "bit_reverse", "build_rom_images",
+    "build_twiddle_rom", "check_conflict_free", "ct_butterfly",
+    "dilithium_pwm", "direct_intt", "direct_ntt", "estimate_bram_usage",
+    "fast_intt", "fast_ntt", "from_mont", "generate_addresses",
+    "gs_butterfly_halving", "initial_layout", "kyber_pwm_pair",
+    "latency_model", "mod_add", "mod_add_half", "mod_sub", "mont_mul",
+    "mont_redc", "reference_pwm", "run_op", "run_polymul",
     "schoolbook_negacyclic", "shared_add_sub", "to_mont",
     "transformed_layout", "unified_bfu_step",
 ]

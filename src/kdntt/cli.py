@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 malformed input file,
 3 configuration error, 4 I/O error.
 
 Polynomial files are line-oriented text: a header
-"scheme=<kyber|dilithium> n=256 domain=<normal|ntt|ntt-br>" followed by
+"scheme=<kyber|dilithium> n=256 domain=<normal|ntt-br>" followed by
 exactly 256 decimal coefficients, one per line.
 """
 
@@ -25,7 +25,6 @@ from .core_arith import SCHEMES
 from .ntt_reference import (
     DOMAINS,
     Polynomial,
-    bit_reverse_permutation,
     direct_ntt,
     reference_pwm,
     schoolbook_negacyclic,
@@ -157,6 +156,13 @@ def _rom_override(args, design: str, scheme: str):
 # Commands.
 # ---------------------------------------------------------------------------
 
+def _check(what: str, got: Polynomial, want: Polynomial) -> None:
+    """Fail a verify trial, naming the first coefficient that differs."""
+    if got.coeffs != want.coeffs:
+        k = next(k for k in range(256) if got.coeffs[k] != want.coeffs[k])
+        raise AssertionError(f"{what} mismatch at coefficient {k}")
+
+
 def cmd_run(args) -> int:
     """polymul, ntt, intt or pwm on the simulated core."""
     cfg = _config(args)
@@ -219,21 +225,14 @@ def cmd_verify(args) -> int:
             b = Polynomial.random(scheme, rng)
             try:
                 got, _ = run_polymul(cfg, scheme, a, b, rom_override=override)
-                want = schoolbook_negacyclic(a, b)
-                if got.coeffs != want.coeffs:
-                    raise AssertionError(
-                        "product mismatch at coefficient "
-                        f"{next(k for k in range(256) if got.coeffs[k] != want.coeffs[k])}")
+                _check("product", got, schoolbook_negacyclic(a, b))
                 fa, _ = run_op(cfg, scheme, "ntt", a, rom_override=override)
-                if fa != bit_reverse_permutation(direct_ntt(a, p)):
-                    raise AssertionError("forward transform mismatch")
+                _check("forward transform", fa, direct_ntt(a, p))
                 back, _ = run_op(cfg, scheme, "intt", fa, rom_override=override)
-                if back.coeffs != a.coeffs:
-                    raise AssertionError("roundtrip mismatch")
-                fb = bit_reverse_permutation(direct_ntt(b, p))
+                _check("roundtrip", back, a)
+                fb = direct_ntt(b, p)
                 pw, _ = run_op(cfg, scheme, "pwm", fa, fb, rom_override=override)
-                if pw.coeffs != reference_pwm(fa, fb).coeffs:
-                    raise AssertionError("pointwise mismatch")
+                _check("pointwise", pw, reference_pwm(fa, fb))
             except AssertionError as e:
                 print(f"FAIL {scheme} trial {i} (seed {args.seed}): {e}")
                 failures += 1

@@ -341,7 +341,8 @@ class BankMemory:
     """
 
     def __init__(self, d: int, pipeline_depth: int) -> None:
-        if not isinstance(pipeline_depth, int) or pipeline_depth < 1:
+        if (not isinstance(pipeline_depth, int)
+                or isinstance(pipeline_depth, bool) or pipeline_depth < 1):
             raise ValueError(f"pipeline depth must be an integer >= 1, "
                              f"got {pipeline_depth!r}")
         self.d = d
@@ -671,8 +672,7 @@ def build_rom_images(design: str) -> dict:
         manifest[f"{s}_twiddle_offset"] = offset
         manifest[f"{s}_twiddle_values_per_word"] = per_word
         for base in range(0, len(values), per_word):
-            tw_words.append(sum(v << (i * bits) for i, v in
-                                enumerate(values[base: base + per_word])))
+            tw_words.append(pack_word(values[base: base + per_word], bits))
     manifest["twiddle_words"] = len(tw_words)
 
     addr_words: list[int] = []
@@ -729,16 +729,13 @@ def decode_twiddle_image(text: str, design: str, scheme: str) -> TwiddleRom:
         raise ValueError(f"too {'short' if len(words) < need else 'long'} "
                          f"for the {design} twiddles: {len(words)} words, "
                          f"the image has {need}")
-    run = words[offset: offset + n_words]
-    mask = (1 << p.coeff_bits) - 1
     used_bits = per_word * p.coeff_bits
     values = []
-    for n, w in run:
+    for n, w in words[offset: offset + n_words]:
         if w >> used_bits:
             raise ValueError(f"line {n}: word has bits set above the "
                              f"{used_bits} that hold {scheme} twiddles")
-        for i in range(per_word):
-            v = (w >> (i * p.coeff_bits)) & mask
+        for v in unpack_word(w, per_word, p.coeff_bits):
             if v >= p.q:
                 raise ValueError(f"line {n}: {scheme} twiddle {v} outside "
                                  f"[0, {p.q})")

@@ -7,12 +7,13 @@ The fast paths (bfu, pipeline_sim) are always tested against these.
 numpy is imported only inside the functions that use it, never at module
 level, so the CLI's simulator commands start without paying for it.
 
-Order conventions.  ``ntt`` (standard order) indexes spectral values by
-ascending evaluation point: entry j corresponds to the root gamma**(2j+1)
-(for Kyber, pair j of the interleaved even/odd sub-transforms).  The fast
-in-place transforms produce ``ntt-br`` (bit-reversed) order instead:
-elementwise reversal on 8 bits for Dilithium, pairwise on 7 bits for
-Kyber.  ``bit_reverse_permutation`` converts between the two.
+Spectral order.  The one spectral domain, ``ntt-br``, is the NTT of
+FIPS 203 (ML-KEM) and FIPS 204 (ML-DSA): entry k (for Kyber, pair k of
+the interleaved even/odd sub-transforms) is the value at
+root**(2*bitrev(k)+1), with bitrev on ``layers`` bits (8 for Dilithium,
+7 for Kyber).  The in-place transforms and the simulated core emit the
+same order, so the oracles state the standards' defining formula, and
+ML-KEM/ML-DSA NTT vectors compare with the core's output directly.
 """
 
 from __future__ import annotations
@@ -26,15 +27,12 @@ from .core_arith import (
     N,
     SCHEMES,
     ModulusParams,
-    mod_add,
-    mod_sub,
     to_mont,
 )
 
 DOMAIN_NORMAL = "normal"
-DOMAIN_NTT = "ntt"  # standard (ascending evaluation-point) order
-DOMAIN_NTT_BR = "ntt-br"  # bit-reversed order, as the fast/hardware path emits
-DOMAINS = (DOMAIN_NORMAL, DOMAIN_NTT, DOMAIN_NTT_BR)
+DOMAIN_NTT_BR = "ntt-br"  # the FIPS 203/204 NTT order, as the core emits
+DOMAINS = (DOMAIN_NORMAL, DOMAIN_NTT_BR)
 
 
 @dataclass(frozen=True)
@@ -99,26 +97,6 @@ def bit_reverse(i: int, width: int) -> int:
     return out
 
 
-def bit_reverse_permutation(a: Polynomial) -> Polynomial:
-    """Swap a spectral polynomial between standard and bit-reversed order.
-
-    The scheme fixes the ordering: blocks of min_len coefficients move as
-    units, indexed on ``layers`` bits — all 256 entries on 8 bits for
-    Dilithium's full transform, the 128 degree-1 *pairs* on 7 bits for
-    Kyber's incomplete one.  Involution.
-    """
-    if a.domain == DOMAIN_NORMAL:
-        raise ValueError("bit reversal applies to spectral (ntt/ntt-br) data")
-    p = a.params
-    blk = p.min_len
-    out = [0] * N
-    for i in range(N // blk):
-        j = bit_reverse(i, p.layers) * blk
-        out[j: j + blk] = a.coeffs[i * blk: i * blk + blk]
-    flipped = DOMAIN_NTT_BR if a.domain == DOMAIN_NTT else DOMAIN_NTT
-    return a.with_coeffs(out, domain=flipped)
-
-
 # ---------------------------------------------------------------------------
 # Twiddle tables (Montgomery-scaled), shared by the fast paths and the ROMs.
 # ---------------------------------------------------------------------------
@@ -174,17 +152,17 @@ def basemul_zetas(p: ModulusParams) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _direct_matrices(p: ModulusParams) -> tuple[np.ndarray, np.ndarray]:
-    """(forward, inverse) evaluation matrices in standard spectral order.
+    """(forward, inverse) evaluation matrices in ``ntt-br`` order.
 
-    forward[j, i] = root**(i*(2j+1)); inverse folds n'**-1 in.  Entries and
-    coefficients are < 2**23, so a 256-term dot product stays < 2**54 and
-    int64 accumulation is exact.
+    forward[k, i] = root**(i*(2*bitrev(k)+1)); inverse folds n'**-1 in.
+    Entries and coefficients are < 2**23, so a 256-term dot product stays
+    < 2**54 and int64 accumulation is exact.
     """
     import numpy as np
     half = p.root_order // 2  # points per sub-transform: 128 (K), 256 (D)
     powers = [pow(p.root, e, p.q) for e in range(p.root_order)]
-    idx = np.arange(half, dtype=np.int64)
-    exps = np.outer(2 * idx + 1, idx) % p.root_order
+    points = [2 * bit_reverse(k, p.layers) + 1 for k in range(half)]
+    exps = np.outer(points, np.arange(half, dtype=np.int64)) % p.root_order
     fwd = np.array(powers, dtype=np.int64)[exps]
     n_inv = pow(half, -1, p.q)
     inv_powers = [pow(p.root, -e, p.q) * n_inv % p.q for e in range(p.root_order)]
@@ -211,17 +189,19 @@ def _evaluate(a: Polynomial, p: ModulusParams, matrix: np.ndarray,
 def direct_ntt(a: Polynomial, p: ModulusParams) -> Polynomial:
     """Evaluate the forward transform straight from its defining sum.
 
-    Dilithium: out[j] = sum_i a[i] * root**(i*(2j+1)), a full 256-point
-    negacyclic transform.  Kyber: the same 128-point formula applied
-    independently to the even and odd coefficient streams, results
-    interleaved in place.  Output is standard spectral order.
+    Dilithium: out[k] = sum_i a[i] * root**(i*(2*bitrev8(k)+1)), a full
+    256-point negacyclic transform.  Kyber: the same formula on 7 bits
+    applied independently to the even and odd coefficient streams,
+    results interleaved in place.  This is FIPS 204's and FIPS 203's NTT.
     """
-    return _evaluate(a, p, _direct_matrices(p)[0], (DOMAIN_NORMAL, DOMAIN_NTT))
+    return _evaluate(a, p, _direct_matrices(p)[0],
+                     (DOMAIN_NORMAL, DOMAIN_NTT_BR))
 
 
 def direct_intt(a: Polynomial, p: ModulusParams) -> Polynomial:
     """Inverse of direct_ntt, with the explicit n'**-1 scaling built in."""
-    return _evaluate(a, p, _direct_matrices(p)[1], (DOMAIN_NTT, DOMAIN_NORMAL))
+    return _evaluate(a, p, _direct_matrices(p)[1],
+                     (DOMAIN_NTT_BR, DOMAIN_NORMAL))
 
 
 def schoolbook_negacyclic(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -279,14 +259,12 @@ def kyber_basecase_ref(a_pair: tuple[int, int], b_pair: tuple[int, int],
 def reference_pwm(a: Polynomial, b: Polynomial) -> Polynomial:
     """Pointwise product of two spectral polynomials (plain arithmetic).
 
-    Works in either spectral order as long as both inputs share it.  For
-    Kyber, pair i is multiplied mod (X**2 - psi) where psi's exponent
-    follows the ordering: 2i+1 in standard order, 2*bitrev7(i)+1 in
-    bit-reversed order.
+    For Kyber, pair i is multiplied mod (X**2 - psi) with
+    psi = root**(2*bitrev7(i)+1): FIPS 203's MultiplyNTTs.
     """
-    if a.scheme != b.scheme or a.domain != b.domain:
-        raise ValueError("operands must share scheme and spectral order")
-    if a.domain == DOMAIN_NORMAL:
+    if a.scheme != b.scheme:
+        raise ValueError("operands must share a scheme")
+    if a.domain != DOMAIN_NTT_BR or b.domain != DOMAIN_NTT_BR:
         raise ValueError("pointwise multiplication operates on spectral data")
     p = a.params
     if p.scheme == "dilithium":
@@ -294,26 +272,10 @@ def reference_pwm(a: Polynomial, b: Polynomial) -> Polynomial:
         return a.with_coeffs(out)
     out = [0] * N
     for i in range(128):
-        e = 2 * i + 1 if a.domain == DOMAIN_NTT else 2 * bit_reverse(i, 7) + 1
-        psi = pow(p.root, e, p.q)
+        psi = pow(p.root, 2 * bit_reverse(i, 7) + 1, p.q)
         out[2 * i], out[2 * i + 1] = kyber_basecase_ref(
             (a.coeffs[2 * i], a.coeffs[2 * i + 1]),
             (b.coeffs[2 * i], b.coeffs[2 * i + 1]),
             psi,
         )
     return a.with_coeffs(out)
-
-
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Coefficient-wise modular sum (used by linearity properties)."""
-    if a.scheme != b.scheme or a.domain != b.domain:
-        raise ValueError("operands must share scheme and domain")
-    q = a.params.q
-    return a.with_coeffs(mod_add(x, y, q) for x, y in zip(a.coeffs, b.coeffs))
-
-
-def poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.scheme != b.scheme or a.domain != b.domain:
-        raise ValueError("operands must share scheme and domain")
-    q = a.params.q
-    return a.with_coeffs(mod_sub(x, y, q) for x, y in zip(a.coeffs, b.coeffs))

@@ -80,6 +80,7 @@ class CoreConfig:
             raise ValueError(f"unknown design {self.design!r}")
         bound = DESIGNS[self.design].max_pipeline_depth
         if (not isinstance(self.pipeline_depth, int)
+                or isinstance(self.pipeline_depth, bool)
                 or not 1 <= self.pipeline_depth <= bound):
             raise ValueError(
                 f"pipeline depth {self.pipeline_depth!r} is not an integer "

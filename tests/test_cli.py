@@ -98,6 +98,12 @@ def test_malformed_input_exits_2(tmp_path, capsys):
         path.write_bytes(text.encode() if isinstance(text, str) else text)
         assert main(["ntt", str(path)]) == 2, f"case {i}"
         assert str(path) in capsys.readouterr().err, f"case {i}"
+    # ntt-br is the one spectral domain: "ntt" is a bad header, not an
+    # operand that the simulator turns away later
+    path = tmp_path / "old-domain.poly"
+    path.write_text("scheme=kyber n=256 domain=ntt\n" + "0\n" * 256)
+    assert main(["ntt", str(path)]) == 2
+    assert f"{path}:1:" in capsys.readouterr().err
 
 
 def test_wrong_domain_for_op_exits_2(tmp_path):
@@ -187,6 +193,21 @@ def test_verify_runs_both_schemes_of_design(capsys):
     assert main(["verify", "--design", "d3", "--trials", "1"]) == 0
     out = capsys.readouterr().out
     assert "ok kyber" in out and "ok dilithium" in out
+
+
+def test_verify_names_first_mismatching_coefficient(monkeypatch, capsys):
+    real = kdntt.cli.direct_ntt
+
+    def off_at_7(a, p):
+        f = real(a, p)
+        return f.with_coeffs(c if k != 7 else (c + 1) % p.q
+                             for k, c in enumerate(f.coeffs))
+
+    monkeypatch.setattr(kdntt.cli, "direct_ntt", off_at_7)
+    assert main(["verify", "--design", "standalone-kyber",
+                 "--trials", "1"]) == 1
+    assert "forward transform mismatch at coefficient 7" in \
+        capsys.readouterr().out
 
 
 def test_verify_detects_corrupted_rom(tmp_path, capsys):

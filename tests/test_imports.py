@@ -1,4 +1,5 @@
-"""Every name a kdntt module imports is used by that module.
+"""Every name a kdntt module imports is used by that module, and every
+name in kdntt.__all__ exists.
 
 No linter ships with the project, so this stdlib-ast check stands in
 for one.  __init__ is skipped: its imports are the package's re-exports.
@@ -28,6 +29,12 @@ def _unused_imports(source: str) -> list[str]:
 def test_unused_import_is_caught():
     assert _unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
         "os (line 1)", "b (line 2)"]
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its definition goes breaks import *
+    missing = [name for name in kdntt.__all__ if not hasattr(kdntt, name)]
+    assert not missing, f"kdntt.__all__ names undefined {missing}"
 
 
 def test_no_unused_imports_in_package():

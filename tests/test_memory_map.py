@@ -157,7 +157,7 @@ def test_gate_replays_whole_scheme_phases():
 
 def test_gate_rejects_depth_below_one():
     s = generate_addresses(CH_NTT, 8)
-    for depth in (0, -3, 1.5):
+    for depth in (0, -3, 1.5, True):
         with pytest.raises(ValueError, match="pipeline depth"):
             check_conflict_free(s, depth)
 

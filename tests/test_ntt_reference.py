@@ -1,5 +1,6 @@
 """Tests for the slow oracle layer: direct transforms, schoolbook
-multiplication, the Kyber degree-1 basecase, and order permutations."""
+multiplication, the Kyber degree-1 basecase, and the FIPS 203/204
+evaluation points of the one spectral order."""
 
 import random
 
@@ -8,17 +9,13 @@ import pytest
 from kdntt.core_arith import DILITHIUM, KYBER, SCHEMES
 from kdntt.ntt_reference import (
     DOMAIN_NORMAL,
-    DOMAIN_NTT,
     DOMAIN_NTT_BR,
     Polynomial,
     _schoolbook_slow,
     bit_reverse,
-    bit_reverse_permutation,
     direct_intt,
     direct_ntt,
     kyber_basecase_ref,
-    poly_add,
-    poly_sub,
     reference_pwm,
     schoolbook_negacyclic,
 )
@@ -39,36 +36,6 @@ def test_bit_reverse_values():
     for i, w in ((300, 8), (128, 7), (-1, 8)):
         with pytest.raises(ValueError, match="bits"):
             bit_reverse(i, w)
-
-
-def test_bit_reverse_permutation_involution():
-    for scheme in ("dilithium", "kyber"):
-        a = Polynomial.random(scheme, RNG, domain=DOMAIN_NTT)
-        twice = bit_reverse_permutation(bit_reverse_permutation(a))
-        assert twice.coeffs == a.coeffs
-        assert bit_reverse_permutation(a).domain == DOMAIN_NTT_BR
-    # Dilithium's 8-bit view moves single coefficients.
-    a = Polynomial.delta("dilithium", index=3, domain=DOMAIN_NTT)
-    assert bit_reverse_permutation(a).coeffs[bit_reverse(3, 8)] == 1
-
-
-def test_bit_reverse_permutation_kyber_moves_pairs():
-    # Kyber's 7-bit view permutes 128 two-coefficient chunks as units.
-    a = Polynomial.delta("kyber", index=2, domain=DOMAIN_NTT)   # pair 1, slot 0
-    b = bit_reverse_permutation(a)
-    assert b.coeffs[2 * bit_reverse(1, 7)] == 1
-    assert sum(b.coeffs) == 1
-    a = Polynomial.delta("kyber", index=3, domain=DOMAIN_NTT)   # pair 1, slot 1
-    b = bit_reverse_permutation(a)
-    assert b.coeffs[2 * bit_reverse(1, 7) + 1] == 1
-
-
-def test_bit_reverse_permutation_rejects_bad_width():
-    a = Polynomial.random("kyber", RNG, domain=DOMAIN_NTT)
-    with pytest.raises(TypeError):  # the scheme fixes the width
-        bit_reverse_permutation(a, 8)
-    with pytest.raises(ValueError):
-        bit_reverse_permutation(Polynomial.random("kyber", RNG))
 
 
 def test_polynomial_validation():
@@ -93,7 +60,7 @@ def test_direct_ntt_trivial_inputs():
     for scheme in SCHEMES:
         z = Polynomial.zero(scheme)
         out = direct_ntt(z, SCHEMES[scheme])
-        assert out.coeffs == (0,) * 256 and out.domain == DOMAIN_NTT
+        assert out.coeffs == (0,) * 256 and out.domain == DOMAIN_NTT_BR
     # delta at 0 hits only the gamma^0 * omega^0 terms of each sub-transform
     d = direct_ntt(Polynomial.delta("dilithium"), DILITHIUM)
     assert d.coeffs == (1,) * 256
@@ -102,10 +69,10 @@ def test_direct_ntt_trivial_inputs():
 
 
 def test_direct_intt_trivial_inputs():
-    ones = Polynomial((1,) * 256, "dilithium", DOMAIN_NTT)
+    ones = Polynomial((1,) * 256, "dilithium", DOMAIN_NTT_BR)
     back = direct_intt(ones, DILITHIUM)
     assert back.coeffs == (1,) + (0,) * 255
-    assert direct_intt(Polynomial.zero("kyber", DOMAIN_NTT), KYBER).coeffs \
+    assert direct_intt(Polynomial.zero("kyber", DOMAIN_NTT_BR), KYBER).coeffs \
         == (0,) * 256
 
 
@@ -117,8 +84,32 @@ def test_direct_roundtrip_and_linearity():
             fa = direct_ntt(a, p)
             assert direct_intt(fa, p).coeffs == a.coeffs
             fb = direct_ntt(b, p)
-            assert poly_add(fa, fb).coeffs == \
-                direct_ntt(poly_add(a, b), p).coeffs
+            s = a.with_coeffs((x + y) % p.q for x, y in zip(a.coeffs, b.coeffs))
+            assert direct_ntt(s, p).coeffs == \
+                tuple((x + y) % p.q for x, y in zip(fa.coeffs, fb.coeffs))
+
+
+# The standards' primitive roots: FIPS 203 (ML-KEM) zeta = 17 of order
+# 256, FIPS 204 (ML-DSA) zeta = 1753 of order 512.
+FIPS_ZETA = {"kyber": 17, "dilithium": 1753}
+
+
+def test_direct_ntt_is_the_fips_203_204_ntt():
+    """Entry k of direct_ntt (for Kyber, both coefficients of pair k) is
+    each coefficient stream evaluated at zeta**(2*bitrev(k)+1), bitrev on
+    7 bits for ML-KEM and 8 for ML-DSA.  Horner's rule with pow, so no
+    part of the matrix code is reused."""
+    for scheme, p in SCHEMES.items():
+        a = Polynomial.random(scheme, RNG)
+        got = direct_ntt(a, p).coeffs
+        streams = [a.coeffs[s::p.min_len] for s in range(p.min_len)]
+        for k in (0, 1, 2, 3, 5, 64, 100, (1 << p.layers) - 1):
+            x = pow(FIPS_ZETA[scheme], 2 * bit_reverse(k, p.layers) + 1, p.q)
+            for s, stream in enumerate(streams):
+                acc = 0
+                for c in reversed(stream):
+                    acc = (acc * x + c) % p.q
+                assert got[k * p.min_len + s] == acc, (scheme, k, s)
 
 
 def test_schoolbook_identity_and_wraparound():
@@ -165,8 +156,8 @@ def test_kyber_basecase_examples():
 
 
 def test_convolution_theorem_both_orders():
-    """intt(pwm(ntt(a), ntt(b))) == schoolbook(a, b), in standard order and
-    (via the permutation) in bit-reversed order."""
+    """intt(pwm(ntt(a), ntt(b))) == schoolbook(a, b), with the pointwise
+    product taken in both operand orders."""
     for scheme, p in SCHEMES.items():
         for _ in range(10):
             a = Polynomial.random(scheme, RNG)
@@ -176,11 +167,7 @@ def test_convolution_theorem_both_orders():
             fb = direct_ntt(b, p)
             prod = reference_pwm(fa, fb)
             assert direct_intt(prod, p).coeffs == want.coeffs
-            # same through the bit-reversed domain
-            fa_br = bit_reverse_permutation(fa)
-            fb_br = bit_reverse_permutation(fb)
-            prod_br = reference_pwm(fa_br, fb_br)
-            assert bit_reverse_permutation(prod_br).coeffs == prod.coeffs
+            assert reference_pwm(fb, fa).coeffs == prod.coeffs
 
 
 def test_reference_pwm_domain_rules():
@@ -189,12 +176,5 @@ def test_reference_pwm_domain_rules():
         reference_pwm(a, a)  # normal domain is not a spectral domain
     fa = direct_ntt(a, KYBER)
     with pytest.raises(ValueError):
-        reference_pwm(fa, bit_reverse_permutation(fa))  # mixed orders
+        reference_pwm(fa, a)  # one operand is not spectral
 
-
-def test_poly_add_sub_roundtrip():
-    for scheme in SCHEMES:
-        a = Polynomial.random(scheme, RNG)
-        b = Polynomial.random(scheme, RNG)
-        assert poly_sub(poly_add(a, b), b).coeffs == a.coeffs
-        assert poly_add(poly_sub(a, b), b).coeffs == a.coeffs

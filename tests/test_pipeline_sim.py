@@ -81,6 +81,8 @@ def test_config_validation():
         CoreConfig.for_design("d3", pipeline_depth=9)
     with pytest.raises(ValueError):  # was accepted, busy_cycles=288.0
         CoreConfig("d3", 7.5)
+    with pytest.raises(ValueError):  # was accepted, fill_drain_cycles=0
+        CoreConfig("d3", True)
     assert CoreConfig.for_design("d3", pipeline_depth=8).pipeline_depth == 8
 
 
@@ -415,9 +417,10 @@ def test_rom_override_check_survives_python_O():
 
 
 def test_depth_and_bit_width_checks_survive_python_O():
-    """The three public guards that used to be asserts or missing: a
+    """The public guards that used to be asserts or missing: a
     bit_reverse input wider than its width, a conflict gate depth below
-    1 and a non-integer core pipeline depth, each rejected under -O."""
+    1 and a non-integer core pipeline depth (7.5, or a bool), each
+    rejected under -O."""
     src = str(Path(kdntt.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-c",
@@ -426,7 +429,8 @@ def test_depth_and_bit_width_checks_survive_python_O():
          "from kdntt.ntt_reference import bit_reverse\n"
          "for f in (lambda: bit_reverse(300, 8),\n"
          "          lambda: check_conflict_free(generate_addresses(0, 8), 0),\n"
-         "          lambda: CoreConfig('d3', 7.5)):\n"
+         "          lambda: CoreConfig('d3', 7.5),\n"
+         "          lambda: CoreConfig('d3', True)):\n"
          "    try:\n"
          "        print('accepted:', f())\n"
          "    except ValueError as e:\n"
@@ -435,7 +439,7 @@ def test_depth_and_bit_width_checks_survive_python_O():
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 3 and all(ln.startswith("rejected:")
+    assert len(lines) == 4 and all(ln.startswith("rejected:")
                                    for ln in lines), proc.stdout
 
 
