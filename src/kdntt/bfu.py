@@ -12,9 +12,9 @@ modular adder/subtractor.  Per cycle it behaves as either
 Standalone reference behavior lives in the plain functions
 (ct_butterfly, gs_butterfly_halving, kyber_pwm_pair, dilithium_pwm);
 unified_bfu_step must match them bit for bit, which the tests enforce.
-The fast in-place transforms at the bottom are built purely from these
-butterflies and are the bridge between the O(n^2) oracles and the
-cycle-level simulator.
+fast_ntt and fast_intt at the bottom are not a separate transform: they
+run the simulated d3 core (pipeline_sim.run_op), importing it inside
+the function because pipeline_sim imports this module.
 """
 
 from __future__ import annotations
@@ -34,13 +34,7 @@ from .core_arith import (
     shared_add_sub,
     unpack_lanes,
 )
-from .ntt_reference import (
-    DOMAIN_NORMAL,
-    DOMAIN_NTT_BR,
-    Polynomial,
-    forward_zetas,
-    inverse_zetas,
-)
+from .ntt_reference import Polynomial
 
 MODE_NTT = "ntt"
 MODE_INTT = "intt"
@@ -305,46 +299,18 @@ def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
 
 
 # ---------------------------------------------------------------------------
-# Fast in-place transforms assembled from the butterflies.
+# Whole transforms: the simulated core itself.
 # ---------------------------------------------------------------------------
 
-def _layers(a: Polynomial, p: ModulusParams, domains, lengths, table,
-            butterfly) -> Polynomial:
-    """Run butterfly over every group of each layer length in turn, in
-    place: group k of the length-L layer uses table[128//L + k].  The
-    input must be in domains[0]; the result is tagged domains[1]."""
-    if a.scheme != p.scheme:
-        raise ValueError("polynomial/params scheme mismatch")
-    if a.domain != domains[0]:
-        raise ValueError(f"expected a {domains[0]!r} polynomial, "
-                         f"got {a.domain!r}")
-    c = list(a.coeffs)
-    for length in lengths:
-        for start in range(0, 256, 2 * length):
-            z = table[128 // length + start // (2 * length)]
-            for j in range(start, start + length):
-                c[j], c[j + length] = butterfly(c[j], c[j + length], z, p)
-    return a.with_coeffs(c, domain=domains[1])
-
-
 def fast_ntt(a: Polynomial, p: ModulusParams) -> Polynomial:
-    """In-place forward transform: normal domain in, bit-reversed out.
-
-    Cooley-Tukey layers of length 128 down to min_len: Kyber stops at
-    length 2 (7 layers, pairs survive), Dilithium runs to length 1 (8).
-    """
-    return _layers(a, p, (DOMAIN_NORMAL, DOMAIN_NTT_BR),
-                   [128 >> k for k in range(p.layers)], forward_zetas(p),
-                   ct_butterfly)
+    """Forward transform on the simulated d3 core: normal domain in,
+    bit-reversed out.  d3's programs hold both mirror and in-word stages
+    for both schemes, so every caller exercises the banks and routing."""
+    from .pipeline_sim import CoreConfig, run_op
+    return run_op(CoreConfig.for_design("d3"), p.scheme, "ntt", a)[0]
 
 
 def fast_intt(a: Polynomial, p: ModulusParams) -> Polynomial:
-    """Inverse of fast_ntt: bit-reversed in, normal domain out.
-
-    Runs the layers in reverse with the pre-halved inverse twiddles; the
-    7 or 8 per-stage halvings accumulate to exactly n'**-1, so there is
-    no separate scaling pass.
-    """
-    return _layers(a, p, (DOMAIN_NTT_BR, DOMAIN_NORMAL),
-                   [p.min_len << k for k in range(p.layers)],
-                   inverse_zetas(p), gs_butterfly_halving)
+    """Inverse of fast_ntt on the same core: bit-reversed in, normal out."""
+    from .pipeline_sim import CoreConfig, run_op
+    return run_op(CoreConfig.for_design("d3"), p.scheme, "intt", a)[0]

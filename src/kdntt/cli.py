@@ -72,26 +72,32 @@ def _read_text(path: str) -> str:
 
 
 def read_poly(path: str) -> Polynomial:
-    lines = [ln.strip() for ln in _read_text(path).split("\n") if ln.strip()]
+    # blank lines are skipped, but messages give the physical line number
+    lines = [(i, ln.strip()) for i, ln in
+             enumerate(_read_text(path).split("\n"), start=1) if ln.strip()]
     if not lines:
         raise CliError(EXIT_INPUT, f"{path}: empty file")
-    header = dict(
-        tok.split("=", 1) for tok in lines[0].split() if "=" in tok)
+    h, head = lines[0]
+    header = {}
+    for key, value in (tok.split("=", 1) for tok in head.split() if "=" in tok):
+        if key in header:
+            raise CliError(EXIT_INPUT, f"{path}:{h}: repeated header key {key!r}")
+        header[key] = value
     scheme = header.get("scheme")
     domain = header.get("domain")
     if scheme not in SCHEMES:
-        raise CliError(EXIT_INPUT, f"{path}:1: bad or missing scheme in header")
+        raise CliError(EXIT_INPUT, f"{path}:{h}: bad or missing scheme in header")
     if header.get("n") != "256":
-        raise CliError(EXIT_INPUT, f"{path}:1: header must declare n=256")
+        raise CliError(EXIT_INPUT, f"{path}:{h}: header must declare n=256")
     if domain not in DOMAINS:
-        raise CliError(EXIT_INPUT, f"{path}:1: bad or missing domain in header")
+        raise CliError(EXIT_INPUT, f"{path}:{h}: bad or missing domain in header")
     body = lines[1:]
     if len(body) != 256:
         raise CliError(EXIT_INPUT,
                        f"{path}: expected 256 coefficient lines, got {len(body)}")
     q = SCHEMES[scheme].q
     coeffs = []
-    for i, ln in enumerate(body, start=2):
+    for i, ln in body:
         try:
             if not re.fullmatch("[0-9]+", ln):
                 raise ValueError(ln)

@@ -302,7 +302,8 @@ def scheme_program(geom: MemoryGeometry) -> SchemeProgram:
 def pack_word(coeffs, slot_bits: int) -> int:
     word = 0
     for s, c in enumerate(coeffs):
-        assert 0 <= c < (1 << slot_bits)
+        if not 0 <= c < (1 << slot_bits):
+            raise ValueError(f"{c} does not fit a {slot_bits}-bit slot")
         word |= c << (s * slot_bits)
     return word
 

@@ -12,8 +12,12 @@ import pytest
 
 import kdntt
 from kdntt.cli import main, read_poly, write_poly
-from kdntt.ntt_reference import Polynomial, schoolbook_negacyclic
-from kdntt.bfu import fast_ntt
+from kdntt.ntt_reference import (
+    Polynomial,
+    direct_ntt,
+    reference_pwm,
+    schoolbook_negacyclic,
+)
 from kdntt.core_arith import KYBER
 
 RNG = random.Random(0xC11)
@@ -60,7 +64,7 @@ def test_ntt_intt_roundtrip(tmp_path):
     assert main(["ntt", str(pa), "--design", "d2", "--out", str(fwd)]) == 0
     mid = read_poly(str(fwd))
     assert mid.domain == "ntt-br"
-    assert mid.coeffs == fast_ntt(a, a.params).coeffs
+    assert mid.coeffs == direct_ntt(a, a.params).coeffs
     assert main(["intt", str(fwd), "--design", "d2", "--out", str(back)]) == 0
     assert back.read_bytes() == pa.read_bytes()
 
@@ -73,8 +77,7 @@ def test_pwm_command(tmp_path):
     assert main(["ntt", str(pb), "--out", str(fb)]) == 0
     out = tmp_path / "pw.poly"
     assert main(["pwm", str(fa), str(fb), "--out", str(out)]) == 0
-    from kdntt.ntt_reference import reference_pwm
-    want = reference_pwm(fast_ntt(a, a.params), fast_ntt(b, b.params))
+    want = reference_pwm(direct_ntt(a, a.params), direct_ntt(b, b.params))
     assert read_poly(str(out)).coeffs == want.coeffs
 
 
@@ -104,6 +107,19 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     path.write_text("scheme=kyber n=256 domain=ntt\n" + "0\n" * 256)
     assert main(["ntt", str(path)]) == 2
     assert f"{path}:1:" in capsys.readouterr().err
+    # a repeated key is a contradiction, not "the last one wins"
+    path = tmp_path / "two-schemes.poly"
+    path.write_text("scheme=kyber scheme=dilithium n=256 domain=normal\n"
+                    + "0\n" * 256)
+    assert main(["ntt", str(path), "--design", "d1"]) == 2
+    assert f"{path}:1: repeated header key 'scheme'" in capsys.readouterr().err
+    # blank lines are skipped but still counted in the line number
+    path = tmp_path / "blank-lines.poly"
+    path.write_text("scheme=kyber n=256 domain=normal\n\n\n"
+                    + "0\n" * 255 + "99999\n")
+    assert main(["ntt", str(path)]) == 2
+    assert f"{path}:259: value 99999 outside [0, 3329)" in \
+        capsys.readouterr().err
 
 
 def test_wrong_domain_for_op_exits_2(tmp_path):

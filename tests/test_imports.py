@@ -1,12 +1,16 @@
-"""Every name a kdntt module imports is used by that module, and every
-name in kdntt.__all__ exists.
+"""Every name a kdntt module imports is used by that module, every
+name in kdntt.__all__ exists, and the modules' top-level imports form
+no cycle.
 
 No linter ships with the project, so this stdlib-ast check stands in
 for one.  __init__ is skipped: its imports are the package's re-exports.
 """
 
 import ast
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+
+import pytest
 
 import kdntt
 
@@ -42,3 +46,29 @@ def test_no_unused_imports_in_package():
         if path.name != "__init__.py":
             unused = _unused_imports(path.read_text(encoding="utf-8"))
             assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _top_level_imports(source: str) -> set[str]:
+    """The sibling modules named by ``from .x import`` statements in a
+    module's body; imports inside functions run late and may go back."""
+    return {node.module for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module}
+
+
+def test_nested_imports_are_not_top_level():
+    assert _top_level_imports(
+        "from .a import x\ndef f():\n    from .b import y\n") == {"a"}
+
+
+def test_module_imports_form_a_dag():
+    # bfu calls pipeline_sim, which imports bfu: that call imports inside
+    # the function, since a module-level cycle works only while the
+    # import order happens to suit it
+    graph = {path.stem: _top_level_imports(path.read_text(encoding="utf-8"))
+             for path in Path(kdntt.__file__).parent.glob("*.py")
+             if path.name != "__init__.py"}
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as e:
+        pytest.fail(f"import cycle {' -> '.join(e.args[1])}")

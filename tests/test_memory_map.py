@@ -273,6 +273,10 @@ def test_pack_unpack_words():
     assert unpack_word(5 | (7 << 12), 2, 12) == [5, 7]
     vals = [RNG.randrange(1 << 12) for _ in range(8)]
     assert unpack_word(pack_word(vals, 12), 8, 12) == vals
+    # an over-wide or negative value would corrupt the neighbouring slot
+    for bad in ([5000, 1], [-1, 0]):
+        with pytest.raises(ValueError):
+            pack_word(bad, 12)
 
 
 def test_pack_coefficients_roundtrip():

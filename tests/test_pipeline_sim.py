@@ -18,10 +18,11 @@ from kdntt.core_arith import SCHEMES
 from kdntt.ntt_reference import (
     DOMAIN_NTT_BR,
     Polynomial,
+    direct_ntt,
     reference_pwm,
     schoolbook_negacyclic,
 )
-from kdntt.bfu import fast_intt, fast_ntt
+from kdntt.bfu import fast_ntt
 from kdntt.memory_map import (
     CH_NTT,
     DESIGNS,
@@ -210,18 +211,18 @@ def test_fill_drain_accounting():
 
 
 def test_run_op_results_match_oracles():
-    for design in ("d1", "d3"):
+    for design in DESIGNS:
         cfg = CoreConfig.for_design(design)
         for scheme in cfg.schemes:
             p = SCHEMES[scheme]
             a = Polynomial.random(scheme, RNG)
             b = Polynomial.random(scheme, RNG)
             out, _ = run_op(cfg, scheme, OP_NTT, a)
-            assert out.coeffs == fast_ntt(a, p).coeffs
+            assert out.coeffs == direct_ntt(a, p).coeffs
             assert out.domain == DOMAIN_NTT_BR
             back, _ = run_op(cfg, scheme, OP_INTT, out)
             assert back.coeffs == a.coeffs
-            fa, fb = fast_ntt(a, p), fast_ntt(b, p)
+            fa, fb = direct_ntt(a, p), direct_ntt(b, p)
             pw, _ = run_op(cfg, scheme, OP_PWM, fa, fb)
             assert pw.coeffs == reference_pwm(fa, fb).coeffs
 
@@ -270,7 +271,7 @@ def test_overdeep_pipeline_shows_hazards():
         run_op(cfg, "kyber", OP_NTT, a)
     out, rep = run_op(cfg, "kyber", OP_NTT, a, allow_hazards=True)
     assert rep.hazards
-    assert out.coeffs != fast_ntt(a, SCHEMES["kyber"]).coeffs
+    assert out.coeffs != direct_ntt(a, SCHEMES["kyber"]).coeffs
 
 
 def test_simulator_and_gate_share_one_hazard_rule():
@@ -358,7 +359,7 @@ def test_rom_override_identity_roundtrip():
     a = Polynomial.random("kyber", RNG)
     override = (forward_zetas(p), inverse_zetas(p), basemul_zetas(p))
     got, _ = run_op(cfg, "kyber", OP_NTT, a, rom_override=override)
-    assert got.coeffs == fast_ntt(a, p).coeffs
+    assert got.coeffs == direct_ntt(a, p).coeffs
 
 
 def test_rom_override_corruption_changes_result():
@@ -371,7 +372,7 @@ def test_rom_override_corruption_changes_result():
     override = (tuple(fwd), inverse_zetas(p), basemul_zetas(p))
     got, rep = run_op(cfg, "dilithium", OP_NTT, a, rom_override=override)
     assert not rep.hazards  # addressing is unaffected ...
-    assert got.coeffs != fast_ntt(a, p).coeffs  # ... but the data is wrong
+    assert got.coeffs != direct_ntt(a, p).coeffs  # ... but the data is wrong
 
 
 def test_rom_override_out_of_range_or_short_is_rejected():
@@ -419,18 +420,20 @@ def test_rom_override_check_survives_python_O():
 def test_depth_and_bit_width_checks_survive_python_O():
     """The public guards that used to be asserts or missing: a
     bit_reverse input wider than its width, a conflict gate depth below
-    1 and a non-integer core pipeline depth (7.5, or a bool), each
-    rejected under -O."""
+    1, a non-integer core pipeline depth (7.5, or a bool) and a
+    pack_word value wider than its slot, each rejected under -O."""
     src = str(Path(kdntt.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-c",
          "from kdntt import CoreConfig, check_conflict_free, "
          "generate_addresses\n"
+         "from kdntt.memory_map import pack_word\n"
          "from kdntt.ntt_reference import bit_reverse\n"
          "for f in (lambda: bit_reverse(300, 8),\n"
          "          lambda: check_conflict_free(generate_addresses(0, 8), 0),\n"
          "          lambda: CoreConfig('d3', 7.5),\n"
-         "          lambda: CoreConfig('d3', True)):\n"
+         "          lambda: CoreConfig('d3', True),\n"
+         "          lambda: pack_word([5000, 1], 12)):\n"
          "    try:\n"
          "        print('accepted:', f())\n"
          "    except ValueError as e:\n"
@@ -439,7 +442,7 @@ def test_depth_and_bit_width_checks_survive_python_O():
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 4 and all(ln.startswith("rejected:")
+    assert len(lines) == 5 and all(ln.startswith("rejected:")
                                    for ln in lines), proc.stdout
 
 
