@@ -40,7 +40,6 @@ from .bfu import (
     BFU_MODES,
     CONTROL_WORDS,
     BfuIo,
-    ControlWord,
     MultCounter,
     ct_butterfly,
     dilithium_pwm,
@@ -82,7 +81,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BFU_MODES", "BfuIo", "BramEstimate", "CONTROL_WORDS", "ConflictReport",
-    "ControlWord", "CoreConfig", "DESIGNS", "DILITHIUM", "DOMAINS",
+    "CoreConfig", "DESIGNS", "DILITHIUM", "DOMAINS",
     "DOMAIN_NORMAL", "DOMAIN_NTT_BR", "DesignGeometry", "KYBER",
     "MemoryGeometry", "ModulusParams", "MultCounter", "N", "OP_INTT",
     "OP_NTT", "OP_POLYMUL", "OP_PWM", "Polynomial", "SCHEMES", "SIM_OPS",

@@ -9,6 +9,10 @@ modular adder/subtractor.  Per cycle it behaves as either
   * one Kyber coefficient-pair product spread across both lanes
     (PWM0 then PWM1: 2 multiplications per stage, 4 per pair).
 
+SCHEME_MODES is the one rule for which of those modes a scheme has.
+CONTROL_WORDS holds the published mux-select bits of the Kyber modes as
+data: the model selects its datapath by mode name and never reads them.
+
 Standalone reference behavior lives in the plain functions
 (ct_butterfly, gs_butterfly_halving, kyber_pwm_pair, dilithium_pwm);
 unified_bfu_step must match them bit for bit, which the tests enforce.
@@ -42,33 +46,19 @@ MODE_PWM0 = "pwm0"  # Kyber pair product, first stage
 MODE_PWM1 = "pwm1"  # Kyber pair product, second stage
 MODE_PWM = "pwm"    # Dilithium coefficient product, single stage
 BFU_MODES = (MODE_NTT, MODE_INTT, MODE_PWM0, MODE_PWM1, MODE_PWM)
+SCHEME_MODES = {
+    "kyber": (MODE_NTT, MODE_INTT, MODE_PWM0, MODE_PWM1),
+    "dilithium": (MODE_NTT, MODE_INTT, MODE_PWM),
+}
 
-
-@dataclass(frozen=True)
-class ControlWord:
-    """Mux-select bit vector for one configurable butterfly core."""
-
-    bits: str
-
-    def __post_init__(self) -> None:
-        if not self.bits or set(self.bits) - {"0", "1"}:
-            raise ValueError(f"control word must be a 0/1 string: {self.bits!r}")
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
-
-
-# Mux-select vectors for the two 12-bit butterfly cores: the first core
-# takes 12 select bits, its partner 6 (it shares the remaining routing).
-# Carried as opaque configuration — the model keys its datapath off the
-# mode symbol and proves equivalence against the standalone ops, since
-# the per-bit mux wiring is not recoverable at word level.
-CONTROL_WORDS: dict[str, tuple[ControlWord, ControlWord]] = {
-    MODE_NTT: (ControlWord("000000001001"), ControlWord("000101")),
-    MODE_INTT: (ControlWord("001011110100"), ControlWord("111010")),
-    MODE_PWM0: (ControlWord("110100001010"), ControlWord("001100")),
-    MODE_PWM1: (ControlWord("000010011000"), ControlWord("011100")),
+# The first 12-bit core takes 12 select bits, its partner 6 (it shares
+# the remaining routing); the per-bit mux wiring is not recoverable at
+# word level, and the wide Dilithium mode has no published encoding.
+CONTROL_WORDS: dict[str, tuple[str, str]] = {
+    MODE_NTT: ("000000001001", "000101"),
+    MODE_INTT: ("001011110100", "111010"),
+    MODE_PWM0: ("110100001010", "001100"),
+    MODE_PWM1: ("000010011000", "011100"),
 }
 
 
@@ -200,17 +190,8 @@ def dilithium_pwm(a: int, b: int, p: ModulusParams) -> int:
 # The unified step: both lanes at once, shared adder and multiplier pair.
 # ---------------------------------------------------------------------------
 
-def _check_ctrl(mode: str, ctrl) -> None:
-    if ctrl is None:
-        return
-    expect = CONTROL_WORDS[mode]
-    if tuple(ctrl) != expect:
-        raise ValueError(f"control words {ctrl} do not select mode {mode!r}")
-
-
 def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
-                     ctrl=None, carry=None,
-                     counter: MultCounter | None = None):
+                     carry=None, counter: MultCounter | None = None):
     """Advance the unified butterfly unit by one cycle.
 
     Each mode returns what its standalone reference returns.
@@ -225,15 +206,13 @@ def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
     single BfuIo and ntt/intt return (out1, out2); mode pwm multiplies
     in1 by in3 and returns (product, 0).
 
-    ``ctrl``, when supplied for a Kyber mode, must be the matching
-    CONTROL_WORDS pair.  Raises ValueError on any other combination.
+    Raises ValueError unless p is the scheme's parameter set and mode is
+    one of SCHEME_MODES[scheme].
     """
-    if mode not in BFU_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    if scheme != p.scheme or mode not in SCHEME_MODES.get(scheme, ()):
+        raise ValueError(f"no {mode!r} mode for scheme {scheme!r} "
+                         f"on {p.scheme} parameters")
     if scheme == "kyber":
-        if mode == MODE_PWM:
-            raise ValueError("single-stage pwm is the dilithium mode")
-        _check_ctrl(mode, ctrl)
         if mode == MODE_PWM0:
             a0, a1, b0, b1 = io.in1, io.in2, io.in3, io.in4
             raw00, raw11 = dual_lane_mult(pack_lanes(a0, a1),
@@ -277,12 +256,6 @@ def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
         return ((mod_add_half(s0, 0, p.q), mont_redc(dw0, p)),
                 (mod_add_half(s1, 0, p.q), mont_redc(dw1, p)))
 
-    if scheme != "dilithium":
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if mode in (MODE_PWM0, MODE_PWM1):
-        raise ValueError("staged pwm0/pwm1 are the kyber modes")
-    if ctrl is not None:
-        raise ValueError("no published control encoding for the wide mode")
     if mode == MODE_NTT:
         prod, _ = dual_lane_mult(io.in2, io.in3, DILITHIUM_SINGLE, counter)
         t = mont_redc(prod, p)

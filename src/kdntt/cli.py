@@ -79,7 +79,10 @@ def read_poly(path: str) -> Polynomial:
         raise CliError(EXIT_INPUT, f"{path}: empty file")
     h, head = lines[0]
     header = {}
-    for key, value in (tok.split("=", 1) for tok in head.split() if "=" in tok):
+    for tok in head.split():
+        key, eq, value = tok.partition("=")
+        if not eq or key not in ("scheme", "n", "domain"):
+            raise CliError(EXIT_INPUT, f"{path}:{h}: unknown header token {tok!r}")
         if key in header:
             raise CliError(EXIT_INPUT, f"{path}:{h}: repeated header key {key!r}")
         header[key] = value

@@ -96,14 +96,6 @@ class CoreConfig:
                    pipeline_depth=DESIGNS[design].pipeline_depth
                    if pipeline_depth is None else pipeline_depth)
 
-    @property
-    def kyber_bfus(self) -> int | None:
-        return DESIGNS[self.design].kyber_t
-
-    @property
-    def dilithium_bfus(self) -> int | None:
-        return DESIGNS[self.design].dilithium_t
-
     def geometry(self, scheme: str) -> MemoryGeometry:
         return DESIGNS[self.design].geometry(scheme)
 
@@ -179,7 +171,7 @@ def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
     next id, so _execute keeps every word in one list in id order."""
     t, d = geom.t, geom.d
     d_in, d_out, phases = _OPS[op]
-    with_b = op in (OP_PWM, OP_POLYMUL)
+    with_b = OP_PWM in phases
     prog = scheme_program(geom)
     m = BankMemory(d, depth)
     m.load(0, _layout(d_in, d), range(2 * d))
@@ -279,12 +271,13 @@ def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
     arithmetic runs, and execute it on a (and b)."""
     if scheme not in cfg.schemes:
         raise ValueError(f"design {cfg.design} has no {scheme} lanes")
-    if b is None and op in (OP_PWM, OP_POLYMUL):
-        raise ValueError(f"{op} needs two operands")
+    d_in, d_out, phases = _OPS[op]
+    if (b is not None) != (OP_PWM in phases):  # an op with pwm takes b
+        raise ValueError(f"{op} needs two operands" if b is None
+                         else f"{op} takes one operand")
     operands = (a,) if b is None else (a, b)
     if any(x.scheme != scheme for x in operands):
         raise ValueError("operand scheme does not match the run")
-    d_in, d_out, _phases = _OPS[op]
     if any(x.domain != d_in for x in operands):
         raise ValueError(f"{op} expects {d_in}-domain operands")
     p = SCHEMES[scheme]
@@ -319,14 +312,11 @@ def run_op(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
     yields bit-reversed spectral order; intt the reverse; pwm takes two
     bit-reversed spectral polynomials (b is Montgomery-prescaled at
     load, mirroring how a second operand would arrive pre-transformed).
-    ntt and intt do not use b.
+    ntt and intt take no b.
     """
     if op not in SIM_OPS:
         raise ValueError(f"unknown op {op!r}")
-    if b is not None and b.scheme != scheme:
-        raise ValueError("operand scheme does not match the run")
-    return _run(cfg, scheme, op, a, b if op == OP_PWM else None,
-                rom_override, allow_hazards)
+    return _run(cfg, scheme, op, a, b, rom_override, allow_hazards)
 
 
 def run_polymul(cfg: CoreConfig, scheme: str, a: Polynomial, b: Polynomial,

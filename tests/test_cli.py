@@ -113,6 +113,17 @@ def test_malformed_input_exits_2(tmp_path, capsys):
                     + "0\n" * 256)
     assert main(["ntt", str(path), "--design", "d1"]) == 2
     assert f"{path}:1: repeated header key 'scheme'" in capsys.readouterr().err
+    # a token that is not scheme=, n= or domain= is an error, not noise
+    for name, head, tok in (
+            ("color", "scheme=kyber n=256 domain=normal color=red", "color=red"),
+            ("garbage", "scheme=kyber n=256 domain=normal garbage", "garbage"),
+            ("misspelled", "scheme=kyber n=256 domain=normal domian=ntt-br",
+             "domian=ntt-br")):
+        path = tmp_path / f"{name}.poly"
+        path.write_text(head + "\n" + "0\n" * 256)
+        assert main(["ntt", str(path), "--design", "d1"]) == 2, name
+        assert f"{path}:1: unknown header token {tok!r}" in \
+            capsys.readouterr().err, name
     # blank lines are skipped but still counted in the line number
     path = tmp_path / "blank-lines.poly"
     path.write_text("scheme=kyber n=256 domain=normal\n\n\n"

@@ -1,6 +1,6 @@
 """Every name a kdntt module imports is used by that module, every
-name in kdntt.__all__ exists, and the modules' top-level imports form
-no cycle.
+parameter a kdntt function takes is read by it, every name in
+kdntt.__all__ exists, and the modules' top-level imports form no cycle.
 
 No linter ships with the project, so this stdlib-ast check stands in
 for one.  __init__ is skipped: its imports are the package's re-exports.
@@ -33,6 +33,46 @@ def _unused_imports(source: str) -> list[str]:
 def test_unused_import_is_caught():
     assert _unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
         "os (line 1)", "b (line 2)"]
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """Parameters of each function and lambda that no expression in its
+    body (nested functions included) reads; self, cls and _-prefixed
+    names are exempt."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        unread += [f"{name}({param}) (line {node.lineno})" for param in params
+                   if param not in read and param not in ("self", "cls")
+                   and not param.startswith("_")]
+    return unread
+
+
+def test_unread_parameter_is_caught():
+    assert _unread_parameters(
+        "def f(self, a, b, _c, *d, e=1, **g):\n"
+        "    def h(x):\n"
+        "        return a + x\n"
+        "    b = lambda y, z: z\n"
+        "    return e\n") == [
+        "f(b) (line 1)", "f(d) (line 1)", "f(g) (line 1)",
+        "<lambda>(y) (line 4)"]
+
+
+def test_no_unread_parameters_in_package():
+    for path in sorted(Path(kdntt.__file__).parent.glob("*.py")):
+        unread = _unread_parameters(path.read_text(encoding="utf-8"))
+        assert not unread, f"{path.name}: unread parameters {unread}"
 
 
 def test_every_exported_name_resolves():

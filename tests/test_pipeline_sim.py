@@ -63,7 +63,8 @@ PUBLISHED_LATENCY = {
 
 def test_for_design_matches_shipped_table():
     cfg = CoreConfig.for_design("d2")
-    assert (cfg.kyber_bfus, cfg.dilithium_bfus, cfg.pipeline_depth) == (4, 2, 15)
+    assert (cfg.geometry("kyber").t, cfg.geometry("dilithium").t,
+            cfg.pipeline_depth) == (4, 2, 15)
     assert CoreConfig.for_design("standalone-kyber").pipeline_depth == 11
     assert CoreConfig.for_design("d3").pipeline_depth == 8
     assert CoreConfig.for_design("d1").schemes == ("kyber", "dilithium")
@@ -258,6 +259,11 @@ def test_run_op_domain_and_scheme_guards():
                a)                                  # second operand not spectral
     with pytest.raises(ValueError, match="two operands"):
         run_polymul(cfg, "kyber", a, None)       # was an all-zero product
+    with pytest.raises(ValueError, match="one operand"):
+        run_op(cfg, "kyber", OP_NTT, a, a)       # b was silently dropped
+    fa = fast_ntt(a, SCHEMES["kyber"])
+    with pytest.raises(ValueError, match="one operand"):
+        run_op(cfg, "kyber", OP_INTT, fa, fa)
 
 
 def test_overdeep_pipeline_shows_hazards():
@@ -420,20 +426,24 @@ def test_rom_override_check_survives_python_O():
 def test_depth_and_bit_width_checks_survive_python_O():
     """The public guards that used to be asserts or missing: a
     bit_reverse input wider than its width, a conflict gate depth below
-    1, a non-integer core pipeline depth (7.5, or a bool) and a
-    pack_word value wider than its slot, each rejected under -O."""
+    1, a non-integer core pipeline depth (7.5, or a bool), a
+    pack_word value wider than its slot and a unified step whose
+    parameters are not its scheme's, each rejected under -O."""
     src = str(Path(kdntt.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-c",
-         "from kdntt import CoreConfig, check_conflict_free, "
-         "generate_addresses\n"
+         "from kdntt import (DILITHIUM, BfuIo, CoreConfig, "
+         "check_conflict_free, generate_addresses, unified_bfu_step)\n"
          "from kdntt.memory_map import pack_word\n"
          "from kdntt.ntt_reference import bit_reverse\n"
+         "lanes = (BfuIo(1, 2, 3), BfuIo(4, 5, 6))\n"
          "for f in (lambda: bit_reverse(300, 8),\n"
          "          lambda: check_conflict_free(generate_addresses(0, 8), 0),\n"
          "          lambda: CoreConfig('d3', 7.5),\n"
          "          lambda: CoreConfig('d3', True),\n"
-         "          lambda: pack_word([5000, 1], 12)):\n"
+         "          lambda: pack_word([5000, 1], 12),\n"
+         "          lambda: unified_bfu_step(lanes, 'ntt', 'kyber', "
+         "DILITHIUM)):\n"
          "    try:\n"
          "        print('accepted:', f())\n"
          "    except ValueError as e:\n"
@@ -442,7 +452,7 @@ def test_depth_and_bit_width_checks_survive_python_O():
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 5 and all(ln.startswith("rejected:")
+    assert len(lines) == 6 and all(ln.startswith("rejected:")
                                    for ln in lines), proc.stdout
 
 
