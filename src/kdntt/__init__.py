@@ -73,6 +73,7 @@ from .pipeline_sim import (
     CoreConfig,
     SimReport,
     latency_model,
+    run_batch,
     run_op,
     run_polymul,
 )
@@ -91,7 +92,7 @@ __all__ = [
     "fast_intt", "fast_ntt", "from_mont", "generate_addresses",
     "gs_butterfly_halving", "initial_layout", "kyber_pwm_pair",
     "latency_model", "mod_add", "mod_add_half", "mod_sub", "mont_mul",
-    "mont_redc", "reference_pwm", "run_op", "run_polymul",
+    "mont_redc", "reference_pwm", "run_batch", "run_op", "run_polymul",
     "schoolbook_negacyclic", "shared_add_sub", "to_mont",
     "transformed_layout", "unified_bfu_step",
 ]

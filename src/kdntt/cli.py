@@ -36,10 +36,14 @@ from .memory_map import (
     estimate_bram_usage,
 )
 from .pipeline_sim import (
+    OP_INTT,
+    OP_NTT,
     OP_POLYMUL,
+    OP_PWM,
     SIM_OPS,
     CoreConfig,
     latency_model,
+    run_batch,
     run_op,
     run_polymul,
 )
@@ -49,6 +53,10 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
+
+# verify's trials per run_batch call: its default --trials run as one
+# batch, and the arrays stay this size for any --trials.
+VERIFY_BATCH = 50
 
 
 class CliError(Exception):
@@ -216,6 +224,38 @@ def cmd_gen_roms(args) -> int:
     return EXIT_OK
 
 
+def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
+                   override) -> str | None:
+    """Run verify's trials through the core in batches of VERIFY_BATCH
+    and check each against the oracles in trial order; returns the first
+    failure, naming its trial, or None."""
+    p = SCHEMES[scheme]
+    for start in range(0, trials, VERIFY_BATCH):
+        indices = range(start, min(start + VERIFY_BATCH, trials))
+        As, Bs = [], []
+        for i in indices:
+            rng = random.Random(f"{seed}/{scheme}/{i}")
+            As.append(Polynomial.random(scheme, rng))
+            Bs.append(Polynomial.random(scheme, rng))
+        prods, _ = run_batch(cfg, scheme, OP_POLYMUL, As, Bs,
+                             rom_override=override)
+        fas, _ = run_batch(cfg, scheme, OP_NTT, As, rom_override=override)
+        backs, _ = run_batch(cfg, scheme, OP_INTT, fas, rom_override=override)
+        fbs = [direct_ntt(b, p) for b in Bs]
+        pws, _ = run_batch(cfg, scheme, OP_PWM, fas, fbs,
+                           rom_override=override)
+        for i, a, b, got, fa, back, fb, pw in zip(indices, As, Bs, prods, fas,
+                                                  backs, fbs, pws):
+            try:
+                _check("product", got, schoolbook_negacyclic(a, b))
+                _check("forward transform", fa, direct_ntt(a, p))
+                _check("roundtrip", back, a)
+                _check("pointwise", pw, reference_pwm(fa, fb))
+            except AssertionError as e:
+                return f"trial {i} (seed {seed}): {e}"
+    return None
+
+
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise CliError(EXIT_CONFIG, "--trials must be at least 1")
@@ -225,30 +265,13 @@ def cmd_verify(args) -> int:
         _check_scheme(cfg, s)
     failures = 0
     for scheme in schemes:
-        p = SCHEMES[scheme]
         override = _rom_override(args, cfg.design, scheme)
-        ok = 0
-        for i in range(args.trials):
-            rng = random.Random(f"{args.seed}/{scheme}/{i}")
-            a = Polynomial.random(scheme, rng)
-            b = Polynomial.random(scheme, rng)
-            try:
-                got, _ = run_polymul(cfg, scheme, a, b, rom_override=override)
-                _check("product", got, schoolbook_negacyclic(a, b))
-                fa, _ = run_op(cfg, scheme, "ntt", a, rom_override=override)
-                _check("forward transform", fa, direct_ntt(a, p))
-                back, _ = run_op(cfg, scheme, "intt", fa, rom_override=override)
-                _check("roundtrip", back, a)
-                fb = direct_ntt(b, p)
-                pw, _ = run_op(cfg, scheme, "pwm", fa, fb, rom_override=override)
-                _check("pointwise", pw, reference_pwm(fa, fb))
-            except AssertionError as e:
-                print(f"FAIL {scheme} trial {i} (seed {args.seed}): {e}")
-                failures += 1
-                break
-            ok += 1
-        if ok == args.trials:
-            print(f"ok {scheme}: {ok}/{args.trials} trials "
+        failure = _verify_trials(cfg, scheme, args.seed, args.trials, override)
+        if failure:
+            print(f"FAIL {scheme} {failure}")
+            failures += 1
+        else:
+            print(f"ok {scheme}: {args.trials}/{args.trials} trials "
                   f"(design {cfg.design}, depth {cfg.pipeline_depth})")
     return EXIT_VERIFY if failures else EXIT_OK
 

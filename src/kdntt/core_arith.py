@@ -151,6 +151,36 @@ def mod_add_half(a: int, b: int, q: int) -> int:
     return s >> 1
 
 
+# Branch-free forms of mont_mul, mod_add, mod_sub and mod_add_half for
+# whole arrays of coefficients at once: operators only, each comparison
+# selecting its correction by a 0/1 factor, so an int64 numpy array (or a
+# plain int) works.  They have no range checks and share no code with
+# the scalar forms above, whose per-call cost the golden model pays on
+# every butterfly.  Dilithium's t + m*q stays below 2**47, so int64 is
+# exact.
+
+def mont_mul_array(a, b, p: ModulusParams):
+    t = a * b
+    m = ((t & p.mask) * p.q_prime) & p.mask
+    u = (t + m * p.q) >> p.r_bits
+    return u - p.q * (u >= p.q)
+
+
+def mod_add_array(a, b, q: int):
+    s = a + b
+    return s - q * (s >= q)
+
+
+def mod_sub_array(a, b, q: int):
+    d = a - b
+    return d + q * (d < 0)
+
+
+def mod_add_half_array(a, b, q: int):
+    s = a + b
+    return (s + (s & 1) * (q - 2 * q * (s >= q))) >> 1
+
+
 def pack_lanes(lo: int, hi: int) -> int:
     """Pack two 12-bit lane values into one 24-bit word (lo in bits 0..11)."""
     assert 0 <= lo < (1 << _LANE_BITS) and 0 <= hi < (1 << _LANE_BITS)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import kdntt
-from kdntt.cli import main, read_poly, write_poly
+from kdntt.cli import VERIFY_BATCH, main, read_poly, write_poly
 from kdntt.ntt_reference import (
     Polynomial,
     direct_ntt,
@@ -235,6 +235,32 @@ def test_verify_names_first_mismatching_coefficient(monkeypatch, capsys):
                  "--trials", "1"]) == 1
     assert "forward transform mismatch at coefficient 7" in \
         capsys.readouterr().out
+
+
+def test_verify_names_the_global_trial_past_the_first_batch(monkeypatch,
+                                                            capsys):
+    """Trials run in batches of VERIFY_BATCH; a product oracle wrong on
+    one call after the first batch must be reported under that trial's
+    own index, not its index within the batch."""
+    real = kdntt.cli.schoolbook_negacyclic
+    bad = VERIFY_BATCH + 3
+    calls = []
+
+    def wrong_once(a, b):
+        c = real(a, b)
+        calls.append(None)
+        if len(calls) - 1 != bad:
+            return c
+        return c.with_coeffs(v if k != 5 else (v + 1) % KYBER.q
+                             for k, v in enumerate(c.coeffs))
+
+    monkeypatch.setattr(kdntt.cli, "schoolbook_negacyclic", wrong_once)
+    assert main(["verify", "--design", "d3", "--scheme", "kyber",
+                 "--trials", str(bad + 4), "--seed", "6"]) == 1
+    out = capsys.readouterr().out
+    assert out == (f"FAIL kyber trial {bad} (seed 6): "
+                   "product mismatch at coefficient 5\n")
+    assert len(calls) == bad + 1
 
 
 def test_verify_detects_corrupted_rom(tmp_path, capsys):

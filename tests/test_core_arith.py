@@ -24,9 +24,13 @@ from kdntt.core_arith import (
     ModulusParams,
     from_mont,
     mod_add,
+    mod_add_array,
     mod_add_half,
+    mod_add_half_array,
     mod_sub,
+    mod_sub_array,
     mont_mul,
+    mont_mul_array,
     mont_redc,
     pack_lanes,
     shared_add_sub,
@@ -163,6 +167,54 @@ def test_dilithium_add_sub_bulk():
             raise AssertionError(f"sub broken at ({a}, {b})")
         checked += 1
     assert checked == 10_000_000
+
+
+def _array_forms_equal_scalar(p, a, b):
+    """Each array form on int64 arrays of operand pairs equals its
+    scalar primitive on every pair."""
+    pairs = list(zip(a.tolist(), b.tolist()))
+    for array_form, scalar, arg in (
+            (mont_mul_array, mont_mul, p), (mod_add_array, mod_add, p.q),
+            (mod_sub_array, mod_sub, p.q),
+            (mod_add_half_array, mod_add_half, p.q)):
+        got = array_form(a, b, arg).tolist()
+        want = [scalar(x, y, arg) for x, y in pairs]
+        if got != want:
+            k = next(k for k, (g, w) in enumerate(zip(got, want)) if g != w)
+            raise AssertionError(f"{array_form.__name__}{pairs[k]} "
+                                 f"[{p.scheme}] = {got[k]}, not {want[k]}")
+
+
+def test_array_forms_on_every_kyber_pair():
+    """All q**2 Kyber pairs, a block of rows at a time: add, sub and
+    halving add against the formulas c4 holds the scalar forms to on
+    the same pairs, mont_mul against a*b*R**-1 mod q; then all four
+    against the scalar forms themselves on a seeded sample."""
+    import numpy as np
+    p, q = KYBER, KYBER.q
+    rinv = pow(p.r, -1, q)
+    b = np.arange(q, dtype=np.int64)[None, :]
+    for start in range(0, q, 256):
+        a = np.arange(start, min(start + 256, q), dtype=np.int64)[:, None]
+        s = a + b
+        assert np.array_equal(mod_add_array(a, b, q), s % q)
+        assert np.array_equal(mod_sub_array(a, b, q), (a - b) % q)
+        assert np.array_equal(mod_add_half_array(a, b, q), s * p.inv2 % q)
+        assert np.array_equal(mont_mul_array(a, b, p), a * b * rinv % q)
+    rng = np.random.default_rng(0xA77)
+    _array_forms_equal_scalar(p, *rng.integers(0, q, (2, 100_000)))
+
+
+def test_array_forms_on_dilithium_samples():
+    """10**6 seeded Dilithium pairs plus every pair of the edge values
+    0, 1, q - 2 and q - 1, against the scalar forms."""
+    import numpy as np
+    q = DILITHIUM.q
+    edges = np.array([0, 1, q - 2, q - 1], dtype=np.int64)
+    a, b = np.random.default_rng(0xD11).integers(0, q, (2, 1_000_000))
+    _array_forms_equal_scalar(DILITHIUM,
+                              np.concatenate((a, np.repeat(edges, 4))),
+                              np.concatenate((b, np.tile(edges, 4))))
 
 
 def test_pack_unpack_lanes():

@@ -42,6 +42,7 @@ from kdntt.pipeline_sim import (
     CoreConfig,
     SimReport,
     latency_model,
+    run_batch,
     run_op,
     run_polymul,
 )
@@ -264,6 +265,84 @@ def test_run_op_domain_and_scheme_guards():
     fa = fast_ntt(a, SCHEMES["kyber"])
     with pytest.raises(ValueError, match="one operand"):
         run_op(cfg, "kyber", OP_INTT, fa, fa)
+    # run_batch shares the checks and adds its own two
+    with pytest.raises(ValueError, match="no operands"):
+        run_batch(cfg, "kyber", OP_NTT, [])
+    with pytest.raises(ValueError, match="2 a operands but 1 b"):
+        run_batch(cfg, "kyber", OP_POLYMUL, [a, a], [a])
+    with pytest.raises(ValueError, match="one operand"):
+        run_batch(cfg, "kyber", OP_NTT, [a], [a])
+    with pytest.raises(ValueError, match="one operand"):
+        run_batch(cfg, "kyber", OP_INTT, [fa], [fa])
+    with pytest.raises(ValueError, match="two operands"):
+        run_batch(cfg, "kyber", OP_PWM, [fa])
+    with pytest.raises(ValueError, match="scheme"):
+        run_batch(cfg, "kyber", OP_NTT, [a, Polynomial.random("dilithium",
+                                                             RNG)])
+    with pytest.raises(ValueError, match="normal-domain"):
+        run_batch(cfg, "kyber", OP_NTT, [a, fa])
+    with pytest.raises(ValueError, match="ntt-br-domain"):
+        run_batch(cfg, "kyber", OP_PWM, [fa, fa], [fa, a])
+    with pytest.raises(ValueError, match="unknown op"):
+        run_batch(cfg, "kyber", "transpose", [a])
+
+
+def _assert_batch_equals_scalar(cfg, scheme, rng, **kw):
+    """run_batch on three operand sets of every op equals run_op or
+    run_polymul on each set: outputs and reports."""
+    a, b = ([Polynomial.random(scheme, rng) for _ in range(3)]
+            for _ in range(2))
+    sa, sb = ([Polynomial.random(scheme, rng, DOMAIN_NTT_BR)
+               for _ in range(3)] for _ in range(2))
+    for op, xs, ys in ((OP_NTT, a, None), (OP_INTT, sa, None),
+                       (OP_PWM, sa, sb), (OP_POLYMUL, a, b)):
+        outs, rep = run_batch(cfg, scheme, op, xs, ys, **kw)
+        for k, x in enumerate(xs):
+            y = None if ys is None else ys[k]
+            want = (run_polymul(cfg, scheme, x, y, **kw) if op == OP_POLYMUL
+                    else run_op(cfg, scheme, op, x, y, **kw))
+            assert (outs[k], rep) == want, (cfg, scheme, op, k)
+    return rep
+
+
+def test_run_batch_equals_scalar_runs():
+    """Every shipped design and scheme, with the built-in ROM and with a
+    ROM whose tables each hold one twiddle off by one."""
+    rng = random.Random(0xBA7C)
+    for design, dg in DESIGNS.items():
+        cfg = CoreConfig.for_design(design)
+        for scheme in dg.schemes:
+            _assert_batch_equals_scalar(cfg, scheme, rng)
+            q = SCHEMES[scheme].q
+            off = tuple(table[:1] + ((table[1] + 1) % q,) + table[2:]
+                        if table else table
+                        for table in build_twiddle_rom(scheme))
+            _assert_batch_equals_scalar(cfg, scheme, rng, rom_override=off)
+
+
+def test_run_batch_equals_scalar_at_overdeep_depths(monkeypatch):
+    """At depths d/2 + 1 and 2d the stale reads corrupt the results,
+    and run_batch must corrupt them exactly as the scalar executor
+    does; without allow_hazards it refuses before any arithmetic."""
+    import kdntt.pipeline_sim as ps
+    rng = random.Random(0x0DEE)
+    a = {s: Polynomial.random(s, rng) for s in SCHEMES}
+    for design, dg in DESIGNS.items():
+        for scheme in dg.schemes:
+            d = dg.geometry(scheme).d
+            for depth in (d // 2 + 1, 2 * d):
+                cfg = CoreConfig.for_design(design)
+                object.__setattr__(cfg, "pipeline_depth", depth)
+                rep = _assert_batch_equals_scalar(cfg, scheme, rng,
+                                                  allow_hazards=True)
+                assert rep.hazards, (design, scheme, depth)
+                calls = []
+                monkeypatch.setattr(ps, "mont_mul_array",
+                                    lambda *args: calls.append(args))
+                with pytest.raises(RuntimeError, match="memory hazard"):
+                    run_batch(cfg, scheme, OP_NTT, [a[scheme]])
+                assert not calls
+                monkeypatch.undo()
 
 
 def test_overdeep_pipeline_shows_hazards():
