@@ -55,8 +55,9 @@ EXIT_CONFIG = 3
 EXIT_IO = 4
 
 # verify's trials per run_batch call: its default --trials run as one
-# batch, and the arrays stay this size for any --trials.
-VERIFY_BATCH = 50
+# batch (the measured point), and the arrays stay this size for any
+# --trials.
+VERIFY_BATCH = 20
 
 
 class CliError(Exception):

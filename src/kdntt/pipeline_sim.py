@@ -18,7 +18,8 @@ alone decides where a region sits.
 
 Two drivers execute a plan, after one shared prologue (_prepare: the
 operand, scheme, domain and rom_override checks, the plan lookup and
-the refusal of a hazardous plan before any arithmetic).  run_op and
+the refusal of a hazardous plan before any arithmetic; only the scalar
+driver can be told to run one anyway).  run_op and
 run_polymul run one operand set through _execute, one butterfly call
 per butterfly.  run_batch runs many through the same plan a whole stage
 at a time, over one int64 numpy array with a column per operand set,
@@ -30,8 +31,8 @@ that on every butterfly.  So the two share the plan and the checks but
 no arithmetic, and each caller picks by its input: one product, or a
 batch.  Stage-at-a-time execution is exact because no stage reads a
 word that the same stage writes (a conflict-free program reads each
-row once per stage, and a stale read sees an older word); _compile
-checks this on every plan it builds.
+row once per stage); _compile checks this on every plan it builds,
+using the per-stage write counts the plan records for run_batch.
 
 Latency accounting follows the convention of the published cycle
 counts: busy_cycles counts issued butterfly/product cycles only
@@ -183,6 +184,7 @@ class _Plan(NamedTuple):
     # Per stage: (phase, butterfly list or None for pwm, the word
     # offsets its cycles read, in pairs, and each read's twiddle base).
     stages: tuple[tuple[str, list | None, array, array], ...]
+    writes: tuple[int, ...]  # words each stage writes, in id order
     busy: int
     fill_drain: int
     hazards: tuple[Hazard, ...]
@@ -203,7 +205,7 @@ def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
     if with_b:
         m.load(1, _layout(d_in, d), range(2 * d, 4 * d))
     ids = count(2 * d * (1 + with_b))
-    stages = []
+    stages, writes = [], []
 
     def transform(phase: str, region: int) -> None:
         for stage in getattr(prog, phase):
@@ -217,6 +219,7 @@ def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
             run_stages(m, (stage,), region, cycle)
             bfly = _butterflies(stage.kind, stage.span, t)
             stages.append((phase, bfly, reads, bases))
+            writes.append(2 * len(bases))  # two words per cycle
 
     def pwm() -> None:
         # Operand a in region 0, b in region 1.  Dilithium multiplies
@@ -234,6 +237,7 @@ def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
                 m.write(0, role, e.addr_a, next(ids))
             m.tick()
         stages.append((OP_PWM, None, reads, bases))
+        writes.append(len(bases))  # one product word per read pair
 
     busy = fill_drain = 0
     for phase in phases:
@@ -252,12 +256,13 @@ def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
     # may read a word the same stage writes (a conflict-free program
     # reads each row once per stage, and a stale read sees an older id).
     first = 2 * d * (1 + with_b)
-    for _phase, bfly, reads, _bases in stages:
+    for (_phase, _bfly, reads, _bases), w in zip(stages, writes):
         if max(reads) >= t * first:
             raise RuntimeError(f"a {op} stage reads a word it writes")
-        first += len(reads) if bfly is not None else len(reads) // 2
+        first += w
     out = tuple(t * i for i in m.extract(_layout(d_out, d)))
-    return _Plan(tuple(stages), busy, fill_drain, tuple(m.hazards), out)
+    return _Plan(tuple(stages), tuple(writes), busy, fill_drain,
+                 tuple(m.hazards), out)
 
 
 def _execute(plan: _Plan, p: ModulusParams, t: int, tw, a: Polynomial,
@@ -386,28 +391,25 @@ def run_polymul(cfg: CoreConfig, scheme: str, a: Polynomial, b: Polynomial,
 
 
 def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
-              rom_override=None, allow_hazards: bool = False
-              ) -> tuple[list[Polynomial], SimReport]:
+              rom_override=None) -> tuple[list[Polynomial], SimReport]:
     """Run one op (ntt, intt, pwm or polymul) on many operand sets at once.
 
     As (and Bs, for pwm and polymul, paired with As by position) are
     sequences of polynomials under run_op's and run_polymul's domain
     contracts.  Returns one output per a operand, each equal to what
     run_op or run_polymul returns for it, and the plan's report, which
-    every operand set shares.
+    every operand set shares.  A hazardous plan is refused, as run_op
+    refuses it without allow_hazards.
     """
     import numpy as np
 
     plan, p, t, tw, report = _prepare(cfg, scheme, op, As, Bs, rom_override,
-                                      allow_hazards)
+                                      False)
     q, n, batch = p.q, len(As[0].coeffs), len(As)
-    # Words each stage writes: two per transform cycle, one per pwm
-    # read pair.  Word id i is rows t*i .. t*i + t - 1 of vals, one
-    # column per operand set, as in _execute's list.
-    words = [len(reads) if bfly is not None else len(reads) // 2
-             for _phase, bfly, reads, _bases in plan.stages]
-    vals = np.empty((n * (1 + (Bs is not None)) + t * sum(words), batch),
-                    np.int64)
+    # Word id i is rows t*i .. t*i + t - 1 of vals, one column per
+    # operand set, as in _execute's list.
+    vals = np.empty((n * (1 + (Bs is not None)) + t * sum(plan.writes),
+                     batch), np.int64)
     vals[:n] = np.array([a.coeffs for a in As], np.int64).T
     pos = n
     if Bs is not None:
@@ -416,7 +418,7 @@ def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
         pos = 2 * n
     tables = [np.array(table, np.int64) for table in tw]
     slots = np.arange(t)
-    for (phase, bfly, reads, bases), w in zip(plan.stages, words):
+    for (phase, bfly, reads, bases), w in zip(plan.stages, plan.writes):
         offsets = np.frombuffer(reads, np.uintc)
         lo, hi = offsets[0::2, None], offsets[1::2, None]
         base = np.frombuffer(bases, np.uintc)[:, None]
