@@ -94,6 +94,8 @@ def dual_lane_mult(x: int, y: int, mode: str,
     partial product, and the partials are recombined by shift-add ->
     (x*y, 0), one (logical) multiplication.
     """
+    if mode not in (KYBER_PAIR, DILITHIUM_SINGLE):
+        raise ValueError(f"unknown multiplier mode {mode!r}")
     if mode == KYBER_PAIR:
         x0, x1 = unpack_lanes(x)
         y0, y1 = unpack_lanes(y)
@@ -102,7 +104,6 @@ def dual_lane_mult(x: int, y: int, mode: str,
         if counter is not None:
             counter.kyber_mults += 2
         return p0, p1
-    assert mode == DILITHIUM_SINGLE
     assert 0 <= x < (1 << 23) and 0 <= y < (1 << 24)
     p_lo = x * (y & 0xFFF)       # 23x12
     p_hi = x * (y >> 12)         # 23x12

@@ -10,6 +10,7 @@ chain with a guard bit at position 12.
 Coefficients are unsigned ints in [0, q) at every operation boundary.
 Range checks are ``assert`` statements, so they vanish under ``python -O``
 (the hardware has no such checks; the model keeps them for test builds).
+A mode or op that names no datapath raises ValueError, also under -O.
 """
 
 from __future__ import annotations
@@ -224,9 +225,11 @@ def shared_add_sub(x: int, y: int, mode: str, op: str, p: ModulusParams) -> int:
     Functionally identical to per-lane mod_add/mod_sub of the matching
     width; the point of this routine is to model the single carry chain.
     """
-    assert op in ("add", "sub")
+    if op not in ("add", "sub"):
+        raise ValueError(f"unknown op {op!r}")
+    if mode != (KYBER_PAIR if p.scheme == "kyber" else DILITHIUM_SINGLE):
+        raise ValueError(f"no {mode!r} mode on {p.scheme} parameters")
     if mode == KYBER_PAIR:
-        assert p.scheme == "kyber"
         x0, x1 = unpack_lanes(x)
         y0, y1 = unpack_lanes(y)
         assert x0 < p.q and x1 < p.q and y0 < p.q and y1 < p.q, "lane out of range"
@@ -256,7 +259,6 @@ def shared_add_sub(x: int, y: int, mode: str, op: str, p: ModulusParams) -> int:
         )
         return pack_lanes(out0, out1)
 
-    assert mode == DILITHIUM_SINGLE and p.scheme == "dilithium"
     assert 0 <= x < p.q and 0 <= y < p.q, "lane out of range"
     s = _carry_chain(x, y, op, mode)
     # Reassemble, dropping the guard position: bits 0..11 plus bits 13..

@@ -10,8 +10,9 @@ The mirrored split is what lets every butterfly stage read its two
 partner words from different banks in the same cycle.  BankMemory is
 the one model of the banks: it maps a (region, role, row) address to a
 physical bank and row, a write lands pipeline_depth cycles after issue,
-and reading a row whose write is still in flight is a hazard.  The
-simulator and check_conflict_free both run on it.
+and reading a row whose write is still in flight is a hazard.
+run_stages is the one replay of a phase on it, whose record the
+simulator's compile step, check_conflict_free and the pairing oracle read.
 
 Transform scheduling.  Word-level stages pair words (x, x+p) for spans
 p = d, d/2, ..., 1, one stage per layer.  Within a span-p row group the
@@ -41,6 +42,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import count
 from typing import NamedTuple
 
 from .core_arith import N, SCHEMES, from_mont
@@ -441,29 +443,51 @@ class ConflictReport:
         return not self.hazards
 
 
-def run_stages(m: BankMemory, stages, region: int, cycle) -> None:
-    """Run transform stages on m, one tick per entry: read both rows,
-    order them (low, high) by read_swap, pass them to cycle(stage,
-    entry, low, high) and route the (low, high) it returns back by
-    write_swap.  The one reader of a transform's routing flags: the
-    simulator, the conflict gate and the pairing oracle all run it."""
+def run_stages(m: BankMemory, stages, region: int, ids) -> list:
+    """Run stages on m, one tick per entry, writing the next ids from ids:
+    the one replay of any phase, and the only reader of its addresses
+    and flags.  Returns, per stage, the ids its cycles read (in pairs),
+    each pair's twiddle index and the number of words the stage wrote.
+
+    A transform cycle reads both rows of region, orders them (low, high)
+    by read_swap, and writes two ids back, the low one's routed by
+    write_swap.  A pwm word spans len(entries) // (2d) entries (two for
+    Kyber, one for Dilithium): its first reads a from region 0 and b
+    from the same role and row of region 1, the role being bank B's when
+    read_swap is set, and its last writes the product over a."""
+    record = []
     for stage in stages:
-        for e in stage.entries:
-            lo = m.read(region, BANK_A, e.addr_a)
-            hi = m.read(region, BANK_B, e.addr_b)
-            if e.read_swap:
-                lo, hi = hi, lo
-            lo, hi = cycle(stage, e, lo, hi)
-            if e.write_swap:
-                lo, hi = hi, lo
-            m.write(region, BANK_A, e.addr_a, lo)
-            m.write(region, BANK_B, e.addr_b, hi)
+        reads, tws, writes = [], [], 0
+        per_word = len(stage.entries) // (2 * m.d)
+        for i, e in enumerate(stage.entries):
+            if stage.kind == "pwm":
+                role = BANK_B if e.read_swap else BANK_A
+                if i % per_word == 0:
+                    reads += (m.read(0, role, e.addr_a),
+                              m.read(1, role, e.addr_b))
+                    tws.append(e.tw_index)
+                if i % per_word == per_word - 1:
+                    m.write(0, role, e.addr_a, next(ids))
+                    writes += 1
+            else:
+                lo = m.read(region, BANK_A, e.addr_a)
+                hi = m.read(region, BANK_B, e.addr_b)
+                reads += (hi, lo) if e.read_swap else (lo, hi)
+                tws.append(e.tw_index)
+                lo, hi = next(ids), next(ids)
+                if e.write_swap:
+                    lo, hi = hi, lo
+                m.write(region, BANK_A, e.addr_a, lo)
+                m.write(region, BANK_B, e.addr_b, hi)
+                writes += 2
             m.tick()
+        record.append((reads, tws, writes))
+    return record
 
 
 def check_conflict_free(s: AddressSchedule,
                         pipeline_depth: int) -> ConflictReport:
-    """Replay the schedule through run_stages, words passing unchanged.
+    """Replay the schedule through run_stages and report its hazards.
 
     Each cycle reads both of its rows and writes them back; the writes
     land pipeline_depth cycles later, and reading a row whose write is
@@ -471,28 +495,26 @@ def check_conflict_free(s: AddressSchedule,
     that is the whole point of the schedule.
     """
     m = BankMemory(s.d, pipeline_depth)
-    run_stages(m, s.stages, 0, lambda _st, _e, lo, hi: (lo, hi))
+    run_stages(m, s.stages, 0, count())
     return ConflictReport(pipeline_depth, s.d, tuple(m.hazards))
 
 
 def enumerate_stage_pairs(s: AddressSchedule):
-    """Word-index partner pairs per stage: run_stages on banks holding
-    word indices, recording each cycle's (low, high) — the oracle view
+    """Word-index partner pairs per stage: run_stages from banks holding
+    word indices, each read id mapped back to its word — the oracle view
     used to prove schedule completeness against a reference transform
     trace."""
     m = BankMemory(s.d, 1)
     m.load(0, s.initial_layout, range(2 * s.d))
+    words = list(range(2 * s.d))  # the word each id carries
     out = []
-
-    def pair(_stage, _e, low, high):
-        out[-1].append((low, high))
-        return low, high
-
-    for stage in s.stages:
+    for reads, _tws, _writes in run_stages(m, s.stages, 0, count(2 * s.d)):
         out.append([])
-        run_stages(m, (stage,), 0, pair)
+        for lo, hi in zip(reads[0::2], reads[1::2]):
+            out[-1].append((words[lo], words[hi]))
+            words += out[-1][-1]  # a cycle writes its low, then high, id
     m.drain()
-    assert m.extract(s.final_layout) == list(range(2 * s.d))
+    assert [words[i] for i in m.extract(s.final_layout)] == list(range(2 * s.d))
     return out
 
 

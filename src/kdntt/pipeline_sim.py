@@ -1,38 +1,37 @@
 """Cycle-accurate execution of transforms and products on a configured core.
 
 An op runs in two steps.  The compile step, once per (geometry,
-pipeline depth, op), runs the op's program on a memory_map.BankMemory
-whose rows hold word ids instead of words: every scheduled cycle reads
-one id from each bank and writes two fresh ids back to the same two
-rows.  The bank memory delays each write by pipeline_depth cycles and
-records a read of a row whose write is still in flight as a hazard; the
-read sees the stale id, as the hardware would see the stale word.  No
-address, routing flag or landing cycle depends on the data, so the plan
-(per stage, the ids every cycle reads and its twiddle base), the cycle
-counts and the hazards are all fixed by those three.  The execute step
-then runs only arithmetic: it walks the plan over a list of
-coefficients, one loop for every transform stage, word-pairing and
-in-word alike, with only the stage's butterfly list differing.
-Operands are addressed by region (a in 0, b in 1); the bank memory
-alone decides where a region sits.
+pipeline depth, op), replays the op's program through
+memory_map.run_stages on a BankMemory whose rows hold word ids instead
+of words, each written word taking a fresh id, and builds the plan from
+the replay's record: per stage, the ids its cycles read, their twiddle
+bases and the words it wrote.  The bank memory delays each write by
+pipeline_depth cycles and records a read of a row whose write is still
+in flight as a hazard; the read sees the stale id, as the hardware
+would see the stale word.  No address, routing flag or landing cycle
+depends on the data, so the plan, the cycle counts and the hazards are
+all fixed by those three.  The execute step then runs only arithmetic:
+it walks the plan over a list of coefficients, one loop for every
+transform stage, word-pairing and in-word alike, with only the stage's
+butterfly list differing.  Operands are addressed by region (a in 0, b
+in 1); the bank memory alone decides where a region sits.
 
 Two drivers execute a plan, after one shared prologue (_prepare: the
 operand, scheme, domain and rom_override checks, the plan lookup and
 the refusal of a hazardous plan before any arithmetic; only the scalar
-driver can be told to run one anyway).  run_op and
-run_polymul run one operand set through _execute, one butterfly call
-per butterfly.  run_batch runs many through the same plan a whole stage
-at a time, over one int64 numpy array with a column per operand set,
-using core_arith's branch-free array forms.  The scalar path is kept,
-not rebuilt on the array forms: making the scalar primitives accept
-arrays slowed scalar run_polymul by 8% (with % bodies) to 20-25% (with
-s - q*(s >= q) bodies and a type guard), and the golden-model runs pay
-that on every butterfly.  So the two share the plan and the checks but
-no arithmetic, and each caller picks by its input: one product, or a
-batch.  Stage-at-a-time execution is exact because no stage reads a
-word that the same stage writes (a conflict-free program reads each
-row once per stage); _compile checks this on every plan it builds,
-using the per-stage write counts the plan records for run_batch.
+driver can be told to run one anyway).  run_op and run_polymul run one
+operand set through _execute, one butterfly call per butterfly.
+run_batch runs many through the same plan a whole stage at a time, over
+one int64 numpy array with a column per operand set, using core_arith's
+branch-free array forms; in a warm process it is the faster driver even
+for one product.  The scalar driver stays because the CLI must start
+without numpy, and because it calls the bfu butterflies that the
+golden-polymul benchmark counts.  It is not rebuilt on the array forms:
+making the scalar primitives accept arrays slowed run_polymul by 8-25%.
+So the two share the plan and the checks but no arithmetic.
+Stage-at-a-time execution is exact because no stage reads a word that
+the same stage writes (a conflict-free program reads each row once per
+stage); _compile checks this on every plan it builds.
 
 Latency accounting follows the convention of the published cycle
 counts: busy_cycles counts issued butterfly/product cycles only
@@ -73,8 +72,6 @@ from .bfu import (
     kyber_pwm_pair,
 )
 from .memory_map import (
-    BANK_A,
-    BANK_B,
     DESIGNS,
     BankMemory,
     Hazard,
@@ -114,13 +111,11 @@ class CoreConfig:
                 f"for {self.design} (bound is half the smallest region depth)")
 
     @classmethod
-    def for_design(cls, design: str,
-                   pipeline_depth: int | None = None) -> "CoreConfig":
+    def for_design(cls, design: str) -> "CoreConfig":
+        """The design at its shipped pipeline depth."""
         if design not in DESIGNS:
             raise ValueError(f"unknown design {design!r}")
-        return cls(design=design,
-                   pipeline_depth=DESIGNS[design].pipeline_depth
-                   if pipeline_depth is None else pipeline_depth)
+        return cls(design, DESIGNS[design].pipeline_depth)
 
     def geometry(self, scheme: str) -> MemoryGeometry:
         return DESIGNS[self.design].geometry(scheme)
@@ -141,7 +136,11 @@ class SimReport:
 
     @property
     def bfu_utilization(self) -> float:
-        return 1.0 if self.busy_cycles else 0.0
+        """Busy share of all cycles: a busy cycle occupies every lane (t
+        butterflies, t products or t/2 Kyber pairs over both lanes), and
+        a fill/drain cycle none."""
+        total = self.busy_cycles + self.fill_drain_cycles
+        return self.busy_cycles / total if total else 0.0
 
     def to_text(self) -> str:
         return "\n".join([
@@ -204,62 +203,34 @@ def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
     m.load(0, _layout(d_in, d), range(2 * d))
     if with_b:
         m.load(1, _layout(d_in, d), range(2 * d, 4 * d))
-    ids = count(2 * d * (1 + with_b))
+    first = 2 * d * (1 + with_b)
+    ids = count(first)
     stages, writes = [], []
-
-    def transform(phase: str, region: int) -> None:
-        for stage in getattr(prog, phase):
-            reads, bases = array("I"), array("I")
-
-            def cycle(_stage, e, lo, hi):
-                reads.extend((t * lo, t * hi))
-                bases.append(e.tw_index)
-                return next(ids), next(ids)
-
-            run_stages(m, (stage,), region, cycle)
-            bfly = _butterflies(stage.kind, stage.span, t)
-            stages.append((phase, bfly, reads, bases))
-            writes.append(2 * len(bases))  # two words per cycle
-
-    def pwm() -> None:
-        # Operand a in region 0, b in region 1.  Dilithium multiplies
-        # and writes back in one cycle per word; Kyber spends a product
-        # cycle and then a combine cycle on each word.
-        reads, bases = array("I"), array("I")
-        kyber = geom.scheme == "kyber"
-        for i, e in enumerate(prog.pwm[0].entries):
-            role = BANK_B if e.read_swap else BANK_A
-            if not (kyber and i % 2):  # read both operand words
-                reads.extend((t * m.read(0, role, e.addr_a),
-                              t * m.read(1, role, e.addr_b)))
-                bases.append(e.tw_index)
-            if not kyber or i % 2:  # write the product word back
-                m.write(0, role, e.addr_a, next(ids))
-            m.tick()
-        stages.append((OP_PWM, None, reads, bases))
-        writes.append(len(bases))  # one product word per read pair
-
     busy = fill_drain = 0
     for phase in phases:
+        program = getattr(prog, phase)
         start = m.cycle
-        if phase == OP_PWM:
-            pwm()
-        else:
-            transform(phase, 0)
+        record = run_stages(m, program, 0, ids)
         busy += m.cycle - start
         if phase == OP_NTT and with_b:
             # NTT(b) preparation: counted in neither total (see the
             # module docstring) and not drained apart from NTT(a).
-            transform(OP_NTT, 1)
+            record += run_stages(m, program, 1, ids)
+            program *= 2
         fill_drain += m.drain()
-    # run_batch computes a whole stage before the next one, so no stage
-    # may read a word the same stage writes (a conflict-free program
-    # reads each row once per stage, and a stale read sees an older id).
-    first = 2 * d * (1 + with_b)
-    for (_phase, _bfly, reads, _bases), w in zip(stages, writes):
-        if max(reads) >= t * first:
-            raise RuntimeError(f"a {op} stage reads a word it writes")
-        first += w
+        for stage, (reads, tws, w) in zip(program, record):
+            # run_batch computes a whole stage before the next one, so no
+            # stage may read a word the same stage writes (a conflict-free
+            # program reads each row once per stage, and a stale read sees
+            # an older id).
+            if max(reads) >= first:
+                raise RuntimeError(f"a {op} stage reads a word it writes")
+            first += w
+            stages.append((phase, None if stage.kind == "pwm"
+                           else _butterflies(stage.kind, stage.span, t),
+                           array("I", [t * i for i in reads]),
+                           array("I", tws)))
+            writes.append(w)
     out = tuple(t * i for i in m.extract(_layout(d_out, d)))
     return _Plan(tuple(stages), tuple(writes), busy, fill_drain,
                  tuple(m.hazards), out)

@@ -296,9 +296,9 @@ def test_shared_add_sub_rejects_malformed():
                        KYBER_PAIR, "add", KYBER)  # lane >= q
     with pytest.raises(AssertionError):
         shared_add_sub(DILITHIUM.q, 0, DILITHIUM_SINGLE, "add", DILITHIUM)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         shared_add_sub(0, 0, KYBER_PAIR, "add", DILITHIUM)  # scheme mismatch
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         shared_add_sub(0, 0, DILITHIUM_SINGLE, "xor", DILITHIUM)
 
 

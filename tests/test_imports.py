@@ -1,6 +1,7 @@
 """Every name a kdntt module imports is used by that module, every
 parameter a kdntt function takes is read by it, every name in
-kdntt.__all__ exists, and the modules' top-level imports form no cycle.
+kdntt.__all__ exists, the modules' top-level imports form no cycle, and
+only memory_map reads a program's bank addresses and routing flags.
 
 No linter ships with the project, so this stdlib-ast check stands in
 for one.  __init__ is skipped: its imports are the package's re-exports.
@@ -112,3 +113,30 @@ def test_module_imports_form_a_dag():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as e:
         pytest.fail(f"import cycle {' -> '.join(e.args[1])}")
+
+
+_BANK_FIELDS = {"addr_a", "addr_b", "read_swap", "write_swap", "tw_index"}
+
+
+def _bank_access(source: str) -> list[str]:
+    """Reads of a CycleEntry's address, flag or twiddle fields, and
+    imports of a bank role, in one module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _BANK_FIELDS:
+            found.append(f".{node.attr} (line {node.lineno})")
+        if isinstance(node, ast.ImportFrom):
+            found += [f"{a.name} (line {node.lineno})" for a in node.names
+                      if a.name in ("BANK_A", "BANK_B")]
+    return found
+
+
+def test_only_memory_map_touches_the_banks():
+    # memory_map.run_stages is the one replay of a program on the banks;
+    # a second reader of the flags would be a second hazard model
+    assert _bank_access("from .m import BANK_A, x\nx.read_swap\n") == [
+        "BANK_A (line 1)", ".read_swap (line 2)"]
+    for path in sorted(Path(kdntt.__file__).parent.glob("*.py")):
+        if path.name != "memory_map.py":
+            found = _bank_access(path.read_text(encoding="utf-8"))
+            assert not found, f"{path.name}: reads the banks {found}"

@@ -78,15 +78,15 @@ def test_config_validation():
     with pytest.raises(TypeError):
         CoreConfig(design="d2", kyber_bfus=8, dilithium_bfus=2, pipeline_depth=15)
     with pytest.raises(ValueError):
-        CoreConfig.for_design("d2", pipeline_depth=0)
+        CoreConfig("d2", 0)
     # bound is half the smallest region depth: d3 kyber has d=16 -> max 8
     with pytest.raises(ValueError):
-        CoreConfig.for_design("d3", pipeline_depth=9)
+        CoreConfig("d3", 9)
     with pytest.raises(ValueError):  # was accepted, busy_cycles=288.0
         CoreConfig("d3", 7.5)
     with pytest.raises(ValueError):  # was accepted, fill_drain_cycles=0
         CoreConfig("d3", True)
-    assert CoreConfig.for_design("d3", pipeline_depth=8).pipeline_depth == 8
+    assert CoreConfig("d3", 8).pipeline_depth == 8
 
 
 def test_latency_model_published_values():
@@ -238,7 +238,9 @@ def test_run_polymul_matches_schoolbook():
             out, rep = run_polymul(cfg, scheme, a, b)
             assert out.coeffs == schoolbook_negacyclic(a, b).coeffs
             assert out.domain == "normal"
-            assert not rep.hazards and rep.bfu_utilization == 1.0
+            assert not rep.hazards
+            assert rep.bfu_utilization == rep.busy_cycles / (
+                rep.busy_cycles + rep.fill_drain_cycles) < 1
 
 
 def test_run_op_domain_and_scheme_guards():
@@ -423,7 +425,7 @@ def test_simulator_behaviour_is_pinned():
 def test_deepest_legal_pipeline_is_clean():
     for design in DESIGNS:
         dg = DESIGNS[design]
-        cfg = CoreConfig.for_design(design, pipeline_depth=dg.max_pipeline_depth)
+        cfg = CoreConfig(design, dg.max_pipeline_depth)
         for scheme in cfg.schemes:
             a = Polynomial.random(scheme, RNG)
             b = Polynomial.random(scheme, RNG)
@@ -501,13 +503,19 @@ def test_depth_and_bit_width_checks_survive_python_O():
     """The public guards that used to be asserts or missing: a
     bit_reverse input wider than its width, a conflict gate depth below
     1, a non-integer core pipeline depth (7.5, or a bool), a
-    pack_word value wider than its slot and a unified step whose
-    parameters are not its scheme's, each rejected under -O."""
+    pack_word value wider than its slot, a unified step whose
+    parameters are not its scheme's, a shared adder whose mode is not
+    its parameters' scheme or whose op is neither add nor sub, and an
+    unknown multiplier mode, each rejected under -O."""
     src = str(Path(kdntt.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-c",
          "from kdntt import (DILITHIUM, BfuIo, CoreConfig, "
-         "check_conflict_free, generate_addresses, unified_bfu_step)\n"
+         "check_conflict_free, generate_addresses, shared_add_sub, "
+         "unified_bfu_step)\n"
+         "from kdntt.bfu import dual_lane_mult\n"
+         "from kdntt.core_arith import DILITHIUM_SINGLE, KYBER_PAIR, "
+         "pack_lanes\n"
          "from kdntt.memory_map import pack_word\n"
          "from kdntt.ntt_reference import bit_reverse\n"
          "lanes = (BfuIo(1, 2, 3), BfuIo(4, 5, 6))\n"
@@ -517,7 +525,12 @@ def test_depth_and_bit_width_checks_survive_python_O():
          "          lambda: CoreConfig('d3', True),\n"
          "          lambda: pack_word([5000, 1], 12),\n"
          "          lambda: unified_bfu_step(lanes, 'ntt', 'kyber', "
-         "DILITHIUM)):\n"
+         "DILITHIUM),\n"
+         "          lambda: shared_add_sub(pack_lanes(3000, 3000), "
+         "pack_lanes(1000, 1000), KYBER_PAIR, 'add', DILITHIUM),\n"
+         "          lambda: shared_add_sub(0, 0, DILITHIUM_SINGLE, 'xor', "
+         "DILITHIUM),\n"
+         "          lambda: dual_lane_mult(5, 7, 'bogus')):\n"
          "    try:\n"
          "        print('accepted:', f())\n"
          "    except ValueError as e:\n"
@@ -526,7 +539,7 @@ def test_depth_and_bit_width_checks_survive_python_O():
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 6 and all(ln.startswith("rejected:")
+    assert len(lines) == 9 and all(ln.startswith("rejected:")
                                    for ln in lines), proc.stdout
 
 
@@ -539,6 +552,7 @@ def test_report_text_format():
     assert "op=ntt\n" in text
     assert "busy_cycles=112\n" in text
     assert "hazards=0\n" in text
+    assert "bfu_utilization=0.941176\n" in text  # 112 busy, 7 fill/drain
     assert text.endswith("bram_estimate=5.5\n")
 
 
