@@ -52,7 +52,6 @@ from .bfu import (
 from .memory_map import (
     DESIGNS,
     BramEstimate,
-    ConflictReport,
     DesignGeometry,
     MemoryGeometry,
     TwiddleRom,
@@ -81,8 +80,8 @@ from .pipeline_sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BFU_MODES", "BfuIo", "BramEstimate", "CONTROL_WORDS", "ConflictReport",
-    "CoreConfig", "DESIGNS", "DILITHIUM", "DOMAINS",
+    "BFU_MODES", "BfuIo", "BramEstimate", "CONTROL_WORDS", "CoreConfig",
+    "DESIGNS", "DILITHIUM", "DOMAINS",
     "DOMAIN_NORMAL", "DOMAIN_NTT_BR", "DesignGeometry", "KYBER",
     "MemoryGeometry", "ModulusParams", "MultCounter", "N", "OP_INTT",
     "OP_NTT", "OP_POLYMUL", "OP_PWM", "Polynomial", "SCHEMES", "SIM_OPS",

@@ -10,9 +10,10 @@ The mirrored split is what lets every butterfly stage read its two
 partner words from different banks in the same cycle.  BankMemory is
 the one model of the banks: it maps a (region, role, row) address to a
 physical bank and row, a write lands pipeline_depth cycles after issue,
-and reading a row whose write is still in flight is a hazard.
-run_stages is the one replay of a phase on it, whose record the
-simulator's compile step, check_conflict_free and the pairing oracle read.
+and reading a row whose write is still in flight is a hazard.  A phase
+is a tuple of StageSchedules, and run_stages is the one replay of a
+phase on the banks, whose record the simulator's compile step,
+check_conflict_free (returning the hazards) and the pairing oracle read.
 
 Transform scheduling.  Word-level stages pair words (x, x+p) for spans
 p = d, d/2, ..., 1, one stage per layer.  Within a span-p row group the
@@ -116,25 +117,6 @@ class StageSchedule:
     entries: tuple[CycleEntry, ...]
 
 
-@dataclass(frozen=True)
-class AddressSchedule:
-    ch: int                # 0 = forward, 1 = inverse
-    d: int
-    stages: tuple[StageSchedule, ...]
-
-    @property
-    def initial_layout(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Bank occupancy the schedule starts from."""
-        return (initial_layout if self.ch == CH_NTT
-                else transformed_layout)(self.d)
-
-    @property
-    def final_layout(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Bank occupancy the schedule leaves behind."""
-        return (transformed_layout if self.ch == CH_NTT
-                else initial_layout)(self.d)
-
-
 def initial_layout(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Word occupancy at load time: A[r] = word r, B[r] = word 2d-1-r."""
     return tuple(range(d)), tuple(2 * d - 1 - r for r in range(d))
@@ -203,10 +185,10 @@ def _inverse(stages) -> tuple[StageSchedule, ...]:
         for st in reversed(stages))
 
 
-def generate_addresses(ch: int, d: int,
-                       stage1_reversal: bool = True) -> AddressSchedule:
-    """Build the full word-level schedule for a forward (ch=0) or inverse
-    (ch=1) transform over 2d words.
+def generate_addresses(ch: int, d: int, stage1_reversal: bool = True
+                       ) -> tuple[StageSchedule, ...]:
+    """Build the word-level stages of a forward (ch=0) or inverse (ch=1)
+    transform over 2d words.
 
     The forward schedule emits log2(2d) stages of d cycles; stage 1's
     second half is emitted in reverse (disable via stage1_reversal to
@@ -218,8 +200,8 @@ def generate_addresses(ch: int, d: int,
     if ch not in (CH_NTT, CH_INTT):
         raise ValueError("ch selects 0 (forward) or 1 (inverse)")
     if ch == CH_NTT:
-        return AddressSchedule(ch, d, _forward_stages(d, stage1_reversal))
-    return AddressSchedule(ch, d, _inverse(_forward_stages(d, False)))
+        return _forward_stages(d, stage1_reversal)
+    return _inverse(_forward_stages(d, False))
 
 
 def intra_word_stages(geom: MemoryGeometry) -> tuple[StageSchedule, ...]:
@@ -292,7 +274,7 @@ def scheme_program(geom: MemoryGeometry) -> SchemeProgram:
     reversal, mirror and in-word stages alike."""
     intra = intra_word_stages(geom)
     return SchemeProgram(
-        ntt=generate_addresses(CH_NTT, geom.d).stages + intra,
+        ntt=generate_addresses(CH_NTT, geom.d) + intra,
         intt=_inverse(_forward_stages(geom.d, False) + intra),
         pwm=(pwm_schedule(geom),))
 
@@ -428,21 +410,6 @@ def build_twiddle_rom(scheme: str) -> TwiddleRom:
 # Conflict checking.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConflictReport:
-    pipeline_depth: int
-    d: int
-    hazards: tuple[Hazard, ...]
-
-    @property
-    def depth_within_bound(self) -> bool:
-        return self.pipeline_depth <= self.d // 2
-
-    @property
-    def clean(self) -> bool:
-        return not self.hazards
-
-
 def run_stages(m: BankMemory, stages, region: int, ids) -> list:
     """Run stages on m, one tick per entry, writing the next ids from ids:
     the one replay of any phase, and the only reader of its addresses
@@ -485,36 +452,39 @@ def run_stages(m: BankMemory, stages, region: int, ids) -> list:
     return record
 
 
-def check_conflict_free(s: AddressSchedule,
-                        pipeline_depth: int) -> ConflictReport:
-    """Replay the schedule through run_stages and report its hazards.
+def check_conflict_free(stages, pipeline_depth: int) -> tuple[Hazard, ...]:
+    """Replay a transform phase (every stage one entry per row, which
+    fixes d) through run_stages and return its hazards; none is clean.
 
     Each cycle reads both of its rows and writes them back; the writes
     land pipeline_depth cycles later, and reading a row whose write is
     still in flight is a hazard.  Stages run back to back with no gaps —
     that is the whole point of the schedule.
     """
-    m = BankMemory(s.d, pipeline_depth)
-    run_stages(m, s.stages, 0, count())
-    return ConflictReport(pipeline_depth, s.d, tuple(m.hazards))
+    m = BankMemory(len(stages[0].entries), pipeline_depth)
+    run_stages(m, stages, 0, count())
+    return tuple(m.hazards)
 
 
-def enumerate_stage_pairs(s: AddressSchedule):
+def enumerate_stage_pairs(ch: int, stages):
     """Word-index partner pairs per stage: run_stages from banks holding
-    word indices, each read id mapped back to its word — the oracle view
-    used to prove schedule completeness against a reference transform
-    trace."""
-    m = BankMemory(s.d, 1)
-    m.load(0, s.initial_layout, range(2 * s.d))
-    words = list(range(2 * s.d))  # the word each id carries
+    word indices in direction ch's start layout, each read id mapped back
+    to its word — the oracle view used to prove schedule completeness
+    against a reference transform trace."""
+    d = len(stages[0].entries)
+    start, end = ((initial_layout, transformed_layout) if ch == CH_NTT
+                  else (transformed_layout, initial_layout))
+    m = BankMemory(d, 1)
+    m.load(0, start(d), range(2 * d))
+    words = list(range(2 * d))  # the word each id carries
     out = []
-    for reads, _tws, _writes in run_stages(m, s.stages, 0, count(2 * s.d)):
+    for reads, _tws, _writes in run_stages(m, stages, 0, count(2 * d)):
         out.append([])
         for lo, hi in zip(reads[0::2], reads[1::2]):
             out[-1].append((words[lo], words[hi]))
             words += out[-1][-1]  # a cycle writes its low, then high, id
     m.drain()
-    assert [words[i] for i in m.extract(s.final_layout)] == list(range(2 * s.d))
+    assert [words[i] for i in m.extract(end(d))] == list(range(2 * d))
     return out
 
 
@@ -734,8 +704,10 @@ def decode_twiddle_image(text: str, design: str, scheme: str) -> TwiddleRom:
     design; blank lines are skipped.  Raises ValueError, naming the
     line, for a word that is not ASCII hex digits, has a bit set above
     its packed values or holds a value outside [0, q), and for an image
-    whose word count is not the design's own.
+    whose word count is not the design's own, or for a design without scheme.
     """
+    if design not in DESIGNS or scheme not in DESIGNS[design].schemes:
+        raise ValueError(f"design {design!r} has no {scheme!r} twiddles")
     p = SCHEMES[scheme]
     rom = build_twiddle_rom(scheme)
     regions = _twiddle_regions(DESIGNS[design])

@@ -75,6 +75,8 @@ class Polynomial:
     @classmethod
     def delta(cls, scheme: str, index: int = 0, value: int = 1,
               domain: str = DOMAIN_NORMAL) -> "Polynomial":
+        if not 0 <= index < N:
+            raise ValueError(f"delta index {index} outside [0, {N})")
         coeffs = [0] * N
         coeffs[index] = value
         return cls(tuple(coeffs), scheme, domain)

@@ -42,7 +42,12 @@ fill_drain_cycles.  A full multiplication is NTT + PWM + INTT on the
 a-operand stream; the b operand's forward transform is executed for
 functional fidelity but excluded from both counters, matching the
 published totals (448+256+448 and 1024+256+1024), which treat the
-second operand as arriving pre-transformed.
+second operand as arriving pre-transformed.  "Fully pipelined" is read
+per phase: a phase issues one entry per clock, and the drain after each
+phase (3*(depth-1) per polymul) is an accounting rule.  The banks need
+only the final drain: ntt, NTT(b), pwm and intt replayed back to back
+through run_stages with no drain between raise no hazard for any
+shipped (design, scheme) at depths 1, shipped and d/2.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from kdntt.memory_map import (
     DESIGNS,
     BANK_A,
     BANK_B,
-    AddressSchedule,
     BankMemory,
     Hazard,
     MemoryGeometry,
@@ -65,8 +64,7 @@ def test_layout_definitions():
 
 
 def test_stage1_pairs_and_last_half_reversal():
-    s = generate_addresses(CH_NTT, 8)
-    st = s.stages[0]
+    st = generate_addresses(CH_NTT, 8)[0]
     assert st.kind == "mirror" and st.span == 8
     got = [(e.addr_a, e.addr_b) for e in st.entries]
     # opens with the mirror walk, then the second half runs reversed
@@ -78,7 +76,7 @@ def test_stage2_documented_pattern():
     # second stage begins {0, d/2-1}, {d/2-1, 0}, {1, d/2-2}, ...
     for d in (8, 16, 32, 64, 128):
         s = generate_addresses(CH_NTT, d)
-        got = [(e.addr_a, e.addr_b) for e in s.stages[1].entries[:4]]
+        got = [(e.addr_a, e.addr_b) for e in s[1].entries[:4]]
         h = d // 2
         assert got == [(0, h - 1), (h - 1, 0), (1, h - 2), (h - 2, 1)]
 
@@ -87,34 +85,29 @@ def test_forward_pairing_completeness_exhaustive():
     """Every word step pairs exactly {(x, x+p) : x mod 2p < p}, all d."""
     for d in WORD_COUNTS:
         s = generate_addresses(CH_NTT, d)
-        mirror = [st for st in s.stages if st.kind == "mirror"]
+        mirror = [st for st in s if st.kind == "mirror"]
         assert len(mirror) == int(math.log2(d)) + 1
-        for st, pairs in zip(s.stages, enumerate_stage_pairs(s)):
+        for st, pairs in zip(s, enumerate_stage_pairs(CH_NTT, s)):
             p = st.span
             want = {(x, x + p) for x in range(2 * d) if x % (2 * p) < p}
             assert set(pairs) == want and len(pairs) == len(want)
-        assert s.initial_layout == initial_layout(d)
-        assert s.final_layout == transformed_layout(d)
 
 
 def test_inverse_pairing_completeness_exhaustive():
     for d in WORD_COUNTS:
+        # inverse runs transformed -> load layout, ready for the next op
         s = generate_addresses(CH_INTT, d)
-        for st, pairs in zip(s.stages, enumerate_stage_pairs(s)):
+        for st, pairs in zip(s, enumerate_stage_pairs(CH_INTT, s)):
             p = st.span
             want = {(x, x + p) for x in range(2 * d) if x % (2 * p) < p}
             assert set(pairs) == want
-        # inverse runs transformed -> load layout, ready for the next op
-        assert s.initial_layout == transformed_layout(d)
-        assert s.final_layout == initial_layout(d)
 
 
 def test_inverse_is_stage_reversed_forward():
     for d in (8, 64):
         fwd = generate_addresses(CH_NTT, d)
         inv = generate_addresses(CH_INTT, d)
-        assert [st.span for st in inv.stages] == \
-            [st.span for st in reversed(fwd.stages)]
+        assert [st.span for st in inv] == [st.span for st in reversed(fwd)]
 
 
 def test_conflict_free_all_depths_within_bound():
@@ -122,12 +115,9 @@ def test_conflict_free_all_depths_within_bound():
         for ch in (CH_NTT, CH_INTT):
             s = generate_addresses(ch, d)
             for depth in range(1, d // 2 + 1):
-                rep = check_conflict_free(s, depth)
-                assert rep.clean and rep.depth_within_bound
-            beyond = check_conflict_free(s, d // 2 + 1)
-            assert beyond.d == d and not beyond.depth_within_bound
+                assert not check_conflict_free(s, depth)
             if d >= 4:
-                assert not beyond.clean
+                assert check_conflict_free(s, d // 2 + 1)
 
 
 def test_shipped_depths_are_conflict_free():
@@ -137,7 +127,7 @@ def test_shipped_depths_are_conflict_free():
             assert dg.pipeline_depth <= d // 2
             for ch in (CH_NTT, CH_INTT):
                 s = generate_addresses(ch, d)
-                assert check_conflict_free(s, dg.pipeline_depth).clean
+                assert not check_conflict_free(s, dg.pipeline_depth)
 
 
 def test_gate_replays_whole_scheme_phases():
@@ -148,11 +138,10 @@ def test_gate_replays_whole_scheme_phases():
         for scheme in dg.schemes:
             g = dg.geometry(scheme)
             prog = scheme_program(g)
-            for ch, stages in ((CH_NTT, prog.ntt), (CH_INTT, prog.intt)):
-                s = AddressSchedule(ch, g.d, stages)
+            for stages in (prog.ntt, prog.intt):
                 for depth in range(1, g.d // 2 + 1):
-                    assert check_conflict_free(s, depth).clean
-                assert not check_conflict_free(s, g.d // 2 + 1).clean
+                    assert not check_conflict_free(stages, depth)
+                assert check_conflict_free(stages, g.d // 2 + 1)
 
 
 def test_gate_rejects_depth_below_one():
@@ -170,12 +159,11 @@ def test_reversal_is_needed_at_bound():
     reversal never hurts it."""
     for d in (4, 8, 16, 32, 64, 128):
         plain = generate_addresses(CH_NTT, d, stage1_reversal=False)
-        assert not check_conflict_free(plain, d // 2).clean
+        assert check_conflict_free(plain, d // 2)
         if d >= 4:
-            assert not check_conflict_free(plain, 2).clean
+            assert check_conflict_free(plain, 2)
         for ch in (CH_NTT, CH_INTT):
-            assert check_conflict_free(generate_addresses(ch, d),
-                                       d // 2).clean
+            assert not check_conflict_free(generate_addresses(ch, d), d // 2)
 
 
 def test_programs_are_pinned():
@@ -187,7 +175,10 @@ def test_programs_are_pinned():
     for d in WORD_COUNTS:
         for ch in (CH_NTT, CH_INTT):
             for reversal in (True, False):
-                h.update(repr(generate_addresses(ch, d, reversal)).encode())
+                st = generate_addresses(ch, d, reversal)
+                # The digest was first taken over this wrapper text.
+                h.update(f"AddressSchedule(ch={ch}, d={d}, stages={st!r})"
+                         .encode())
     assert h.hexdigest() == ("2bd8bfe60bba3441b3226c00d0defecc"
                              "49bbf569940efd97019d9ad21a94f487")
     h = hashlib.sha256()
@@ -207,7 +198,7 @@ def test_gate_hazards_are_pinned():
     for all 13 valid (scheme, t), each at depths 1, 2, d/2, d/2+1, d/2+5
     and d, hash to one fixed digest.  A rewrite of the bank model must
     report every hazard at the same cycle, row and landing cycle."""
-    scheds = [((d, ch, rev), generate_addresses(ch, d, rev))
+    scheds = [((d, ch, rev), d, generate_addresses(ch, d, rev))
               for d in WORD_COUNTS for ch in (CH_NTT, CH_INTT)
               for rev in (True, False)]
     for scheme, p in SCHEMES.items():
@@ -215,16 +206,15 @@ def test_gate_hazards_are_pinned():
             if t >= p.min_len:
                 g = MemoryGeometry(scheme, t)
                 prog = scheme_program(g)
-                scheds += [((scheme, t, ch), AddressSchedule(ch, g.d, st))
+                scheds += [((scheme, t, ch), g.d, st)
                            for ch, st in ((CH_NTT, prog.ntt),
                                           (CH_INTT, prog.intt))]
     h, reports = hashlib.sha256(), 0
-    for key, s in scheds:
-        d = s.d
+    for key, d, s in scheds:
         for depth in sorted({1, 2, d // 2, d // 2 + 1, d // 2 + 5, d}):
-            rep = check_conflict_free(s, depth)
+            hazards = check_conflict_free(s, depth)
             h.update(repr((key, depth, [(x.cycle, x.bank, x.row, x.lands_at)
-                                        for x in rep.hazards])).encode())
+                                        for x in hazards])).encode())
             reports += 1
     assert reports == 292
     assert h.hexdigest() == ("d5dffc81c165d084c3cc05d70bfee93a"
@@ -235,7 +225,7 @@ def test_reversal_noop_for_two_words():
     # d = 2 has a single pair per half; reversal changes nothing.
     a = generate_addresses(CH_NTT, 2, stage1_reversal=True)
     b = generate_addresses(CH_NTT, 2, stage1_reversal=False)
-    assert [st.entries for st in a.stages] == [st.entries for st in b.stages]
+    assert [st.entries for st in a] == [st.entries for st in b]
 
 
 def test_intra_word_stage_indices():
@@ -433,6 +423,10 @@ def test_rom_image_twiddles_parse_back():
             assert tuple(vals[: len(values)]) == values
             assert decode_twiddle_image("\n".join(lines), design,
                                         scheme) == rom
+    for design, scheme in (("standalone-kyber", "dilithium"),
+                           ("bogus", "kyber")):
+        with pytest.raises(ValueError, match=f"{design}.*{scheme}"):
+            decode_twiddle_image("0\n", design, scheme)
 
 
 def test_addr_rom_dimensions():

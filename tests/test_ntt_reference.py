@@ -49,6 +49,9 @@ def test_polynomial_validation():
         Polynomial((0,) * 256, "ntru", DOMAIN_NORMAL)
     with pytest.raises(ValueError, match="integers"):
         Polynomial((2.5,) * 256, "kyber", DOMAIN_NORMAL)
+    for index in (-1, 300):
+        with pytest.raises(ValueError, match="delta index"):
+            Polynomial.delta("kyber", index)
     # Any integer sequence is stored as a tuple of ints: equal and hashable.
     listed = Polynomial([0] * 256, "kyber")
     assert type(listed.coeffs) is tuple

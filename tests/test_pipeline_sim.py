@@ -376,7 +376,7 @@ def test_simulator_and_gate_share_one_hazard_rule():
             if design != "d3":  # programs of mirror stages only
                 gate = check_conflict_free(generate_addresses(CH_NTT, d),
                                            depth)
-                assert rep.hazards and rep.hazards == gate.hazards, \
+                assert rep.hazards and rep.hazards == gate, \
                     (design, depth)
             shift = latency_model(cfg, scheme, OP_NTT)
             moved = [Hazard(h.cycle + shift, h.bank ^ 1, h.row + d,
