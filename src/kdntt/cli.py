@@ -23,11 +23,14 @@ import sys
 
 from .core_arith import SCHEMES
 from .ntt_reference import (
+    DOMAIN_NTT_BR,
     DOMAINS,
     Polynomial,
-    direct_ntt,
-    reference_pwm,
-    schoolbook_negacyclic,
+    as_columns,
+    direct_ntt_columns,
+    from_columns,
+    reference_pwm_columns,
+    schoolbook_columns,
 )
 from .memory_map import (
     DESIGNS,
@@ -174,13 +177,6 @@ def _rom_override(args, design: str, scheme: str):
 # Commands.
 # ---------------------------------------------------------------------------
 
-def _check(what: str, got: Polynomial, want: Polynomial) -> None:
-    """Fail a verify trial, naming the first coefficient that differs."""
-    if got.coeffs != want.coeffs:
-        k = next(k for k in range(256) if got.coeffs[k] != want.coeffs[k])
-        raise AssertionError(f"{what} mismatch at coefficient {k}")
-
-
 def cmd_run(args) -> int:
     """polymul, ntt, intt or pwm on the simulated core."""
     cfg = _config(args)
@@ -227,9 +223,13 @@ def cmd_gen_roms(args) -> int:
 
 def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
                    override) -> str | None:
-    """Run verify's trials through the core in batches of VERIFY_BATCH
-    and check each against the oracles in trial order; returns the first
-    failure, naming its trial, or None."""
+    """Run verify's trials through the core in batches of VERIFY_BATCH and
+    compare every output coefficient with the column oracles.  Returns the
+    first failure, naming its trial, or None: the lowest failing trial,
+    its first failing check (product, forward transform, roundtrip,
+    pointwise) and that check's first differing coefficient."""
+    import numpy as np
+
     p = SCHEMES[scheme]
     for start in range(0, trials, VERIFY_BATCH):
         indices = range(start, min(start + VERIFY_BATCH, trials))
@@ -242,18 +242,25 @@ def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
                              rom_override=override)
         fas, _ = run_batch(cfg, scheme, OP_NTT, As, rom_override=override)
         backs, _ = run_batch(cfg, scheme, OP_INTT, fas, rom_override=override)
-        fbs = [direct_ntt(b, p) for b in Bs]
-        pws, _ = run_batch(cfg, scheme, OP_PWM, fas, fbs,
+        a, b, fa = as_columns(As), as_columns(Bs), as_columns(fas)
+        fb = direct_ntt_columns(b, p)
+        pws, _ = run_batch(cfg, scheme, OP_PWM, fas,
+                           from_columns(fb, scheme, DOMAIN_NTT_BR),
                            rom_override=override)
-        for i, a, b, got, fa, back, fb, pw in zip(indices, As, Bs, prods, fas,
-                                                  backs, fbs, pws):
-            try:
-                _check("product", got, schoolbook_negacyclic(a, b))
-                _check("forward transform", fa, direct_ntt(a, p))
-                _check("roundtrip", back, a)
-                _check("pointwise", pw, reference_pwm(fa, fb))
-            except AssertionError as e:
-                return f"trial {i} (seed {seed}): {e}"
+        checks = (
+            ("product", as_columns(prods), schoolbook_columns(a, b, p)),
+            ("forward transform", fa, direct_ntt_columns(a, p)),
+            ("roundtrip", as_columns(backs), a),
+            ("pointwise", as_columns(pws), reference_pwm_columns(fa, fb, p)),
+        )
+        # wrong[check, coefficient, trial]; argwhere lists hits in index
+        # order, so over (trial, check, coefficient) the first is the
+        # failure a trial-by-trial check reports
+        wrong = np.stack([got != want for _, got, want in checks])
+        if wrong.any():
+            trial, check, k = np.argwhere(wrong.transpose(2, 0, 1))[0]
+            return (f"trial {indices[trial]} (seed {seed}): "
+                    f"{checks[check][0]} mismatch at coefficient {k}")
     return None
 
 

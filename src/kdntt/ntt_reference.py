@@ -4,8 +4,13 @@ Everything in this module is O(n**2) and written for clarity: direct
 evaluation of the transforms from their defining sums, schoolbook
 negacyclic multiplication, and the Kyber degree-1 basecase product.
 The fast paths (bfu, pipeline_sim) are always tested against these.
-numpy is imported only inside the functions that use it, never at module
-level, so the CLI's simulator commands start without paying for it.
+Each oracle is written once, over an int64 (256, batch) array with a
+column per polynomial, so verify checks a whole batch in one call;
+direct_ntt, direct_intt, schoolbook_negacyclic and reference_pwm are
+one-column calls of those bodies.  The oracles stay naive: no
+butterfly and no Montgomery arithmetic.  numpy is imported only inside
+the functions that use it, never at module level, so the CLI's
+simulator commands start without paying for it.
 
 Spectral order.  The one spectral domain, ``ntt-br``, is the NTT of
 FIPS 203 (ML-KEM) and FIPS 204 (ML-DSA): entry k (for Kyber, pair k of
@@ -20,6 +25,8 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,6 +41,9 @@ DOMAIN_NORMAL = "normal"
 DOMAIN_NTT_BR = "ntt-br"  # the FIPS 203/204 NTT order, as the core emits
 DOMAINS = (DOMAIN_NORMAL, DOMAIN_NTT_BR)
 
+# The array type code of a 32-bit unsigned word ("I" on every common ABI).
+_WORD = next(code for code in "IL" if array(code).itemsize == 4)
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -44,10 +54,7 @@ class Polynomial:
     domain: str = DOMAIN_NORMAL
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.domain not in DOMAINS:
-            raise ValueError(f"unknown domain {self.domain!r}")
+        _check_tags(self.scheme, self.domain)
         try:
             coeffs = tuple(map(operator.index, self.coeffs))
         except TypeError:
@@ -82,10 +89,47 @@ class Polynomial:
         return cls(tuple(coeffs), scheme, domain)
 
     @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...], scheme: str,
+                 domain: str) -> "Polynomial":
+        """A polynomial from values the caller built in [0, q) as Python
+        ints, under a valid scheme and domain: none of it is checked."""
+        a = object.__new__(cls)
+        object.__setattr__(a, "coeffs", coeffs)
+        object.__setattr__(a, "scheme", scheme)
+        object.__setattr__(a, "domain", domain)
+        return a
+
+    @classmethod
     def random(cls, scheme: str, rng: random.Random,
                domain: str = DOMAIN_NORMAL) -> "Polynomial":
+        """256 uniform coefficients, the values of 256 rng.randrange(q)
+        calls, leaving rng in the same state.
+
+        randrange(q) takes a word w from the Mersenne Twister, keeps
+        w >> (32 - k) for k = q.bit_length() and draws again while that is
+        not below q; getrandbits(32*m) returns the next m words, the first
+        in the lowest 32 bits.  Drawing as many words as values are still
+        missing never reads past the word of the 256th accepted value.
+        """
+        _check_tags(scheme, domain)
         q = SCHEMES[scheme].q
-        return cls(tuple(rng.randrange(q) for _ in range(N)), scheme, domain)
+        shift = 32 - q.bit_length()
+        out: list[int] = []
+        while len(out) < N:
+            need = N - len(out)
+            words = array(_WORD, rng.getrandbits(32 * need)
+                          .to_bytes(4 * need, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            out += [v for w in words if (v := w >> shift) < q]
+        return cls._trusted(tuple(out), scheme, domain)
+
+
+def _check_tags(scheme: str, domain: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if domain not in DOMAINS:
+        raise ValueError(f"unknown domain {domain!r}")
 
 
 def bit_reverse(i: int, width: int) -> int:
@@ -149,8 +193,30 @@ def basemul_zetas(p: ModulusParams) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Direct O(n^2) transforms.
+# The oracles.  Each is written once, over an int64 (256, batch) array with
+# a column per polynomial; the per-polynomial functions are one-column calls.
 # ---------------------------------------------------------------------------
+
+def as_columns(polys) -> np.ndarray:
+    """The polynomials' coefficients as an int64 (256, len(polys)) array,
+    a column per polynomial."""
+    import numpy as np
+    return np.array([a.coeffs for a in polys], np.int64).T
+
+
+def from_columns(cols: np.ndarray, scheme: str,
+                 domain: str) -> list[Polynomial]:
+    """One polynomial per column of an array whose entries are in [0, q)."""
+    return [Polynomial._trusted(tuple(c), scheme, domain)
+            for c in cols.T.tolist()]
+
+
+def _one_column(body, domain: str, p: ModulusParams, *polys) -> Polynomial:
+    """A column oracle applied to polynomials as one-column arrays."""
+    (out,) = from_columns(body(*(as_columns([a]) for a in polys), p),
+                          p.scheme, domain)
+    return out
+
 
 @lru_cache(maxsize=None)
 def _direct_matrices(p: ModulusParams) -> tuple[np.ndarray, np.ndarray]:
@@ -172,20 +238,31 @@ def _direct_matrices(p: ModulusParams) -> tuple[np.ndarray, np.ndarray]:
     return fwd, inv
 
 
-def _evaluate(a: Polynomial, p: ModulusParams, matrix: np.ndarray,
-              domains: tuple[str, str]) -> Polynomial:
-    """Apply matrix to each of the min_len interleaved coefficient
-    streams (two for Kyber, one for Dilithium), results interleaved in
-    place.  The input must be in domains[0]; the result is domains[1]."""
+def _evaluate(x: np.ndarray, p: ModulusParams,
+              matrix: np.ndarray) -> np.ndarray:
+    """Apply matrix to each of the min_len interleaved coefficient streams
+    (two for Kyber, one for Dilithium) of every column, results
+    interleaved in place: (256, batch) is read as (256/min_len,
+    min_len*batch), one matrix column per stream of a polynomial."""
+    streams = x.reshape(-1, p.min_len * x.shape[1])
+    return (matrix @ streams % p.q).reshape(x.shape)
+
+
+def direct_ntt_columns(x: np.ndarray, p: ModulusParams) -> np.ndarray:
+    """direct_ntt of every column of x."""
+    return _evaluate(x, p, _direct_matrices(p)[0])
+
+
+def direct_intt_columns(x: np.ndarray, p: ModulusParams) -> np.ndarray:
+    """direct_intt of every column of x."""
+    return _evaluate(x, p, _direct_matrices(p)[1])
+
+
+def _check_operand(a: Polynomial, p: ModulusParams, domain: str) -> None:
     if a.scheme != p.scheme:
         raise ValueError("polynomial/params scheme mismatch")
-    if a.domain != domains[0]:
-        raise ValueError(f"expected a {domains[0]!r} polynomial, "
-                         f"got {a.domain!r}")
-    import numpy as np
-    streams = np.array(a.coeffs, dtype=np.int64).reshape(-1, p.min_len)
-    return a.with_coeffs(((matrix @ streams) % p.q).ravel(),
-                         domain=domains[1])
+    if a.domain != domain:
+        raise ValueError(f"expected a {domain!r} polynomial, got {a.domain!r}")
 
 
 def direct_ntt(a: Polynomial, p: ModulusParams) -> Polynomial:
@@ -196,14 +273,27 @@ def direct_ntt(a: Polynomial, p: ModulusParams) -> Polynomial:
     applied independently to the even and odd coefficient streams,
     results interleaved in place.  This is FIPS 204's and FIPS 203's NTT.
     """
-    return _evaluate(a, p, _direct_matrices(p)[0],
-                     (DOMAIN_NORMAL, DOMAIN_NTT_BR))
+    _check_operand(a, p, DOMAIN_NORMAL)
+    return _one_column(direct_ntt_columns, DOMAIN_NTT_BR, p, a)
 
 
 def direct_intt(a: Polynomial, p: ModulusParams) -> Polynomial:
     """Inverse of direct_ntt, with the explicit n'**-1 scaling built in."""
-    return _evaluate(a, p, _direct_matrices(p)[1],
-                     (DOMAIN_NTT_BR, DOMAIN_NORMAL))
+    _check_operand(a, p, DOMAIN_NTT_BR)
+    return _one_column(direct_intt_columns, DOMAIN_NORMAL, p, a)
+
+
+def schoolbook_columns(x: np.ndarray, y: np.ndarray,
+                       p: ModulusParams) -> np.ndarray:
+    """schoolbook_negacyclic of every column pair of x and y."""
+    import numpy as np
+    out = np.empty_like(x)
+    for j in range(x.shape[1]):
+        # Largest term: 256 * (q-1)**2 < 2**54 for Dilithium: int64 is exact.
+        conv = np.convolve(x[:, j], y[:, j])
+        out[:, j] = conv[:N]
+        out[: N - 1, j] -= conv[N:]
+    return out % p.q
 
 
 def schoolbook_negacyclic(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -216,14 +306,7 @@ def schoolbook_negacyclic(a: Polynomial, b: Polynomial) -> Polynomial:
         raise ValueError("scheme mismatch")
     if a.domain != DOMAIN_NORMAL or b.domain != DOMAIN_NORMAL:
         raise ValueError("schoolbook multiplication needs normal-domain inputs")
-    import numpy as np
-    q = a.params.q
-    # Largest term: 256 * (q-1)**2 < 2**54 for Dilithium — int64 is exact.
-    conv = np.convolve(np.array(a.coeffs, dtype=np.int64),
-                       np.array(b.coeffs, dtype=np.int64))
-    out = conv[:N].copy()
-    out[: N - 1] -= conv[N:]
-    return a.with_coeffs(out % q)
+    return _one_column(schoolbook_columns, DOMAIN_NORMAL, a.params, a, b)
 
 
 def _schoolbook_slow(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -247,15 +330,39 @@ def kyber_basecase_ref(a_pair: tuple[int, int], b_pair: tuple[int, int],
     """Degree-1 product mod (X**2 - psi), Kyber's PWM basecase.
 
     res0 = a0*b0 + a1*b1*psi, res1 = a0*b1 + a1*b0.  Plain wide-integer
-    arithmetic; psi in the normal domain.
+    arithmetic; psi in the normal domain.  reference_pwm_columns states
+    the same formula over arrays.
     """
-    q = 3329
+    q = SCHEMES["kyber"].q
     a0, a1 = a_pair
     b0, b1 = b_pair
-    assert all(0 <= v < q for v in (a0, a1, b0, b1, psi))
+    if not all(0 <= v < q for v in (a0, a1, b0, b1, psi)):
+        raise ValueError(f"basecase operands must be in [0, {q})")
     res0 = (a0 * b0 + a1 * b1 % q * psi) % q
     res1 = (a0 * b1 + a1 * b0) % q
     return res0, res1
+
+
+@lru_cache(maxsize=None)
+def _basemul_psi(p: ModulusParams) -> np.ndarray:
+    """Kyber's pair roots psi_i = root**(2*bitrev7(i)+1) as a column."""
+    import numpy as np
+    return np.array([[pow(p.root, 2 * bit_reverse(i, p.layers) + 1, p.q)]
+                     for i in range(N // 2)], np.int64)
+
+
+def reference_pwm_columns(x: np.ndarray, y: np.ndarray,
+                          p: ModulusParams) -> np.ndarray:
+    """reference_pwm of every column pair of x and y."""
+    if p.scheme == "dilithium":
+        return x * y % p.q
+    import numpy as np
+    q, psi = p.q, _basemul_psi(p)
+    out = np.empty_like(x)
+    a0, a1, b0, b1 = x[0::2], x[1::2], y[0::2], y[1::2]
+    out[0::2] = (a0 * b0 + a1 * b1 % q * psi) % q
+    out[1::2] = (a0 * b1 + a1 * b0) % q
+    return out
 
 
 def reference_pwm(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -268,16 +375,4 @@ def reference_pwm(a: Polynomial, b: Polynomial) -> Polynomial:
         raise ValueError("operands must share a scheme")
     if a.domain != DOMAIN_NTT_BR or b.domain != DOMAIN_NTT_BR:
         raise ValueError("pointwise multiplication operates on spectral data")
-    p = a.params
-    if p.scheme == "dilithium":
-        out = [ai * bi % p.q for ai, bi in zip(a.coeffs, b.coeffs)]
-        return a.with_coeffs(out)
-    out = [0] * N
-    for i in range(128):
-        psi = pow(p.root, 2 * bit_reverse(i, 7) + 1, p.q)
-        out[2 * i], out[2 * i + 1] = kyber_basecase_ref(
-            (a.coeffs[2 * i], a.coeffs[2 * i + 1]),
-            (b.coeffs[2 * i], b.coeffs[2 * i + 1]),
-            psi,
-        )
-    return a.with_coeffs(out)
+    return _one_column(reference_pwm_columns, DOMAIN_NTT_BR, a.params, a, b)

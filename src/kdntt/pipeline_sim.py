@@ -67,7 +67,13 @@ from .core_arith import (
     mont_mul_array,
     to_mont,
 )
-from .ntt_reference import DOMAIN_NORMAL, DOMAIN_NTT_BR, Polynomial
+from .ntt_reference import (
+    DOMAIN_NORMAL,
+    DOMAIN_NTT_BR,
+    Polynomial,
+    as_columns,
+    from_columns,
+)
 from .bfu import (
     MODE_PWM0,
     MODE_PWM1,
@@ -331,7 +337,8 @@ def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
     plan, p, t, tw, report = _prepare(
         cfg, scheme, op, (a,), None if b is None else (b,), rom_override,
         allow_hazards)
-    out = a.with_coeffs(_execute(plan, p, t, tw, a, b), domain=_OPS[op][1])
+    out = Polynomial._trusted(tuple(_execute(plan, p, t, tw, a, b)), scheme,
+                              _OPS[op][1])
     return out, report
 
 
@@ -386,11 +393,10 @@ def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
     # operand set, as in _execute's list.
     vals = np.empty((n * (1 + (Bs is not None)) + t * sum(plan.writes),
                      batch), np.int64)
-    vals[:n] = np.array([a.coeffs for a in As], np.int64).T
+    vals[:n] = as_columns(As)
     pos = n
     if Bs is not None:
-        vals[n:2 * n] = mont_mul_array(
-            np.array([b.coeffs for b in Bs], np.int64).T, p.r2_mod_q, p)
+        vals[n:2 * n] = mont_mul_array(as_columns(Bs), p.r2_mod_q, p)
         pos = 2 * n
     tables = [np.array(table, np.int64) for table in tw]
     slots = np.arange(t)
@@ -430,9 +436,7 @@ def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
                 out[:, j] = mont_mul_array(mod_sub_array(x, y, q),
                                            tables[1][base + k][..., None], p)
     result = vals[(np.array(plan.out)[:, None] + slots).ravel()]
-    d_out = _OPS[op][1]
-    return [a.with_coeffs(c, domain=d_out)
-            for a, c in zip(As, result.T.tolist())], report
+    return from_columns(result, scheme, _OPS[op][1]), report
 
 
 def latency_model(cfg: CoreConfig, scheme: str, op: str) -> int:

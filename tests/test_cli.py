@@ -18,7 +18,7 @@ from kdntt.ntt_reference import (
     reference_pwm,
     schoolbook_negacyclic,
 )
-from kdntt.core_arith import KYBER
+from kdntt.core_arith import DILITHIUM
 
 RNG = random.Random(0xC11)
 SRC = str(Path(kdntt.__file__).resolve().parents[1])
@@ -223,14 +223,14 @@ def test_verify_runs_both_schemes_of_design(capsys):
 
 
 def test_verify_names_first_mismatching_coefficient(monkeypatch, capsys):
-    real = kdntt.cli.direct_ntt
+    real = kdntt.cli.direct_ntt_columns
 
-    def off_at_7(a, p):
-        f = real(a, p)
-        return f.with_coeffs(c if k != 7 else (c + 1) % p.q
-                             for k, c in enumerate(f.coeffs))
+    def off_at_7(x, p):
+        f = real(x, p)
+        f[7] = (f[7] + 1) % p.q
+        return f
 
-    monkeypatch.setattr(kdntt.cli, "direct_ntt", off_at_7)
+    monkeypatch.setattr(kdntt.cli, "direct_ntt_columns", off_at_7)
     assert main(["verify", "--design", "standalone-kyber",
                  "--trials", "1"]) == 1
     assert "forward transform mismatch at coefficient 7" in \
@@ -239,28 +239,67 @@ def test_verify_names_first_mismatching_coefficient(monkeypatch, capsys):
 
 def test_verify_names_the_global_trial_past_the_first_batch(monkeypatch,
                                                             capsys):
-    """Trials run in batches of VERIFY_BATCH; a product oracle wrong on
-    one call after the first batch must be reported under that trial's
-    own index, not its index within the batch."""
-    real = kdntt.cli.schoolbook_negacyclic
-    bad = VERIFY_BATCH + 3
-    calls = []
+    """Trials run in batches of VERIFY_BATCH; a product oracle wrong in one
+    column of a call after the first batch must be reported under that
+    trial's own index, not its column, also when the trial is alone in a
+    partial last batch."""
+    real = kdntt.cli.schoolbook_columns
+    for bad, trials in ((VERIFY_BATCH + 3, VERIFY_BATCH + 7),
+                        (VERIFY_BATCH, VERIFY_BATCH + 1)):
+        calls = []
 
-    def wrong_once(a, b):
-        c = real(a, b)
-        calls.append(None)
-        if len(calls) - 1 != bad:
+        def wrong_once(x, y, p, bad=bad, calls=calls):
+            c = real(x, y, p)
+            calls.append(x.shape[1])
+            if len(calls) - 1 == bad // VERIFY_BATCH:
+                c[5, bad % VERIFY_BATCH] = (c[5, bad % VERIFY_BATCH] + 1) % p.q
             return c
-        return c.with_coeffs(v if k != 5 else (v + 1) % KYBER.q
-                             for k, v in enumerate(c.coeffs))
 
-    monkeypatch.setattr(kdntt.cli, "schoolbook_negacyclic", wrong_once)
-    assert main(["verify", "--design", "d3", "--scheme", "kyber",
-                 "--trials", str(bad + 4), "--seed", "6"]) == 1
-    out = capsys.readouterr().out
-    assert out == (f"FAIL kyber trial {bad} (seed 6): "
-                   "product mismatch at coefficient 5\n")
-    assert len(calls) == bad + 1
+        monkeypatch.setattr(kdntt.cli, "schoolbook_columns", wrong_once)
+        assert main(["verify", "--design", "d3", "--scheme", "kyber",
+                     "--trials", str(trials), "--seed", "6"]) == 1
+        out = capsys.readouterr().out
+        assert out == (f"FAIL kyber trial {bad} (seed 6): "
+                       "product mismatch at coefficient 5\n")
+        assert calls == [VERIFY_BATCH, trials - VERIFY_BATCH]
+
+
+@pytest.mark.parametrize("trials, faults, want", [
+    # Trial 2's roundtrip and pointwise outputs are both wrong: the
+    # roundtrip is checked first, though its coefficient is the higher.
+    # Trial 3's earlier check and coefficient lose to the lower trial.
+    (4, [("intt", 2, 9), ("pwm", 2, 3), ("polymul", 3, 0)],
+     "FAIL dilithium trial 2 (seed 5): roundtrip mismatch at coefficient 9"),
+    # A fault in the partial last batch, which holds one trial.
+    (VERIFY_BATCH + 1, [("pwm", VERIFY_BATCH, 17)],
+     f"FAIL dilithium trial {VERIFY_BATCH} (seed 5): "
+     "pointwise mismatch at coefficient 17"),
+])
+def test_verify_reports_the_lowest_trial_then_the_first_check(
+        monkeypatch, capsys, trials, faults, want):
+    """Faults put into the core's outputs (op, trial, coefficient) are
+    reported as a trial-by-trial check reports them: the lowest failing
+    trial, then product, forward transform, roundtrip, pointwise."""
+    real = kdntt.cli.run_batch
+    batches = []
+
+    def faulty(cfg, scheme, op, As, Bs=None, rom_override=None):
+        outs, report = real(cfg, scheme, op, As, Bs,
+                            rom_override=rom_override)
+        if op == "polymul":  # the first call of each batch
+            batches.append(len(batches) * VERIFY_BATCH)
+        for f_op, trial, k in faults:
+            j = trial - batches[-1]
+            if f_op == op and 0 <= j < len(outs):
+                c = list(outs[j].coeffs)
+                c[k] = (c[k] + 1) % DILITHIUM.q
+                outs[j] = Polynomial(tuple(c), scheme, outs[j].domain)
+        return outs, report
+
+    monkeypatch.setattr(kdntt.cli, "run_batch", faulty)
+    assert main(["verify", "--design", "d1", "--scheme", "dilithium",
+                 "--trials", str(trials), "--seed", "5"]) == 1
+    assert capsys.readouterr().out == want + "\n"
 
 
 def test_verify_detects_corrupted_rom(tmp_path, capsys):

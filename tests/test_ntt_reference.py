@@ -2,6 +2,7 @@
 multiplication, the Kyber degree-1 basecase, and the FIPS 203/204
 evaluation points of the one spectral order."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,11 +13,16 @@ from kdntt.ntt_reference import (
     DOMAIN_NTT_BR,
     Polynomial,
     _schoolbook_slow,
+    as_columns,
     bit_reverse,
     direct_intt,
+    direct_intt_columns,
     direct_ntt,
+    direct_ntt_columns,
     kyber_basecase_ref,
     reference_pwm,
+    reference_pwm_columns,
+    schoolbook_columns,
     schoolbook_negacyclic,
 )
 
@@ -156,6 +162,64 @@ def test_kyber_basecase_examples():
         psi = RNG.randrange(1, q)
         want = ((a0 * b0 + a1 * b1 * psi) % q, (a0 * b1 + a1 * b0) % q)
         assert kyber_basecase_ref((a0, a1), (b0, b1), psi) == want
+    for args in (((q, 0), (1, 0), 17), ((0, 1), (0, -1), 17),
+                 ((1, 0), (1, 0), q)):
+        with pytest.raises(ValueError, match="basecase operands"):
+            kyber_basecase_ref(*args)
+
+
+def test_reference_pwm_is_the_kyber_basecase_pair_by_pair():
+    """reference_pwm's array expression and kyber_basecase_ref state one
+    formula twice; they agree on every pair of random spectra."""
+    for _ in range(10):
+        fa, fb = (Polynomial.random("kyber", RNG, DOMAIN_NTT_BR)
+                  for _ in range(2))
+        got = reference_pwm(fa, fb).coeffs
+        for i in range(128):
+            psi = pow(KYBER.root, 2 * bit_reverse(i, 7) + 1, KYBER.q)
+            assert got[2 * i: 2 * i + 2] == kyber_basecase_ref(
+                fa.coeffs[2 * i: 2 * i + 2], fb.coeffs[2 * i: 2 * i + 2], psi)
+
+
+def test_column_oracles_equal_per_polynomial_calls():
+    """A many-column call of each column oracle equals the per-polynomial
+    oracle on each column; the schoolbook also equals the pure-Python one."""
+    for scheme, p in SCHEMES.items():
+        As = [Polynomial.random(scheme, RNG) for _ in range(5)]
+        Bs = [Polynomial.random(scheme, RNG) for _ in range(5)]
+        a, b = as_columns(As), as_columns(Bs)
+        fa, fb = direct_ntt_columns(a, p), direct_ntt_columns(b, p)
+        prod, pw = schoolbook_columns(a, b, p), reference_pwm_columns(fa, fb, p)
+        back = direct_intt_columns(fa, p)
+        for j, (x, y) in enumerate(zip(As, Bs)):
+            fx, fy = direct_ntt(x, p), direct_ntt(y, p)
+            assert tuple(fa[:, j]) == fx.coeffs
+            assert tuple(back[:, j]) == x.coeffs
+            assert tuple(pw[:, j]) == reference_pwm(fx, fy).coeffs
+            assert tuple(prod[:, j]) == _schoolbook_slow(x, y).coeffs
+
+
+def test_random_draws_the_randrange_values_and_verify_trials_are_pinned():
+    """Polynomial.random returns the values of 256 rng.randrange(q) calls
+    and leaves rng where they leave it, so verify's trials are those of
+    the per-coefficient draw: for each scheme and trial i of seed 0, a
+    then b from random.Random(f"0/{scheme}/{i}"), hashed to the digest
+    that draw gave."""
+    for scheme, p in SCHEMES.items():
+        for seed in range(200):
+            fast, slow = random.Random(seed), random.Random(seed)
+            assert Polynomial.random(scheme, fast).coeffs == \
+                tuple(slow.randrange(p.q) for _ in range(256))
+            assert fast.random() == slow.random()
+    h = hashlib.sha256()
+    for scheme in ("kyber", "dilithium"):
+        for i in range(25):
+            rng = random.Random(f"0/{scheme}/{i}")
+            for _ in "ab":
+                coeffs = Polynomial.random(scheme, rng).coeffs
+                h.update(",".join(map(str, coeffs)).encode() + b";")
+    assert h.hexdigest() == \
+        "a5464f87bc00a497318c0fcf8a4efab833cab61c810c39038ca8bc8fdbe26ac6"
 
 
 def test_convolution_theorem_both_orders():

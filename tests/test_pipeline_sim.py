@@ -18,6 +18,7 @@ from kdntt.core_arith import SCHEMES
 from kdntt.ntt_reference import (
     DOMAIN_NTT_BR,
     Polynomial,
+    direct_intt,
     direct_ntt,
     reference_pwm,
     schoolbook_negacyclic,
@@ -321,6 +322,36 @@ def test_run_batch_equals_scalar_runs():
             _assert_batch_equals_scalar(cfg, scheme, rng, rom_override=off)
 
 
+def test_unchecked_outputs_are_python_ints_below_q():
+    """The simulator's and the oracles' outputs skip Polynomial's checks,
+    so each must already be what the checks would leave: a tuple of 256
+    Python ints (no numpy integers) in [0, q).  Operands include the
+    all-(q-1) polynomial, the largest every stage can see."""
+    cfg = CoreConfig.for_design("d3")
+    for scheme, p in SCHEMES.items():
+        top = Polynomial((p.q - 1,) * 256, scheme)
+        As = [Polynomial.random(scheme, RNG), top]
+        Bs = [top, Polynomial.random(scheme, RNG)]
+        fas = [direct_ntt(a, p) for a in As]
+        fbs = [direct_ntt(b, p) for b in Bs]
+        outs = [*As, *fas, *fbs, direct_intt(fas[0], p),
+                reference_pwm(fas[0], fbs[0]), reference_pwm(fas[1], fbs[1]),
+                schoolbook_negacyclic(As[0], Bs[0]),
+                schoolbook_negacyclic(As[1], Bs[1])]
+        for op, xs, ys in ((OP_NTT, As, None), (OP_INTT, fas, None),
+                           (OP_PWM, fas, fbs), (OP_POLYMUL, As, Bs)):
+            outs += run_batch(cfg, scheme, op, xs, ys)[0]
+            for k, x in enumerate(xs):
+                y = None if ys is None else ys[k]
+                outs.append((run_polymul(cfg, scheme, x, y) if op == OP_POLYMUL
+                             else run_op(cfg, scheme, op, x, y))[0])
+        assert len(outs) == 27
+        for out in outs:
+            assert type(out.coeffs) is tuple and len(out.coeffs) == 256
+            assert all(type(c) is int and 0 <= c < p.q for c in out.coeffs)
+            assert Polynomial(out.coeffs, out.scheme, out.domain) == out
+
+
 def test_run_batch_refuses_overdeep_depths(monkeypatch):
     """At depths d/2 + 1 and 2d the ntt plan has hazards, and run_batch
     refuses it with the scalar drivers' RuntimeError before any
@@ -505,8 +536,9 @@ def test_depth_and_bit_width_checks_survive_python_O():
     1, a non-integer core pipeline depth (7.5, or a bool), a
     pack_word value wider than its slot, a unified step whose
     parameters are not its scheme's, a shared adder whose mode is not
-    its parameters' scheme or whose op is neither add nor sub, and an
-    unknown multiplier mode, each rejected under -O."""
+    its parameters' scheme or whose op is neither add nor sub, an
+    unknown multiplier mode, and a Kyber basecase operand not below q,
+    each rejected under -O."""
     src = str(Path(kdntt.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-c",
@@ -517,7 +549,7 @@ def test_depth_and_bit_width_checks_survive_python_O():
          "from kdntt.core_arith import DILITHIUM_SINGLE, KYBER_PAIR, "
          "pack_lanes\n"
          "from kdntt.memory_map import pack_word\n"
-         "from kdntt.ntt_reference import bit_reverse\n"
+         "from kdntt.ntt_reference import bit_reverse, kyber_basecase_ref\n"
          "lanes = (BfuIo(1, 2, 3), BfuIo(4, 5, 6))\n"
          "for f in (lambda: bit_reverse(300, 8),\n"
          "          lambda: check_conflict_free(generate_addresses(0, 8), 0),\n"
@@ -530,7 +562,8 @@ def test_depth_and_bit_width_checks_survive_python_O():
          "pack_lanes(1000, 1000), KYBER_PAIR, 'add', DILITHIUM),\n"
          "          lambda: shared_add_sub(0, 0, DILITHIUM_SINGLE, 'xor', "
          "DILITHIUM),\n"
-         "          lambda: dual_lane_mult(5, 7, 'bogus')):\n"
+         "          lambda: dual_lane_mult(5, 7, 'bogus'),\n"
+         "          lambda: kyber_basecase_ref((3329, 0), (1, 0), 17)):\n"
          "    try:\n"
          "        print('accepted:', f())\n"
          "    except ValueError as e:\n"
@@ -539,7 +572,7 @@ def test_depth_and_bit_width_checks_survive_python_O():
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 9 and all(ln.startswith("rejected:")
+    assert len(lines) == 10 and all(ln.startswith("rejected:")
                                    for ln in lines), proc.stdout
 
 
