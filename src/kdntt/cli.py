@@ -26,9 +26,9 @@ from .ntt_reference import (
     DOMAIN_NTT_BR,
     DOMAINS,
     Polynomial,
+    _from_columns,
     as_columns,
     direct_ntt_columns,
-    from_columns,
     reference_pwm_columns,
     schoolbook_columns,
 )
@@ -245,7 +245,7 @@ def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
         a, b, fa = as_columns(As), as_columns(Bs), as_columns(fas)
         fb = direct_ntt_columns(b, p)
         pws, _ = run_batch(cfg, scheme, OP_PWM, fas,
-                           from_columns(fb, scheme, DOMAIN_NTT_BR),
+                           _from_columns(fb, scheme, DOMAIN_NTT_BR),
                            rom_override=override)
         checks = (
             ("product", as_columns(prods), schoolbook_columns(a, b, p)),

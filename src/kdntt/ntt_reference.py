@@ -41,10 +41,6 @@ DOMAIN_NORMAL = "normal"
 DOMAIN_NTT_BR = "ntt-br"  # the FIPS 203/204 NTT order, as the core emits
 DOMAINS = (DOMAIN_NORMAL, DOMAIN_NTT_BR)
 
-# The array type code of a 32-bit unsigned word ("I" on every common ABI).
-_WORD = next(code for code in "IL" if array(code).itemsize == 4)
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """A length-256 coefficient vector tagged with scheme and ordering."""
@@ -108,7 +104,8 @@ class Polynomial:
         randrange(q) takes a word w from the Mersenne Twister, keeps
         w >> (32 - k) for k = q.bit_length() and draws again while that is
         not below q; getrandbits(32*m) returns the next m words, the first
-        in the lowest 32 bits.  Drawing as many words as values are still
+        in the lowest 32 bits, and array("I") reads them back as 32-bit
+        words.  Drawing as many words as values are still
         missing never reads past the word of the 256th accepted value.
         """
         _check_tags(scheme, domain)
@@ -117,7 +114,7 @@ class Polynomial:
         out: list[int] = []
         while len(out) < N:
             need = N - len(out)
-            words = array(_WORD, rng.getrandbits(32 * need)
+            words = array("I", rng.getrandbits(32 * need)
                           .to_bytes(4 * need, "little"))
             if sys.byteorder == "big":
                 words.byteswap()
@@ -204,7 +201,7 @@ def as_columns(polys) -> np.ndarray:
     return np.array([a.coeffs for a in polys], np.int64).T
 
 
-def from_columns(cols: np.ndarray, scheme: str,
+def _from_columns(cols: np.ndarray, scheme: str,
                  domain: str) -> list[Polynomial]:
     """One polynomial per column of an array whose entries are in [0, q)."""
     return [Polynomial._trusted(tuple(c), scheme, domain)
@@ -213,7 +210,7 @@ def from_columns(cols: np.ndarray, scheme: str,
 
 def _one_column(body, domain: str, p: ModulusParams, *polys) -> Polynomial:
     """A column oracle applied to polynomials as one-column arrays."""
-    (out,) = from_columns(body(*(as_columns([a]) for a in polys), p),
+    (out,) = _from_columns(body(*(as_columns([a]) for a in polys), p),
                           p.scheme, domain)
     return out
 

@@ -71,8 +71,8 @@ from .ntt_reference import (
     DOMAIN_NORMAL,
     DOMAIN_NTT_BR,
     Polynomial,
+    _from_columns,
     as_columns,
-    from_columns,
 )
 from .bfu import (
     MODE_PWM0,
@@ -436,7 +436,7 @@ def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
                 out[:, j] = mont_mul_array(mod_sub_array(x, y, q),
                                            tables[1][base + k][..., None], p)
     result = vals[(np.array(plan.out)[:, None] + slots).ravel()]
-    return from_columns(result, scheme, _OPS[op][1]), report
+    return _from_columns(result, scheme, _OPS[op][1]), report
 
 
 def latency_model(cfg: CoreConfig, scheme: str, op: str) -> int:

@@ -242,10 +242,14 @@ def test_verify_names_the_global_trial_past_the_first_batch(monkeypatch,
     """Trials run in batches of VERIFY_BATCH; a product oracle wrong in one
     column of a call after the first batch must be reported under that
     trial's own index, not its column, also when the trial is alone in a
-    partial last batch."""
+    partial last batch.  The oracle must see each batch up to the failing
+    one and no batch after it."""
     real = kdntt.cli.schoolbook_columns
-    for bad, trials in ((VERIFY_BATCH + 3, VERIFY_BATCH + 7),
-                        (VERIFY_BATCH, VERIFY_BATCH + 1)):
+    for bad, trials, widths in (
+            (VERIFY_BATCH + 3, VERIFY_BATCH + 7, [VERIFY_BATCH, 7]),
+            (VERIFY_BATCH, VERIFY_BATCH + 1, [VERIFY_BATCH, 1]),
+            (VERIFY_BATCH + 3, 2 * VERIFY_BATCH + 7,
+             [VERIFY_BATCH, VERIFY_BATCH])):
         calls = []
 
         def wrong_once(x, y, p, bad=bad, calls=calls):
@@ -261,7 +265,7 @@ def test_verify_names_the_global_trial_past_the_first_batch(monkeypatch,
         out = capsys.readouterr().out
         assert out == (f"FAIL kyber trial {bad} (seed 6): "
                        "product mismatch at coefficient 5\n")
-        assert calls == [VERIFY_BATCH, trials - VERIFY_BATCH]
+        assert calls == widths
 
 
 def test_verify_reports_the_lowest_trial_then_the_first_check(monkeypatch,
