@@ -74,7 +74,8 @@ class MemoryGeometry:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         # A word holds a shortest butterfly, and a region d >= 2 rows.
         lo = SCHEMES[self.scheme].min_len
-        if self.t & (self.t - 1) or not lo <= self.t <= N // 4:
+        if (not isinstance(self.t, int) or isinstance(self.t, bool)
+                or self.t & (self.t - 1) or not lo <= self.t <= N // 4):
             raise ValueError(f"lane count must be a power of two in "
                              f"[{lo}, {N // 4}] for {self.scheme}")
 
@@ -413,8 +414,8 @@ def build_twiddle_rom(scheme: str) -> TwiddleRom:
 def run_stages(m: BankMemory, stages, region: int, ids) -> list:
     """Run stages on m, one tick per entry, writing the next ids from ids:
     the one replay of any phase, and the only reader of its addresses
-    and flags.  Returns, per stage, the ids its cycles read (in pairs),
-    each pair's twiddle index and the number of words the stage wrote.
+    and flags.  Returns, per stage, the ids its cycles read (in pairs)
+    and each pair's twiddle index.
 
     A transform cycle reads both rows of region, orders them (low, high)
     by read_swap, and writes two ids back, the low one's routed by
@@ -424,7 +425,7 @@ def run_stages(m: BankMemory, stages, region: int, ids) -> list:
     read_swap is set, and its last writes the product over a."""
     record = []
     for stage in stages:
-        reads, tws, writes = [], [], 0
+        reads, tws = [], []
         per_word = len(stage.entries) // (2 * m.d)
         for i, e in enumerate(stage.entries):
             if stage.kind == "pwm":
@@ -435,7 +436,6 @@ def run_stages(m: BankMemory, stages, region: int, ids) -> list:
                     tws.append(e.tw_index)
                 if i % per_word == per_word - 1:
                     m.write(0, role, e.addr_a, next(ids))
-                    writes += 1
             else:
                 lo = m.read(region, BANK_A, e.addr_a)
                 hi = m.read(region, BANK_B, e.addr_b)
@@ -446,9 +446,8 @@ def run_stages(m: BankMemory, stages, region: int, ids) -> list:
                     lo, hi = hi, lo
                 m.write(region, BANK_A, e.addr_a, lo)
                 m.write(region, BANK_B, e.addr_b, hi)
-                writes += 2
             m.tick()
-        record.append((reads, tws, writes))
+        record.append((reads, tws))
     return record
 
 
@@ -478,7 +477,7 @@ def enumerate_stage_pairs(ch: int, stages):
     m.load(0, start(d), range(2 * d))
     words = list(range(2 * d))  # the word each id carries
     out = []
-    for reads, _tws, _writes in run_stages(m, stages, 0, count(2 * d)):
+    for reads, _tws in run_stages(m, stages, 0, count(2 * d)):
         out.append([])
         for lo, hi in zip(reads[0::2], reads[1::2]):
             out[-1].append((words[lo], words[hi]))
@@ -606,6 +605,8 @@ def estimate_bram_usage(design: str) -> BramEstimate:
     serving every scheme; separate-bank designs one set per scheme.  ROM
     depths are the lengths of the images build_rom_images emits.
     """
+    if design not in DESIGNS:
+        raise ValueError(f"unknown design {design!r}")
     dg = DESIGNS[design]
     tw = _twiddle_regions(dg)
     groups = ([("", dg.schemes)] if dg.shared_banks
@@ -648,6 +649,8 @@ def build_rom_images(design: str) -> dict:
     image holds each scheme's program entries, one per word (see
     _addr_fields).
     """
+    if design not in DESIGNS:
+        raise ValueError(f"unknown design {design!r}")
     dg = DESIGNS[design]
     width = dg.bank_width
     manifest: dict[str, object] = {

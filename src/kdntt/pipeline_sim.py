@@ -1,20 +1,21 @@
 """Cycle-accurate execution of transforms and products on a configured core.
 
-An op runs in two steps.  The compile step, once per (geometry,
-pipeline depth, op), replays the op's program through
-memory_map.run_stages on a BankMemory whose rows hold word ids instead
-of words, each written word taking a fresh id, and builds the plan from
-the replay's record: per stage, the ids its cycles read, their twiddle
-bases and the words it wrote.  The bank memory delays each write by
-pipeline_depth cycles and records a read of a row whose write is still
-in flight as a hazard; the read sees the stale id, as the hardware
-would see the stale word.  No address, routing flag or landing cycle
-depends on the data, so the plan, the cycle counts and the hazards are
-all fixed by those three.  The execute step then runs only arithmetic:
-it walks the plan over a list of coefficients, one loop for every
-transform stage, word-pairing and in-word alike, with only the stage's
-butterfly list differing.  Operands are addressed by region (a in 0, b
-in 1); the bank memory alone decides where a region sits.
+An op runs in two steps.  The compile step, once per (geometry, pipeline
+depth, op), replays the op's program through memory_map.run_stages on a
+BankMemory whose rows hold word ids instead of words, each written word
+taking a fresh id.  The bank memory delays each write by pipeline_depth
+cycles and records a read of a row whose write is still in flight as a
+hazard; the read sees the stale id, as the hardware would see the stale
+word.  No address, routing flag or landing cycle depends on the data, so
+the plan, the cycle counts and the hazards are all fixed by those three.
+The plan is the replay's record compiled down to operand positions:
+every value the op computes has a position in one list (a's
+coefficients, b's, then each stage's outputs in order), and a stage
+lists each butterfly's or product's two operand positions and twiddle
+index.  Only _compile knows how a word's t slots are laid out and which
+slots a butterfly pairs.  The execute step then runs only arithmetic,
+one loop per stage kind.  Operands are addressed by region (a in 0, b in
+1); the bank memory alone decides where a region sits.
 
 Two drivers execute a plan, after one shared prologue (_prepare: the
 operand, scheme, domain and rom_override checks, the plan lookup and
@@ -31,7 +32,8 @@ making the scalar primitives accept arrays slowed run_polymul by 8-25%.
 So the two share the plan and the checks but no arithmetic.
 Stage-at-a-time execution is exact because no stage reads a word that
 the same stage writes (a conflict-free program reads each row once per
-stage); _compile checks this on every plan it builds.
+stage), so every operand position lies below the stage's outputs;
+_compile checks this on every plan it builds.
 
 Latency accounting follows the convention of the published cycle
 counts: busy_cycles counts issued butterfly/product cycles only
@@ -165,13 +167,13 @@ class SimReport:
         ]) + "\n"
 
 
-def _butterflies(kind: str, span: int, t: int):
+def _butterflies(stage, t: int):
     """A stage's (lo slot, hi slot, twiddle offset) list over the 2t slots
     of a cycle's two words.  A mirror stage pairs slot s of the low word
     with slot s of the high one under one twiddle; an in-word stage of
     length L pairs slots inside each block of 2L, one twiddle per block
     counted across both words."""
-    ell = t if kind == "mirror" else span
+    ell = t if stage.kind == "mirror" else stage.span
     return [(i, i + ell, i // (2 * ell))
             for i in range(2 * t) if i % (2 * ell) < ell]
 
@@ -191,21 +193,24 @@ def _layout(domain: str, d: int):
 
 
 class _Plan(NamedTuple):
-    # Per stage: (phase, butterfly list or None for pwm, the word
-    # offsets its cycles read, in pairs, and each read's twiddle base).
-    stages: tuple[tuple[str, list | None, array, array], ...]
-    writes: tuple[int, ...]  # words each stage writes, in id order
+    # Per stage: (phase, xs, ys, ws): the positions of each butterfly's
+    # or product's two operands in the op's value list and its twiddle
+    # index (a Kyber pair's two products share one psi index).
+    stages: tuple[tuple[str, array, array, array], ...]
+    size: int                # values the op computes, inputs included
     busy: int
     fill_drain: int
     hazards: tuple[Hazard, ...]
-    out: tuple[int, ...]     # region 0's word offsets, in word order
+    out: array               # the result's 256 positions, in order
 
 
 @lru_cache(maxsize=64)  # all 32 shipped (design, scheme, op), twice
 def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
     """The op's phases run on banks holding word ids: a's word w is id w,
     b's (for pwm and polymul) id 2d + w, and each written word takes the
-    next id, so _execute keeps every word in one list in id order."""
+    next id.  words[i] holds where word id i's t slots sit in the value
+    list: a's coefficients first, then b's, then every output in the
+    order the stages, cycles and butterflies (or products) produce it."""
     t, d = geom.t, geom.d
     d_in, d_out, phases = _OPS[op]
     with_b = OP_PWM in phases
@@ -214,9 +219,10 @@ def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
     m.load(0, _layout(d_in, d), range(2 * d))
     if with_b:
         m.load(1, _layout(d_in, d), range(2 * d, 4 * d))
-    first = 2 * d * (1 + with_b)
-    ids = count(first)
-    stages, writes = [], []
+    words = [range(t * i, t * i + t) for i in range(2 * d * (1 + with_b))]
+    size = t * len(words)
+    ids = count(len(words))
+    stages = []
     busy = fill_drain = 0
     for phase in phases:
         program = getattr(prog, phase)
@@ -229,58 +235,64 @@ def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
             record += run_stages(m, program, 1, ids)
             program *= 2
         fill_drain += m.drain()
-        for stage, (reads, tws, w) in zip(program, record):
+        for stage, (reads, tws) in zip(program, record):
             # run_batch computes a whole stage before the next one, so no
-            # stage may read a word the same stage writes (a conflict-free
-            # program reads each row once per stage, and a stale read sees
-            # an older id).
-            if max(reads) >= first:
+            # stage may read a word it writes (a conflict-free program
+            # reads each row once per stage; a stale read sees an older id).
+            if max(reads) >= len(words):
                 raise RuntimeError(f"a {op} stage reads a word it writes")
-            first += w
-            stages.append((phase, None if stage.kind == "pwm"
-                           else _butterflies(stage.kind, stage.span, t),
-                           array("I", [t * i for i in reads]),
-                           array("I", tws)))
-            writes.append(w)
-    out = tuple(t * i for i in m.extract(_layout(d_out, d)))
-    return _Plan(tuple(stages), tuple(writes), busy, fill_drain,
-                 tuple(m.hazards), out)
+            xs, ys, ws = array("I"), array("I"), array("I")
+            pairs = iter(reads)
+            bfly = None if stage.kind == "pwm" else _butterflies(stage, t)
+            for lo, hi, tw in zip(pairs, pairs, tws):
+                if bfly is None:
+                    xs.extend(words[lo])
+                    ys.extend(words[hi])
+                    if geom.scheme == "kyber":  # slots 2k, 2k + 1: pair k
+                        ws.extend(range(tw, tw + t // 2))
+                    words.append(range(size, size + t))
+                    size += t
+                    continue
+                slots = [*words[lo], *words[hi]]
+                for i, j, k in bfly:
+                    xs.append(slots[i])
+                    ys.append(slots[j])
+                    ws.append(tw + k)
+                    slots[i], slots[j] = size, size + 1
+                    size += 2
+                words += slots[:t], slots[t:]  # the low id, then the high
+            stages.append((phase, xs, ys, ws))
+    out = array("I", [s for i in m.extract(_layout(d_out, d))
+                      for s in words[i]])
+    return _Plan(tuple(stages), size, busy, fill_drain, tuple(m.hazards), out)
 
 
-def _execute(plan: _Plan, p: ModulusParams, t: int, tw, a: Polynomial,
+def _execute(plan: _Plan, p: ModulusParams, tw, a: Polynomial,
              b: Polynomial | None) -> list[int]:
-    """The plan's arithmetic over one list of words in id order, word
-    id i being vals[t*i: t*i + t].  The butterflies are looked up by
-    name on every call, so a replaced module function is what runs."""
+    """The plan's arithmetic over one list of values, each output
+    appended as it is computed.  The butterflies are looked up by name
+    on every call, so a replaced module function is what runs."""
     vals = list(a.coeffs)
     if b is not None:
         vals += [to_mont(v, p) for v in b.coeffs]
-    for phase, bfly, reads, bases in plan.stages:
-        pairs = iter(reads)
+    for phase, xs, ys, ws in plan.stages:
         if phase == OP_PWM and p.scheme == "kyber":
-            for i, j, base in zip(pairs, pairs, bases):
-                x, y = vals[i: i + t], vals[j: j + t]
-                carries = [kyber_pwm_pair(MODE_PWM0, (x[k], x[k + 1]),
-                                          (y[k], y[k + 1]), 0, p)
-                           for k in range(0, t, 2)]
-                for k, carry in enumerate(carries):
-                    vals += kyber_pwm_pair(MODE_PWM1, (0, 0), (0, 0),
-                                           tw[2][base + k], p,
-                                           carry_state=carry)
+            for x0, x1, y0, y1, w in zip(xs[0::2], xs[1::2], ys[0::2],
+                                         ys[1::2], ws):
+                carry = kyber_pwm_pair(MODE_PWM0, (vals[x0], vals[x1]),
+                                       (vals[y0], vals[y1]), 0, p)
+                vals += kyber_pwm_pair(MODE_PWM1, (0, 0), (0, 0), tw[2][w],
+                                       p, carry_state=carry)
         elif phase == OP_PWM:
-            for i, j in zip(pairs, pairs):
-                vals += [dilithium_pwm(u, v, p)
-                         for u, v in zip(vals[i: i + t], vals[j: j + t])]
+            for x, y in zip(xs, ys):
+                vals.append(dilithium_pwm(vals[x], vals[y], p))
         else:
             forward = phase == OP_NTT
             table = tw[0] if forward else tw[1]
             step = ct_butterfly if forward else gs_butterfly_halving
-            for lo, hi, base in zip(pairs, pairs, bases):
-                x = vals[lo: lo + t] + vals[hi: hi + t]
-                for i, j, k in bfly:
-                    x[i], x[j] = step(x[i], x[j], table[base + k], p)
-                vals += x
-    return [c for i in plan.out for c in vals[i: i + t]]
+            for x, y, w in zip(xs, ys, ws):
+                vals += step(vals[x], vals[y], table[w], p)
+    return [vals[i] for i in plan.out]
 
 
 def _prepare(cfg: CoreConfig, scheme: str, op: str, As, Bs, rom_override,
@@ -289,7 +301,7 @@ def _prepare(cfg: CoreConfig, scheme: str, op: str, As, Bs, rom_override,
     for an op with pwm, paired by position), take the op's plan for this
     geometry and depth (compiled on first use) and refuse a hazardous
     one, all before any arithmetic runs.  Returns the plan, the scheme's
-    parameters, the words' width t, the twiddle tables and the report."""
+    parameters, the twiddle tables and the report."""
     if op not in _OPS:
         raise ValueError(f"unknown op {op!r}")
     if scheme not in cfg.schemes:
@@ -324,7 +336,7 @@ def _prepare(cfg: CoreConfig, scheme: str, op: str, As, Bs, rom_override,
         raise RuntimeError(
             f"memory hazard at cycle {h.cycle}: bank {h.bank} row {h.row} "
             f"read before its write lands at {h.lands_at}")
-    return plan, p, geom.t, tw, SimReport(
+    return plan, p, tw, SimReport(
         op=op, scheme=scheme, busy_cycles=plan.busy,
         fill_drain_cycles=plan.fill_drain, hazards=plan.hazards,
         bram_estimate=estimate_bram_usage(cfg.design).total_units)
@@ -334,10 +346,10 @@ def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
          b: Polynomial | None, rom_override,
          allow_hazards: bool) -> tuple[Polynomial, SimReport]:
     """One operand set through _prepare and the scalar executor."""
-    plan, p, t, tw, report = _prepare(
+    plan, p, tw, report = _prepare(
         cfg, scheme, op, (a,), None if b is None else (b,), rom_override,
         allow_hazards)
-    out = Polynomial._trusted(tuple(_execute(plan, p, t, tw, a, b)), scheme,
+    out = Polynomial._trusted(tuple(_execute(plan, p, tw, a, b)), scheme,
                               _OPS[op][1])
     return out, report
 
@@ -386,56 +398,44 @@ def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
     """
     import numpy as np
 
-    plan, p, t, tw, report = _prepare(cfg, scheme, op, As, Bs, rom_override,
-                                      False)
-    q, n, batch = p.q, len(As[0].coeffs), len(As)
-    # Word id i is rows t*i .. t*i + t - 1 of vals, one column per
-    # operand set, as in _execute's list.
-    vals = np.empty((n * (1 + (Bs is not None)) + t * sum(plan.writes),
-                     batch), np.int64)
+    plan, p, tw, report = _prepare(cfg, scheme, op, As, Bs, rom_override,
+                                   False)
+    q, n = p.q, len(As[0].coeffs)
+    # Row i of vals is position i of _execute's list, one column per
+    # operand set; each stage fills the next block of rows.
+    vals = np.empty((plan.size, len(As)), np.int64)
     vals[:n] = as_columns(As)
-    pos = n
     if Bs is not None:
         vals[n:2 * n] = mont_mul_array(as_columns(Bs), p.r2_mod_q, p)
-        pos = 2 * n
+    pos = n if Bs is None else 2 * n
     tables = [np.array(table, np.int64) for table in tw]
-    slots = np.arange(t)
-    for (phase, bfly, reads, bases), w in zip(plan.stages, plan.writes):
-        offsets = np.frombuffer(reads, np.uintc)
-        lo, hi = offsets[0::2, None], offsets[1::2, None]
-        base = np.frombuffer(bases, np.uintc)[:, None]
-        out = vals[pos: pos + t * w]
-        pos += t * w
-        if bfly is None and p.scheme == "kyber":
-            # PWM0 then PWM1 of kyber_pwm_pair on every coefficient pair
-            # (slots 2k, 2k + 1), psi from basemul entry base + k.
-            ev = slots[0::2]
-            a0, a1 = vals[lo + ev], vals[lo + ev + 1]
-            b0, b1 = vals[hi + ev], vals[hi + ev + 1]
-            psi = tables[2][base + ev // 2][..., None]
+    for phase, xs, ys, ws in plan.stages:
+        x = vals[np.frombuffer(xs, np.uintc)]
+        y = vals[np.frombuffer(ys, np.uintc)]
+        w = np.frombuffer(ws, np.uintc)
+        # A product has one output, a butterfly two.
+        out = vals[pos: pos + len(xs) * (1 + (phase != OP_PWM))]
+        pos += len(out)
+        if phase == OP_PWM and p.scheme == "kyber":
+            # PWM0 then PWM1 of kyber_pwm_pair on every coefficient pair.
+            a0, a1, b0, b1 = x[0::2], x[1::2], y[0::2], y[1::2]
             m00, m11 = mont_mul_array(a0, b0, p), mont_mul_array(a1, b1, p)
             msum = mont_mul_array(mod_add_array(a0, a1, q),
                                   mod_add_array(b0, b1, q), p)
-            out = out.reshape(-1, t // 2, 2, batch)
-            out[:, :, 0] = mod_add_array(m00, mont_mul_array(psi, m11, p), q)
-            out[:, :, 1] = mod_sub_array(mod_sub_array(msum, m00, q), m11, q)
-        elif bfly is None:
-            out.reshape(-1, t, batch)[:] = mont_mul_array(
-                vals[lo + slots], vals[hi + slots], p)
+            out[0::2] = mod_add_array(
+                m00, mont_mul_array(tables[2][w, None], m11, p), q)
+            out[1::2] = mod_sub_array(mod_sub_array(msum, m00, q), m11, q)
+        elif phase == OP_PWM:
+            out[:] = mont_mul_array(x, y, p)
+        elif phase == OP_NTT:
+            m = mont_mul_array(y, tables[0][w, None], p)
+            out[0::2] = mod_add_array(x, m, q)
+            out[1::2] = mod_sub_array(x, m, q)
         else:
-            words_in = np.concatenate((lo + slots, hi + slots), axis=1)
-            i, j, k = np.array(bfly).T
-            x, y = vals[words_in[:, i]], vals[words_in[:, j]]
-            out = out.reshape(-1, 2 * t, batch)
-            if phase == OP_NTT:
-                m = mont_mul_array(y, tables[0][base + k][..., None], p)
-                out[:, i] = mod_add_array(x, m, q)
-                out[:, j] = mod_sub_array(x, m, q)
-            else:
-                out[:, i] = mod_add_half_array(x, y, q)
-                out[:, j] = mont_mul_array(mod_sub_array(x, y, q),
-                                           tables[1][base + k][..., None], p)
-    result = vals[(np.array(plan.out)[:, None] + slots).ravel()]
+            out[0::2] = mod_add_half_array(x, y, q)
+            out[1::2] = mont_mul_array(mod_sub_array(x, y, q),
+                                       tables[1][w, None], p)
+    result = vals[np.frombuffer(plan.out, np.uintc)]
     return _from_columns(result, scheme, _OPS[op][1]), report
 
 

@@ -1,7 +1,8 @@
 """Every name a kdntt module imports is used by that module, every
 parameter a kdntt function takes is read by it, every name in
-kdntt.__all__ exists, the modules' top-level imports form no cycle, and
-only memory_map reads a program's bank addresses and routing flags.
+kdntt.__all__ exists, the modules' top-level imports form no cycle,
+only memory_map reads a program's bank addresses and routing flags, and
+only pipeline_sim's compile step reads a word width.
 
 No linter ships with the project, so this stdlib-ast check stands in
 for one.  __init__ is skipped: its imports are the package's re-exports.
@@ -140,3 +141,24 @@ def test_only_memory_map_touches_the_banks():
         if path.name != "memory_map.py":
             found = _bank_access(path.read_text(encoding="utf-8"))
             assert not found, f"{path.name}: reads the banks {found}"
+
+
+def test_only_compile_knows_the_word_width():
+    # _compile lays each word's t slots out as operand positions; a word
+    # width read anywhere else in pipeline_sim would be a second copy of
+    # that layout, and the executors read positions only
+    tree = ast.parse((Path(kdntt.__file__).parent / "pipeline_sim.py")
+                     .read_text(encoding="utf-8"))
+    funcs = {n.name: n for n in ast.walk(tree)
+             if isinstance(n, ast.FunctionDef)}
+
+    def width_reads(node):
+        return {n.lineno for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr == "t"}
+
+    assert width_reads(funcs["_compile"])
+    assert width_reads(tree) == width_reads(funcs["_compile"])
+    for name in ("_execute", "run_batch"):
+        args = funcs[name].args
+        assert "t" not in [a.arg for a in (*args.posonlyargs, *args.args,
+                                           *args.kwonlyargs)], name

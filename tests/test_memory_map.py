@@ -367,6 +367,8 @@ def test_bram_totals_and_splits():
     sd = {m.label: m for m in estimate_bram_usage("standalone-dilithium").memories}
     assert sd["dilithium address rom"].units == 1.0  # 2304 x 16 = exactly 36Kb
     assert sd["dilithium address rom"].depth == 2304
+    with pytest.raises(ValueError, match="unknown design 'bogus'"):
+        estimate_bram_usage("bogus")
 
 
 def test_bram_unified_vs_separate_memory_sets():
@@ -398,6 +400,8 @@ def test_build_rom_images_deterministic_and_consistent():
         assert man["addr_words"] == len(im1["addr"][0])
         tw_lines, tw_width = im1["twiddle"]
         assert all(len(ln) == math.ceil(tw_width / 4) for ln in tw_lines)
+    with pytest.raises(ValueError, match="unknown design 'bogus'"):
+        build_rom_images("bogus")
 
 
 def test_rom_image_twiddles_parse_back():
@@ -459,6 +463,6 @@ def test_memory_geometry_validation():
     for scheme, lo in (("kyber", 2), ("dilithium", 1)):
         assert MemoryGeometry(scheme, lo).d == 128 // lo
         assert MemoryGeometry(scheme, 64).d == 2
-        for t in (lo // 2, 128, -2):
+        for t in (lo // 2, 128, -2, True, 2.0):
             with pytest.raises(ValueError, match="lane count"):
                 MemoryGeometry(scheme, t)

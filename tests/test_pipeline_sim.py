@@ -199,6 +199,29 @@ def test_executor_looks_butterflies_up_at_call_time(monkeypatch):
         monkeypatch.undo()
 
 
+def test_plan_positions_are_well_formed():
+    """The plan both executors read, for every shipped (design, scheme,
+    op) at its shipped depth: a stage reads only positions below its own
+    outputs (what lets run_batch compute it at once), the value list
+    holds the inputs plus two outputs per butterfly and one per product,
+    and the result is 256 distinct positions in it."""
+    import kdntt.pipeline_sim as ps
+    plans = 0
+    for design, dg in DESIGNS.items():
+        for scheme in dg.schemes:
+            for op in (OP_NTT, OP_INTT, OP_PWM, OP_POLYMUL):
+                plan = ps._compile(dg.geometry(scheme), dg.pipeline_depth, op)
+                first = 256 * (1 + (op in (OP_PWM, OP_POLYMUL)))
+                for phase, xs, ys, _ws in plan.stages:
+                    assert len(xs) == len(ys) and max(*xs, *ys) < first, \
+                        (design, scheme, op)
+                    first += len(xs) * (1 if phase == OP_PWM else 2)
+                assert plan.size == first, (design, scheme, op)
+                assert len(set(plan.out)) == 256 and max(plan.out) < first
+                plans += 1
+    assert plans == 32
+
+
 def test_fill_drain_accounting():
     # pipeline depth P costs P-1 idle cycles per drain; polymul drains
     # three times (after transforms, after pwm, after the inverse)
