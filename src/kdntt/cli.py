@@ -20,14 +20,14 @@ import os
 import random
 import re
 import sys
+from array import array
+from functools import lru_cache
 
 from .core_arith import SCHEMES
 from .ntt_reference import (
-    DOMAIN_NTT_BR,
     DOMAINS,
     Polynomial,
-    _from_columns,
-    as_columns,
+    _draw_coefficients,
     direct_ntt_columns,
     reference_pwm_columns,
     schoolbook_columns,
@@ -45,8 +45,9 @@ from .pipeline_sim import (
     OP_PWM,
     SIM_OPS,
     CoreConfig,
+    _execute_columns,
+    _prepare,
     latency_model,
-    run_batch,
     run_op,
     run_polymul,
 )
@@ -57,9 +58,8 @@ EXIT_INPUT = 2
 EXIT_CONFIG = 3
 EXIT_IO = 4
 
-# verify's trials per run_batch call: its default --trials run as one
-# batch (the measured point), and the arrays stay this size for any
-# --trials.
+# verify's trials per batch: its default --trials run as one batch (the
+# measured point), and the arrays stay this size for any --trials.
 VERIFY_BATCH = 20
 
 
@@ -227,31 +227,34 @@ def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
     compare every output coefficient with the column oracles.  Returns the
     first failure, naming its trial, or None: the lowest failing trial,
     its first failing check (product, forward transform, roundtrip,
-    pointwise) and that check's first differing coefficient."""
+    pointwise) and that check's first differing coefficient.  Trials stay
+    int64 (256, batch) arrays throughout; no Polynomial is built."""
     import numpy as np
 
-    p = SCHEMES[scheme]
+    plans = {}
+    for op in (OP_POLYMUL, OP_NTT, OP_INTT, OP_PWM):
+        plans[op], p, tw, _ = _prepare(cfg, scheme, op, override, False)
+    tables = [np.array(t, np.int64) for t in tw]
+
+    def run(op, a, b=None):
+        return _execute_columns(plans[op], p, tables, a, b)
+
     for start in range(0, trials, VERIFY_BATCH):
         indices = range(start, min(start + VERIFY_BATCH, trials))
-        As, Bs = [], []
-        for i in indices:
+        words = array("I")
+        for i in indices:  # a then b, as Polynomial.random draws them
             rng = random.Random(f"{seed}/{scheme}/{i}")
-            As.append(Polynomial.random(scheme, rng))
-            Bs.append(Polynomial.random(scheme, rng))
-        prods, _ = run_batch(cfg, scheme, OP_POLYMUL, As, Bs,
-                             rom_override=override)
-        fas, _ = run_batch(cfg, scheme, OP_NTT, As, rom_override=override)
-        backs, _ = run_batch(cfg, scheme, OP_INTT, fas, rom_override=override)
-        a, b, fa = as_columns(As), as_columns(Bs), as_columns(fas)
-        fb = direct_ntt_columns(b, p)
-        pws, _ = run_batch(cfg, scheme, OP_PWM, fas,
-                           _from_columns(fb, scheme, DOMAIN_NTT_BR),
-                           rom_override=override)
+            _draw_coefficients(p.q, rng, words)
+            _draw_coefficients(p.q, rng, words)
+        a, b = (np.frombuffer(words, np.uintc).reshape(len(indices), 2, -1)
+                .transpose(1, 2, 0).astype(np.int64, order="C"))
+        fa, fb = run(OP_NTT, a), direct_ntt_columns(b, p)
         checks = (
-            ("product", as_columns(prods), schoolbook_columns(a, b, p)),
+            ("product", run(OP_POLYMUL, a, b), schoolbook_columns(a, b, p)),
             ("forward transform", fa, direct_ntt_columns(a, p)),
-            ("roundtrip", as_columns(backs), a),
-            ("pointwise", as_columns(pws), reference_pwm_columns(fa, fb, p)),
+            ("roundtrip", run(OP_INTT, fa), a),
+            ("pointwise", run(OP_PWM, fa, fb),
+             reference_pwm_columns(fa, fb, p)),
         )
         # wrong[check, coefficient, trial]; argwhere lists hits in index
         # order, so over (trial, check, coefficient) the first is the
@@ -312,6 +315,7 @@ def _add_design(sp):
     sp.add_argument("--design", default="d1", choices=sorted(DESIGNS))
 
 
+@lru_cache(maxsize=None)  # one parser per process; parse_args leaves it as is
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="kdntt",

@@ -18,14 +18,17 @@ one loop per stage kind.  Operands are addressed by region (a in 0, b in
 1); the bank memory alone decides where a region sits.
 
 Two drivers execute a plan, after one shared prologue (_prepare: the
-operand, scheme, domain and rom_override checks, the plan lookup and
-the refusal of a hazardous plan before any arithmetic; only the scalar
-driver can be told to run one anyway).  run_op and run_polymul run one
-operand set through _execute, one butterfly call per butterfly.
-run_batch runs many through the same plan a whole stage at a time, over
-one int64 numpy array with a column per operand set, using core_arith's
-branch-free array forms; in a warm process it is the faster driver even
-for one product.  The scalar driver stays because the CLI must start
+scheme and rom_override checks, the plan lookup and the refusal of a
+hazardous plan before any arithmetic; only the scalar driver can be
+told to run one anyway) and the operand checks (_check_operands).
+run_op and run_polymul run one operand set through _execute, one
+butterfly call per butterfly.  run_batch runs many through
+_execute_columns, which takes the same plan a whole stage at a time
+over int64 (256, batch) arrays with a column per operand set, using
+core_arith's branch-free array forms; in a warm process it is the
+faster driver even for one product.  The CLI's verify calls
+_execute_columns directly on the arrays it draws, so its trials never
+become polynomials.  The scalar driver stays because the CLI must start
 without numpy, and because it calls the bfu butterflies that the
 golden-polymul benchmark counts.  It is not rebuilt on the array forms:
 making the scalar primitives accept arrays slowed run_polymul by 8-25%.
@@ -295,18 +298,46 @@ def _execute(plan: _Plan, p: ModulusParams, tw, a: Polynomial,
     return [vals[i] for i in plan.out]
 
 
-def _prepare(cfg: CoreConfig, scheme: str, op: str, As, Bs, rom_override,
+def _prepare(cfg: CoreConfig, scheme: str, op: str, rom_override,
              allow_hazards: bool):
-    """The one prologue of both drivers: check the operands (As, and Bs
-    for an op with pwm, paired by position), take the op's plan for this
-    geometry and depth (compiled on first use) and refuse a hazardous
-    one, all before any arithmetic runs.  Returns the plan, the scheme's
-    parameters, the twiddle tables and the report."""
+    """The prologue of every run, before any operand is seen: check the
+    op, the scheme and rom_override, take the op's plan for this geometry
+    and depth (compiled on first use) and refuse a hazardous one.
+    Returns the plan, the scheme's parameters, the twiddle tables and
+    the report."""
     if op not in _OPS:
         raise ValueError(f"unknown op {op!r}")
     if scheme not in cfg.schemes:
         raise ValueError(f"design {cfg.design} has no {scheme} lanes")
-    d_in, d_out, phases = _OPS[op]
+    p = SCHEMES[scheme]
+    tw = build_twiddle_rom(scheme)
+    if rom_override is not None:
+        try:  # three sequences of integers (not bools) in [0, q)
+            override = tuple(map(tuple, rom_override))
+        except TypeError:
+            override = ()
+        if (tuple(map(len, override)) != tuple(map(len, tw)) or not
+                all(type(v) is int and 0 <= v < p.q
+                    for table in override for v in table)):
+            raise ValueError(f"rom_override must hold integer tables of "
+                             f"lengths {tuple(map(len, tw))} in [0, {p.q})")
+        tw = override
+    plan = _compile(cfg.geometry(scheme), cfg.pipeline_depth, op)
+    if plan.hazards and not allow_hazards:
+        h = plan.hazards[0]
+        raise RuntimeError(
+            f"memory hazard at cycle {h.cycle}: bank {h.bank} row {h.row} "
+            f"read before its write lands at {h.lands_at}")
+    return plan, p, tw, SimReport(
+        op=op, scheme=scheme, busy_cycles=plan.busy,
+        fill_drain_cycles=plan.fill_drain, hazards=plan.hazards,
+        bram_estimate=estimate_bram_usage(cfg.design).total_units)
+
+
+def _check_operands(scheme: str, op: str, As, Bs) -> None:
+    """Check an op's operands: As, and Bs for an op with pwm, paired by
+    position, of the run's scheme and the op's input domain."""
+    d_in, _, phases = _OPS[op]
     if (Bs is not None) != (OP_PWM in phases):  # an op with pwm takes b
         raise ValueError(f"{op} needs two operands" if Bs is None
                          else f"{op} takes one operand")
@@ -320,35 +351,15 @@ def _prepare(cfg: CoreConfig, scheme: str, op: str, As, Bs, rom_override,
         raise ValueError("operand scheme does not match the run")
     if any(x.domain != d_in for x in operands):
         raise ValueError(f"{op} expects {d_in}-domain operands")
-    p = SCHEMES[scheme]
-    geom = cfg.geometry(scheme)
-    tw = build_twiddle_rom(scheme)
-    if rom_override is not None:
-        if (tuple(map(len, rom_override)) != tuple(map(len, tw)) or not
-                all(isinstance(v, int) and 0 <= v < p.q
-                    for table in rom_override for v in table)):
-            raise ValueError(f"rom_override must hold integer tables of "
-                             f"lengths {tuple(map(len, tw))} in [0, {p.q})")
-        tw = rom_override
-    plan = _compile(geom, cfg.pipeline_depth, op)
-    if plan.hazards and not allow_hazards:
-        h = plan.hazards[0]
-        raise RuntimeError(
-            f"memory hazard at cycle {h.cycle}: bank {h.bank} row {h.row} "
-            f"read before its write lands at {h.lands_at}")
-    return plan, p, tw, SimReport(
-        op=op, scheme=scheme, busy_cycles=plan.busy,
-        fill_drain_cycles=plan.fill_drain, hazards=plan.hazards,
-        bram_estimate=estimate_bram_usage(cfg.design).total_units)
 
 
 def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
          b: Polynomial | None, rom_override,
          allow_hazards: bool) -> tuple[Polynomial, SimReport]:
     """One operand set through _prepare and the scalar executor."""
-    plan, p, tw, report = _prepare(
-        cfg, scheme, op, (a,), None if b is None else (b,), rom_override,
-        allow_hazards)
+    plan, p, tw, report = _prepare(cfg, scheme, op, rom_override,
+                                   allow_hazards)
+    _check_operands(scheme, op, (a,), None if b is None else (b,))
     out = Polynomial._trusted(tuple(_execute(plan, p, tw, a, b)), scheme,
                               _OPS[op][1])
     return out, report
@@ -385,30 +396,22 @@ def run_polymul(cfg: CoreConfig, scheme: str, a: Polynomial, b: Polynomial,
     return _run(cfg, scheme, OP_POLYMUL, a, b, rom_override, allow_hazards)
 
 
-def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
-              rom_override=None) -> tuple[list[Polynomial], SimReport]:
-    """Run one op (ntt, intt, pwm or polymul) on many operand sets at once.
-
-    As (and Bs, for pwm and polymul, paired with As by position) are
-    sequences of polynomials under run_op's and run_polymul's domain
-    contracts.  Returns one output per a operand, each equal to what
-    run_op or run_polymul returns for it, and the plan's report, which
-    every operand set shares.  A hazardous plan is refused, as run_op
-    refuses it without allow_hazards.
-    """
+def _execute_columns(plan: _Plan, p: ModulusParams, tables, a, b):
+    """The plan's arithmetic a whole stage at a time, over int64 (256,
+    batch) arrays a and b (None for ntt and intt) with a column per
+    operand set, under run_op's domain contracts, and the twiddle tables
+    as int64 arrays.  Returns the (256, batch) result.  Nothing is
+    checked: _prepare and the caller vouch for the plan and the values."""
     import numpy as np
 
-    plan, p, tw, report = _prepare(cfg, scheme, op, As, Bs, rom_override,
-                                   False)
-    q, n = p.q, len(As[0].coeffs)
+    q, n = p.q, len(a)
     # Row i of vals is position i of _execute's list, one column per
     # operand set; each stage fills the next block of rows.
-    vals = np.empty((plan.size, len(As)), np.int64)
-    vals[:n] = as_columns(As)
-    if Bs is not None:
-        vals[n:2 * n] = mont_mul_array(as_columns(Bs), p.r2_mod_q, p)
-    pos = n if Bs is None else 2 * n
-    tables = [np.array(table, np.int64) for table in tw]
+    vals = np.empty((plan.size, a.shape[1]), np.int64)
+    vals[:n] = a
+    if b is not None:
+        vals[n:2 * n] = mont_mul_array(b, p.r2_mod_q, p)
+    pos = n if b is None else 2 * n
     for phase, xs, ys, ws in plan.stages:
         x = vals[np.frombuffer(xs, np.uintc)]
         y = vals[np.frombuffer(ys, np.uintc)]
@@ -435,8 +438,28 @@ def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
             out[0::2] = mod_add_half_array(x, y, q)
             out[1::2] = mont_mul_array(mod_sub_array(x, y, q),
                                        tables[1][w, None], p)
-    result = vals[np.frombuffer(plan.out, np.uintc)]
-    return _from_columns(result, scheme, _OPS[op][1]), report
+    return vals[np.frombuffer(plan.out, np.uintc)]
+
+
+def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
+              rom_override=None) -> tuple[list[Polynomial], SimReport]:
+    """Run one op (ntt, intt, pwm or polymul) on many operand sets at once.
+
+    As (and Bs, for pwm and polymul, paired with As by position) are
+    sequences of polynomials under run_op's and run_polymul's domain
+    contracts.  Returns one output per a operand, each equal to what
+    run_op or run_polymul returns for it, and the plan's report, which
+    every operand set shares.  A hazardous plan is refused, as run_op
+    refuses it without allow_hazards.
+    """
+    import numpy as np
+
+    plan, p, tw, report = _prepare(cfg, scheme, op, rom_override, False)
+    _check_operands(scheme, op, As, Bs)
+    out = _execute_columns(plan, p, [np.array(t, np.int64) for t in tw],
+                           as_columns(As),
+                           None if Bs is None else as_columns(Bs))
+    return _from_columns(out, scheme, _OPS[op][1]), report
 
 
 def latency_model(cfg: CoreConfig, scheme: str, op: str) -> int:

@@ -8,12 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kdntt
 from kdntt.cli import VERIFY_BATCH, main, read_poly, write_poly
 from kdntt.ntt_reference import (
     Polynomial,
+    as_columns,
     direct_ntt,
     reference_pwm,
     schoolbook_negacyclic,
@@ -277,23 +279,93 @@ def test_verify_reports_the_lowest_trial_then_the_first_check(monkeypatch,
     is named though its coefficient is the higher; trial 3's earlier
     check and coefficient lose to the lower trial."""
     faults = [("intt", 2, 9), ("pwm", 2, 3), ("polymul", 3, 0)]
-    real = kdntt.cli.run_batch
+    real = kdntt.cli._execute_columns
 
-    def faulty(cfg, scheme, op, As, Bs=None, rom_override=None):
-        outs, report = real(cfg, scheme, op, As, Bs,
-                            rom_override=rom_override)
+    def faulty(plan, p, tables, a, b):
+        out = real(plan, p, tables, a, b)
         for f_op, trial, k in faults:  # the 4 trials are one batch
-            if f_op == op:
-                c = list(outs[trial].coeffs)
-                c[k] = (c[k] + 1) % DILITHIUM.q
-                outs[trial] = Polynomial(tuple(c), scheme, outs[trial].domain)
-        return outs, report
+            if f_op == _plan_op(plan):
+                out[k, trial] = (out[k, trial] + 1) % DILITHIUM.q
+        return out
 
-    monkeypatch.setattr(kdntt.cli, "run_batch", faulty)
+    monkeypatch.setattr(kdntt.cli, "_execute_columns", faulty)
     assert main(["verify", "--design", "d1", "--scheme", "dilithium",
                  "--trials", "4", "--seed", "5"]) == 1
     assert capsys.readouterr().out == \
         "FAIL dilithium trial 2 (seed 5): roundtrip mismatch at coefficient 9\n"
+
+
+def _plan_op(plan):
+    """The op a plan runs: its one phase, or polymul for three."""
+    phases = {phase for phase, *_ in plan.stages}
+    return "polymul" if len(phases) > 1 else phases.pop()
+
+
+def test_verify_draws_its_trials_as_polynomial_random_does(monkeypatch,
+                                                            capsys):
+    """verify's a and b columns are, trial by trial, Polynomial.random
+    drawn a then b from random.Random(f"{seed}/{scheme}/{i}"), so a
+    failure line alone rebuilds its trial.  27 trials make one full batch
+    and one partial one."""
+    real, seen = kdntt.cli._execute_columns, []
+
+    def recording(plan, p, tables, a, b):
+        if _plan_op(plan) == "polymul":
+            seen.append((p.scheme, a.copy(), b.copy()))
+        return real(plan, p, tables, a, b)
+
+    monkeypatch.setattr(kdntt.cli, "_execute_columns", recording)
+    for seed in (0, 6):
+        seen.clear()
+        assert main(["verify", "--design", "d3", "--trials", "27",
+                     "--seed", str(seed)]) == 0
+        capsys.readouterr()
+        assert [(s, a.shape) for s, a, _ in seen] == [
+            (s, (256, w)) for s in ("kyber", "dilithium")
+            for w in (VERIFY_BATCH, 27 - VERIFY_BATCH)]
+        for scheme in ("kyber", "dilithium"):
+            a = np.hstack([a for s, a, _ in seen if s == scheme])
+            b = np.hstack([b for s, _, b in seen if s == scheme])
+            for i in range(27):
+                rng = random.Random(f"{seed}/{scheme}/{i}")
+                want = as_columns([Polynomial.random(scheme, rng)
+                                   for _ in "ab"])
+                assert (a[:, i] == want[:, 0]).all(), (seed, scheme, i)
+                assert (b[:, i] == want[:, 1]).all(), (seed, scheme, i)
+
+
+def test_verify_builds_no_polynomial(monkeypatch, capsys):
+    """verify's trials stay arrays from the draw to the comparison."""
+    built = []
+    post_init, trusted = Polynomial.__post_init__, Polynomial._trusted.__func__
+
+    def counting_post_init(self):
+        built.append("checked")
+        post_init(self)
+
+    def counting_trusted(cls, *args):
+        built.append("trusted")
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(Polynomial, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Polynomial, "_trusted", classmethod(counting_trusted))
+    assert main(["verify", "--design", "d3", "--trials", "3"]) == 0
+    assert "ok kyber" in capsys.readouterr().out
+    Polynomial.random("kyber", random.Random(0))  # the counters count
+    assert built == ["trusted"]
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys):
+    """The parser is built once per process; a verify naming one scheme
+    leaves the next verify free to run both of its design's schemes."""
+    assert kdntt.cli.build_parser() is kdntt.cli.build_parser()
+    assert main(["verify", "--scheme", "kyber", "--design", "d3",
+                 "--trials", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "ok kyber" in out and "dilithium" not in out
+    assert main(["verify", "--design", "d3", "--trials", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "ok kyber" in out and "ok dilithium" in out
 
 
 def test_verify_detects_corrupted_rom(tmp_path, capsys):

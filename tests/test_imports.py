@@ -158,7 +158,7 @@ def test_only_compile_knows_the_word_width():
 
     assert width_reads(funcs["_compile"])
     assert width_reads(tree) == width_reads(funcs["_compile"])
-    for name in ("_execute", "run_batch"):
+    for name in ("_execute", "_execute_columns", "run_batch"):
         args = funcs[name].args
         assert "t" not in [a.arg for a in (*args.posonlyargs, *args.args,
                                            *args.kwonlyargs)], name

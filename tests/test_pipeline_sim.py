@@ -512,8 +512,9 @@ def test_rom_override_corruption_changes_result():
 
 
 def test_rom_override_out_of_range_or_short_is_rejected():
-    """A library override gets the checks an image does: each table as
-    long as the built-in one, every twiddle an integer in [0, q)."""
+    """A library override gets the checks an image does: three tables,
+    each as long as the built-in one, every twiddle an integer (not a
+    bool) in [0, q)."""
     cfg = CoreConfig.for_design("standalone-kyber")
     rom = build_twiddle_rom("kyber")
     a = Polynomial.random("kyber", RNG)
@@ -523,7 +524,9 @@ def test_rom_override_out_of_range_or_short_is_rejected():
                      (rom.forward[:10], rom.inverse, rom.psi),
                      (rom.forward, rom.inverse, rom.psi + (0,)),
                      (rom.forward, rom.inverse),
-                     (tuple(map(float, rom.forward)), rom.inverse, rom.psi)):
+                     (tuple(map(float, rom.forward)), rom.inverse, rom.psi),
+                     ((True,) + rom.forward[1:], rom.inverse, rom.psi),
+                     5, (5, 6, 7)):
         with pytest.raises(ValueError, match="rom_override"):
             run_polymul(cfg, "kyber", a, b, rom_override=override)
         with pytest.raises(ValueError, match="rom_override"):
@@ -540,17 +543,20 @@ def test_rom_override_check_survives_python_O():
          "rom = build_twiddle_rom('kyber')\n"
          "rng = random.Random(1)\n"
          "a, b = (Polynomial.random('kyber', rng) for _ in 'ab')\n"
-         "bad = (rom.forward[:1] + (4095,) + rom.forward[2:], "
-         "rom.inverse, rom.psi)\n"
-         "try:\n"
-         "    run_polymul(CoreConfig.for_design('standalone-kyber'), "
+         "for bad in ((rom.forward[:1] + (4095,) + rom.forward[2:], "
+         "rom.inverse, rom.psi), "
+         "((True,) + rom.forward[1:], rom.inverse, rom.psi), 5, (5, 6, 7)):\n"
+         "    try:\n"
+         "        run_polymul(CoreConfig.for_design('standalone-kyber'), "
          "'kyber', a, b, rom_override=bad)\n"
-         "except ValueError as e:\n"
-         "    print('rejected:', e)\n"],
+         "    except ValueError as e:\n"
+         "        print('rejected:', e)\n"],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("rejected:"), proc.stdout
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4, proc.stdout
+    assert all(line.startswith("rejected: rom_override") for line in lines)
 
 
 def test_depth_and_bit_width_checks_survive_python_O():
