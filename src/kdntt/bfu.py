@@ -23,7 +23,7 @@ the function because pipeline_sim imports this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core_arith import (
     DILITHIUM_SINGLE,
@@ -62,8 +62,7 @@ CONTROL_WORDS: dict[str, tuple[str, str]] = {
 }
 
 
-@dataclass(frozen=True)
-class BfuIo:
+class BfuIo(NamedTuple):
     """One butterfly core's input ports.
 
     in1/in2 carry the coefficient pair, in3 carries the twiddle factor or
@@ -138,8 +137,7 @@ def gs_butterfly_halving(a: int, b: int, w_half: int,
     )
 
 
-@dataclass(frozen=True)
-class PwmCarry:
+class PwmCarry(NamedTuple):
     """Kyber PWM0 -> PWM1 hand-off: two raw products plus the two sums."""
 
     m00: int

@@ -11,11 +11,14 @@ Coefficients are unsigned ints in [0, q) at every operation boundary.
 Range checks are ``assert`` statements, so they vanish under ``python -O``
 (the hardware has no such checks; the model keeps them for test builds).
 A mode or op that names no datapath raises ValueError, also under -O.
+
+_Frozen, the base of the checked value types (ModulusParams, Polynomial,
+MemoryGeometry, CoreConfig), and the NamedTuple records spare a cold CLI
+start the import of dataclasses; _Frozen keeps fields in an instance
+dict, where hot loops read them fastest.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 N = 256  # ring degree, common to both schemes
 
@@ -40,8 +43,31 @@ GUARD_SEL = {
 }
 
 
-@dataclass(frozen=True)
-class ModulusParams:
+class _Frozen:
+    """An immutable value over the names in _fields, which __init__
+    stores with vars(self).update: assignment and deletion raise."""
+
+    def __setattr__(self, name: str, _value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._key() == other._key() if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class ModulusParams(_Frozen):
     """Per-scheme arithmetic constants.
 
     Only q and the root are chosen; every width is derived once here,
@@ -53,41 +79,41 @@ class ModulusParams:
     Kyber only an n-th root exists (root**(n/2) == -1 mod q).
     """
 
+    _fields = ("scheme", "q", "root", "root_order")
     scheme: str
     q: int
     root: int
     root_order: int  # 2n for Dilithium (512), n for Kyber (256)
-    # derived in __post_init__, never passed in:
-    coeff_bits: int = field(init=False)  # arithmetic width of a coefficient
-    r_bits: int = field(init=False)  # Montgomery radix R = 2**r_bits
-    slot_bits: int = field(init=False)  # storage slot width in memory words
-    layers: int = field(init=False)  # 7 (incomplete) or 8 (complete)
-    r: int = field(init=False)
-    mask: int = field(init=False)
-    q_prime: int = field(init=False)  # -q**-1 mod R: q*q_prime == R-1 (mod R)
-    r_mod_q: int = field(init=False)
-    r2_mod_q: int = field(init=False)
-    inv2: int = field(init=False)  # 2**-1 mod q
-    # shortest butterfly distance: 2 (Kyber) or 1 (Dilithium)
-    min_len: int = field(init=False)
+    # derived in __init__, never passed in:
+    coeff_bits: int  # arithmetic width of a coefficient
+    r_bits: int  # Montgomery radix R = 2**r_bits
+    slot_bits: int  # storage slot width in memory words
+    layers: int  # 7 (incomplete) or 8 (complete)
+    r: int
+    mask: int
+    q_prime: int  # -q**-1 mod R: q*q_prime == R-1 (mod R)
+    r_mod_q: int
+    r2_mod_q: int
+    inv2: int  # 2**-1 mod q
+    min_len: int  # shortest butterfly distance: 2 (Kyber) or 1 (Dilithium)
 
-    def __post_init__(self) -> None:
+    def __init__(self, scheme: str, q: int, root: int,
+                 root_order: int) -> None:
         # The root has the claimed power-of-two order: root**(o/2) == -1.
-        o = self.root_order
-        if o & (o - 1) or pow(self.root, o // 2, self.q) != self.q - 1:
-            raise ValueError(f"root {self.root} does not have power-of-two "
-                             f"order {o} mod {self.q}")
-        bits = self.q.bit_length()
+        o = root_order
+        if o & (o - 1) or pow(root, o // 2, q) != q - 1:
+            raise ValueError(f"root {root} does not have power-of-two "
+                             f"order {o} mod {q}")
+        bits = q.bit_length()
         r = 1 << bits
-        layers = self.root_order.bit_length() - 2
-        for name, value in (
-                ("coeff_bits", bits), ("r_bits", bits),
-                ("slot_bits", -(-bits // _LANE_BITS) * _LANE_BITS),
-                ("layers", layers), ("r", r), ("mask", r - 1),
-                ("q_prime", (-pow(self.q, -1, r)) % r),
-                ("r_mod_q", r % self.q), ("r2_mod_q", r * r % self.q),
-                ("inv2", (self.q + 1) // 2), ("min_len", N >> layers)):
-            object.__setattr__(self, name, value)
+        layers = o.bit_length() - 2
+        vars(self).update(
+            scheme=scheme, q=q, root=root, root_order=o,
+            coeff_bits=bits, r_bits=bits,
+            slot_bits=-(-bits // _LANE_BITS) * _LANE_BITS,
+            layers=layers, r=r, mask=r - 1, q_prime=(-pow(q, -1, r)) % r,
+            r_mod_q=r % q, r2_mod_q=r * r % q, inv2=(q + 1) // 2,
+            min_len=N >> layers)
 
 
 KYBER = ModulusParams("kyber", q=3329, root=17, root_order=256)

@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import count
 from typing import NamedTuple
 
-from .core_arith import N, SCHEMES, from_mont
+from .core_arith import N, SCHEMES, _Frozen, from_mont
 from .ntt_reference import basemul_zetas, forward_zetas, inverse_zetas
 
 CH_NTT = 0
@@ -62,22 +61,23 @@ _BRAM_BITS = 18432
 _BRAM_MAX_WIDTH = 36
 
 
-@dataclass(frozen=True)
-class MemoryGeometry:
+class MemoryGeometry(_Frozen):
     """Shape of one scheme's view of the coefficient banks."""
 
+    _fields = ("scheme", "t")
     scheme: str
     t: int                 # butterfly lanes = coefficients per word
 
-    def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+    def __init__(self, scheme: str, t: int) -> None:
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}")
         # A word holds a shortest butterfly, and a region d >= 2 rows.
-        lo = SCHEMES[self.scheme].min_len
-        if (not isinstance(self.t, int) or isinstance(self.t, bool)
-                or self.t & (self.t - 1) or not lo <= self.t <= N // 4):
+        lo = SCHEMES[scheme].min_len
+        if (not isinstance(t, int) or isinstance(t, bool)
+                or t & (t - 1) or not lo <= t <= N // 4):
             raise ValueError(f"lane count must be a power of two in "
-                             f"[{lo}, {N // 4}] for {self.scheme}")
+                             f"[{lo}, {N // 4}] for {scheme}")
+        vars(self).update(scheme=scheme, t=t)
 
     @property
     def d(self) -> int:
@@ -94,8 +94,7 @@ class MemoryGeometry:
         return self.t * self.slot_bits
 
 
-@dataclass(frozen=True)
-class CycleEntry:
+class CycleEntry(NamedTuple):
     """One scheduled cycle: two row addresses plus routing flags.
 
     addr_a / addr_b are region-relative rows for banks A and B.
@@ -111,8 +110,7 @@ class CycleEntry:
     tw_index: int
 
 
-@dataclass(frozen=True)
-class StageSchedule:
+class StageSchedule(NamedTuple):
     kind: str              # "mirror" (word pairing), "intra" (in-word), "pwm"
     span: int              # word distance p, or in-word length, or 0 for pwm
     entries: tuple[CycleEntry, ...]
@@ -243,8 +241,7 @@ def pwm_schedule(geom: MemoryGeometry) -> StageSchedule:
     return StageSchedule("pwm", 0, tuple(entries))
 
 
-@dataclass(frozen=True)
-class SchemeProgram:
+class SchemeProgram(NamedTuple):
     """One scheme's whole controller program, phase by phase.
 
     The single source of the stage order and of every cycle count: the
@@ -260,7 +257,7 @@ class SchemeProgram:
     def cycles(self, phase: str) -> int:
         return sum(len(st.entries) for st in getattr(self, phase))
 
-    @cached_property
+    @property
     def entries(self) -> tuple[CycleEntry, ...]:
         """Every cycle entry in address-ROM order."""
         return tuple(e for phase in (self.ntt, self.intt, self.pwm)
@@ -297,8 +294,7 @@ def unpack_word(word: int, t: int, slot_bits: int) -> list[int]:
     mask = (1 << slot_bits) - 1
     return [(word >> (s * slot_bits)) & mask for s in range(t)]
 
-@dataclass(frozen=True)
-class Hazard:
+class Hazard(NamedTuple):
     cycle: int
     bank: int
     row: int
@@ -491,8 +487,7 @@ def enumerate_stage_pairs(ch: int, stages):
 # Core configurations and BRAM accounting.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DesignGeometry:
+class DesignGeometry(NamedTuple):
     """One shipped core configuration's memory plan."""
 
     name: str
@@ -570,8 +565,7 @@ def _addr_fields(dg: DesignGeometry, scheme: str) -> tuple[int, int, int]:
     return rb, tw_bits, 2 * rb + 2 + tw_bits
 
 
-@dataclass(frozen=True)
-class BramMemory:
+class BramMemory(NamedTuple):
     label: str
     depth: int
     width: int
@@ -587,8 +581,7 @@ class BramMemory:
         return self.halves / 2
 
 
-@dataclass(frozen=True)
-class BramEstimate:
+class BramEstimate(NamedTuple):
     design: str
     memories: tuple[BramMemory, ...]
 

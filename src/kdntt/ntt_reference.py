@@ -27,13 +27,13 @@ import operator
 import random
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core_arith import (
     N,
     SCHEMES,
     ModulusParams,
+    _Frozen,
     to_mont,
 )
 
@@ -41,27 +41,28 @@ DOMAIN_NORMAL = "normal"
 DOMAIN_NTT_BR = "ntt-br"  # the FIPS 203/204 NTT order, as the core emits
 DOMAINS = (DOMAIN_NORMAL, DOMAIN_NTT_BR)
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Frozen):
     """A length-256 coefficient vector tagged with scheme and ordering."""
 
+    _fields = ("coeffs", "scheme", "domain")
     coeffs: tuple[int, ...]
     scheme: str
-    domain: str = DOMAIN_NORMAL
+    domain: str
 
-    def __post_init__(self) -> None:
-        _check_tags(self.scheme, self.domain)
+    def __init__(self, coeffs, scheme: str,
+                 domain: str = DOMAIN_NORMAL) -> None:
+        _check_tags(scheme, domain)
         try:
-            coeffs = tuple(map(operator.index, self.coeffs))
+            coeffs = tuple(map(operator.index, coeffs))
         except TypeError:
             raise ValueError("coefficients must be integers") from None
-        object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) != N:
             raise ValueError(f"expected {N} coefficients, got {len(coeffs)}")
-        q = SCHEMES[self.scheme].q
+        q = SCHEMES[scheme].q
         for i, c in enumerate(coeffs):
             if not 0 <= c < q:
                 raise ValueError(f"coefficient {i} = {c} out of range [0, {q})")
+        vars(self).update(coeffs=coeffs, scheme=scheme, domain=domain)
 
     @property
     def params(self) -> ModulusParams:
@@ -90,9 +91,7 @@ class Polynomial:
         """A polynomial from values the caller built in [0, q) as Python
         ints, under a valid scheme and domain: none of it is checked."""
         a = object.__new__(cls)
-        object.__setattr__(a, "coeffs", coeffs)
-        object.__setattr__(a, "scheme", scheme)
-        object.__setattr__(a, "domain", domain)
+        vars(a).update(coeffs=coeffs, scheme=scheme, domain=domain)
         return a
 
     @classmethod

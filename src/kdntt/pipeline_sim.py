@@ -58,7 +58,6 @@ shipped (design, scheme) at depths 1, shipped and d/2.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 from typing import NamedTuple
@@ -66,6 +65,7 @@ from typing import NamedTuple
 from .core_arith import (
     SCHEMES,
     ModulusParams,
+    _Frozen,
     mod_add_array,
     mod_add_half_array,
     mod_sub_array,
@@ -107,24 +107,25 @@ OP_POLYMUL = "polymul"
 SIM_OPS = (OP_NTT, OP_INTT, OP_PWM)
 
 
-@dataclass(frozen=True)
-class CoreConfig:
+class CoreConfig(_Frozen):
     """A shipped core design run at a pipeline depth."""
 
+    _fields = ("design", "pipeline_depth")
     design: str
     pipeline_depth: int
 
-    def __post_init__(self) -> None:
-        if self.design not in DESIGNS:
-            raise ValueError(f"unknown design {self.design!r}")
-        bound = DESIGNS[self.design].max_pipeline_depth
-        if (not isinstance(self.pipeline_depth, int)
-                or isinstance(self.pipeline_depth, bool)
-                or not 1 <= self.pipeline_depth <= bound):
+    def __init__(self, design: str, pipeline_depth: int) -> None:
+        if design not in DESIGNS:
+            raise ValueError(f"unknown design {design!r}")
+        bound = DESIGNS[design].max_pipeline_depth
+        if (not isinstance(pipeline_depth, int)
+                or isinstance(pipeline_depth, bool)
+                or not 1 <= pipeline_depth <= bound):
             raise ValueError(
-                f"pipeline depth {self.pipeline_depth!r} is not an integer "
+                f"pipeline depth {pipeline_depth!r} is not an integer "
                 f"in [1, {bound}] "
-                f"for {self.design} (bound is half the smallest region depth)")
+                f"for {design} (bound is half the smallest region depth)")
+        vars(self).update(design=design, pipeline_depth=pipeline_depth)
 
     @classmethod
     def for_design(cls, design: str) -> "CoreConfig":
@@ -141,8 +142,7 @@ class CoreConfig:
         return DESIGNS[self.design].schemes
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(NamedTuple):
     op: str
     scheme: str
     busy_cycles: int

@@ -337,17 +337,17 @@ def test_verify_draws_its_trials_as_polynomial_random_does(monkeypatch,
 def test_verify_builds_no_polynomial(monkeypatch, capsys):
     """verify's trials stay arrays from the draw to the comparison."""
     built = []
-    post_init, trusted = Polynomial.__post_init__, Polynomial._trusted.__func__
+    init, trusted = Polynomial.__init__, Polynomial._trusted.__func__
 
-    def counting_post_init(self):
+    def counting_init(self, *args, **kwargs):
         built.append("checked")
-        post_init(self)
+        init(self, *args, **kwargs)
 
     def counting_trusted(cls, *args):
         built.append("trusted")
         return trusted(cls, *args)
 
-    monkeypatch.setattr(Polynomial, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
     monkeypatch.setattr(Polynomial, "_trusted", classmethod(counting_trusted))
     assert main(["verify", "--design", "d3", "--trials", "3"]) == 0
     assert "ok kyber" in capsys.readouterr().out
@@ -533,18 +533,27 @@ def test_full_stdout_exits_4_without_traceback(unbuffered):
     assert proc.stderr == "error: stdout: No space left on device\n"
 
 
-def _numpy_loaded_after(*commands):
-    """Run CLI commands in one fresh interpreter; was numpy imported?"""
+def _modules_loaded_by(*commands):
+    """Run CLI commands in one fresh interpreter: the modules loaded
+    before it imported kdntt.cli, and those loaded at the end."""
     script = ("import sys\n"
+              "before = sorted(sys.modules)\n"
               "from kdntt.cli import main\n"
               "for argv in sys.argv[1:]:\n"
               "    assert main(argv.split()) == 0, argv\n"
-              "print('numpy' in sys.modules)\n")
+              "print(' '.join(before))\n"
+              "print(' '.join(sorted(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", script, *commands],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    before, after = proc.stdout.splitlines()[-2:]
+    return set(before.split()), set(after.split())
+
+
+def _numpy_loaded_after(*commands):
+    """Run CLI commands in one fresh interpreter; was numpy imported?"""
+    return "numpy" in _modules_loaded_by(*commands)[1]
 
 
 def test_simulator_commands_never_import_numpy(tmp_path):
@@ -563,6 +572,21 @@ def test_simulator_commands_never_import_numpy(tmp_path):
         "table --which latency",
         "table --which bram")
     assert _numpy_loaded_after("verify --design d3 --trials 1")
+
+
+def test_cli_start_imports_no_dataclasses_or_inspect(tmp_path):
+    """The package builds its value types without dataclasses, whose
+    import pulls in inspect, ast, dis and tokenize: a cold polymul or
+    gen-roms process pays for none of them.  Modules a site hook loaded
+    before kdntt do not count."""
+    ka, _ = _poly_file(tmp_path, "ka.poly")
+    kb, _ = _poly_file(tmp_path, "kb.poly")
+    before, after = _modules_loaded_by(
+        f"polymul {ka} {kb} --design d3 --out {tmp_path}/o.poly "
+        f"--report {tmp_path}/r",
+        f"gen-roms --design d2 --outdir {tmp_path}/roms")
+    assert "kdntt.cli" in after - before
+    assert {"dataclasses", "inspect"} & (after - before) == set()
 
 
 def test_table_latency(capsys):

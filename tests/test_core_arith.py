@@ -5,7 +5,9 @@ here we pin the documented examples, boundary cases, and rejection of
 malformed inputs, plus moderately sized random cross-checks.
 """
 
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -37,6 +39,9 @@ from kdntt.core_arith import (
     to_mont,
     unpack_lanes,
 )
+from kdntt.memory_map import MemoryGeometry
+from kdntt.ntt_reference import Polynomial
+from kdntt.pipeline_sim import CoreConfig
 
 RNG = random.Random(20260819)
 
@@ -311,3 +316,50 @@ def test_out_of_range_inputs_rejected():
         mont_mul(KYBER.q, 1, KYBER)
     with pytest.raises(AssertionError):
         mont_redc(KYBER.r * KYBER.q, KYBER)
+
+
+
+# (a value, an equal one built apart, a differing one, a field) for each
+# of the four checked value types, which share core_arith._Frozen.
+FROZEN_CASES = [
+    (ModulusParams("kyber", q=3329, root=17, root_order=256), KYBER,
+     DILITHIUM, "q"),
+    (Polynomial([0] * 256, "kyber"), Polynomial.zero("kyber"),
+     Polynomial.zero("kyber", "ntt-br"), "coeffs"),
+    (MemoryGeometry("dilithium", 2), MemoryGeometry("dilithium", 2),
+     MemoryGeometry("dilithium", 4), "t"),
+    (CoreConfig("d2", 3), CoreConfig("d2", 3), CoreConfig("d3", 3),
+     "pipeline_depth"),
+]
+
+
+@pytest.mark.parametrize("a, b, other, field", FROZEN_CASES,
+                         ids=[type(a).__name__ for a, *_ in FROZEN_CASES])
+def test_checked_value_types_are_frozen_values(a, b, other, field):
+    """Assignment and deletion raise AttributeError and change nothing;
+    equal fields give == and an equal hash, while another type with the
+    same fields does not compare equal; the value survives pickle,
+    deepcopy and eval(repr(...)); its fields sit in an instance dict
+    (no NamedTuple, no __slots__), where hot loops read them fastest."""
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other and not a == other
+    value = getattr(a, field)
+    with pytest.raises(AttributeError):
+        setattr(a, field, value)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert getattr(a, field) is value and a == b and "extra" not in vars(a)
+
+    twin = object.__new__(type("Twin", (type(a),), {}))
+    vars(twin).update(vars(a))
+    assert a != twin and twin != a
+    assert a != tuple(getattr(a, f) for f in a._fields)
+
+    for c in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a),
+              eval(repr(a), {type(a).__name__: type(a)})):
+        assert type(c) is type(a) and c == a and hash(c) == hash(a)
+        assert vars(c) == vars(a)
+    assert not isinstance(a, tuple) and not hasattr(type(a), "__slots__")
+    assert field in vars(a)
