@@ -40,7 +40,6 @@ from .bfu import (
     BFU_MODES,
     CONTROL_WORDS,
     BfuIo,
-    MultCounter,
     ct_butterfly,
     dilithium_pwm,
     fast_intt,
@@ -83,8 +82,8 @@ __all__ = [
     "BFU_MODES", "BfuIo", "BramEstimate", "CONTROL_WORDS", "CoreConfig",
     "DESIGNS", "DILITHIUM", "DOMAINS",
     "DOMAIN_NORMAL", "DOMAIN_NTT_BR", "DesignGeometry", "KYBER",
-    "MemoryGeometry", "ModulusParams", "MultCounter", "N", "OP_INTT",
-    "OP_NTT", "OP_POLYMUL", "OP_PWM", "Polynomial", "SCHEMES", "SIM_OPS",
+    "MemoryGeometry", "ModulusParams", "N", "OP_INTT", "OP_NTT",
+    "OP_POLYMUL", "OP_PWM", "Polynomial", "SCHEMES", "SIM_OPS",
     "SimReport", "TwiddleRom", "bit_reverse", "build_rom_images",
     "build_twiddle_rom", "check_conflict_free", "ct_butterfly",
     "dilithium_pwm", "direct_intt", "direct_ntt", "estimate_bram_usage",

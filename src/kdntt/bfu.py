@@ -16,6 +16,9 @@ data: the model selects its datapath by mode name and never reads them.
 Standalone reference behavior lives in the plain functions
 (ct_butterfly, gs_butterfly_halving, kyber_pwm_pair, dilithium_pwm);
 unified_bfu_step must match them bit for bit, which the tests enforce.
+The unit keeps no tally of its multiplications: every product goes
+through one dual_lane_mult pass, looked up by name at call time, so the
+tests count them by wrapping it (2 per Kyber pass, 1 per Dilithium).
 fast_ntt and fast_intt at the bottom are not a separate transform: they
 run the simulated d3 core (pipeline_sim.run_op), importing it inside
 the function because pipeline_sim imports this module.
@@ -75,42 +78,22 @@ class BfuIo(NamedTuple):
     in4: int = 0
 
 
-class MultCounter:
-    """Instrumentation: logical multiplications issued per scheme."""
-
-    def __init__(self) -> None:
-        self.kyber_mults = 0
-        self.dilithium_mults = 0
-
-
-def dual_lane_mult(x: int, y: int, mode: str,
-                   counter: MultCounter | None = None) -> tuple[int, int]:
+def dual_lane_mult(x: int, y: int, mode: str) -> tuple[int, int]:
     """One pass through the shared multiplier pair (two 23x12 blocks).
 
-    Kyber: x and y are packed lane words; each block multiplies one
-    12-bit lane independently -> (x0*y0, x1*y1), two multiplications.
-    Dilithium: y is split into 12-bit limbs, each block forms one 23x12
-    partial product, and the partials are recombined by shift-add ->
-    (x*y, 0), one (logical) multiplication.
+    Block i multiplies by part i of y, its 12-bit half.  Kyber: x and y
+    are packed lane words and block i takes lane i of x -> (x0*y0,
+    x1*y1), two multiplications.  Dilithium: both blocks take all of x
+    and the partials recombine by shift-add -> (x*y, 0), one (logical)
+    multiplication.
     """
     if mode not in (KYBER_PAIR, DILITHIUM_SINGLE):
         raise ValueError(f"unknown multiplier mode {mode!r}")
+    y0, y1 = y & 0xFFF, y >> 12
     if mode == KYBER_PAIR:
-        x0, x1 = unpack_lanes(x)
-        y0, y1 = unpack_lanes(y)
-        p0 = x0 * y0
-        p1 = x1 * y1
-        if counter is not None:
-            counter.kyber_mults += 2
-        return p0, p1
+        return (x & 0xFFF) * y0, (x >> 12) * y1
     assert 0 <= x < (1 << 23) and 0 <= y < (1 << 24)
-    p_lo = x * (y & 0xFFF)       # 23x12
-    p_hi = x * (y >> 12)         # 23x12
-    p = p_lo + (p_hi << 12)
-    assert p == x * y
-    if counter is not None:
-        counter.dilithium_mults += 1
-    return p, 0
+    return x * y0 + (x * y1 << 12), 0
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +172,7 @@ def dilithium_pwm(a: int, b: int, p: ModulusParams) -> int:
 # The unified step: both lanes at once, shared adder and multiplier pair.
 # ---------------------------------------------------------------------------
 
-def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
-                     carry=None, counter: MultCounter | None = None):
+def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams, carry=None):
     """Advance the unified butterfly unit by one cycle.
 
     Each mode returns what its standalone reference returns.
@@ -215,8 +197,7 @@ def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
         if mode == MODE_PWM0:
             a0, a1, b0, b1 = io.in1, io.in2, io.in3, io.in4
             raw00, raw11 = dual_lane_mult(pack_lanes(a0, a1),
-                                          pack_lanes(b0, b1),
-                                          KYBER_PAIR, counter)
+                                          pack_lanes(b0, b1), KYBER_PAIR)
             # One shared add produces both operand sums at once.
             sums = shared_add_sub(pack_lanes(a0, b0), pack_lanes(a1, b1),
                                   KYBER_PAIR, "add", p)
@@ -229,7 +210,7 @@ def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
                                  "state")
             raw_sum, raw_psi = dual_lane_mult(
                 pack_lanes(carry.s_a, io.in3),
-                pack_lanes(carry.s_b, carry.m11), KYBER_PAIR, counter)
+                pack_lanes(carry.s_b, carry.m11), KYBER_PAIR)
             # Lane roles: (s_a * s_b, psi * m11) — note lane1 multiplies in3.
             msum = mont_redc(raw_sum, p)
             mpsi = mont_redc(raw_psi, p)
@@ -242,7 +223,7 @@ def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
         w = pack_lanes(lane0.in3, lane1.in3)
         if mode == MODE_NTT:
             # Both twiddle products share the multiplier pair ...
-            prod0, prod1 = dual_lane_mult(b, w, KYBER_PAIR, counter)
+            prod0, prod1 = dual_lane_mult(b, w, KYBER_PAIR)
             t = pack_lanes(mont_redc(prod0, p), mont_redc(prod1, p))
             # ... and the +/- pair each shares the two-lane adder.
             o1 = unpack_lanes(shared_add_sub(a, t, KYBER_PAIR, "add", p))
@@ -251,22 +232,22 @@ def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams,
         # MODE_INTT
         s0, s1 = unpack_lanes(shared_add_sub(a, b, KYBER_PAIR, "add", p))
         d0, d1 = unpack_lanes(shared_add_sub(a, b, KYBER_PAIR, "sub", p))
-        dw0, dw1 = dual_lane_mult(pack_lanes(d0, d1), w, KYBER_PAIR, counter)
+        dw0, dw1 = dual_lane_mult(pack_lanes(d0, d1), w, KYBER_PAIR)
         return ((mod_add_half(s0, 0, p.q), mont_redc(dw0, p)),
                 (mod_add_half(s1, 0, p.q), mont_redc(dw1, p)))
 
     if mode == MODE_NTT:
-        prod, _ = dual_lane_mult(io.in2, io.in3, DILITHIUM_SINGLE, counter)
+        prod, _ = dual_lane_mult(io.in2, io.in3, DILITHIUM_SINGLE)
         t = mont_redc(prod, p)
         return (shared_add_sub(io.in1, t, DILITHIUM_SINGLE, "add", p),
                 shared_add_sub(io.in1, t, DILITHIUM_SINGLE, "sub", p))
     if mode == MODE_INTT:
         s = shared_add_sub(io.in1, io.in2, DILITHIUM_SINGLE, "add", p)
         d = shared_add_sub(io.in1, io.in2, DILITHIUM_SINGLE, "sub", p)
-        prod, _ = dual_lane_mult(d, io.in3, DILITHIUM_SINGLE, counter)
+        prod, _ = dual_lane_mult(d, io.in3, DILITHIUM_SINGLE)
         return mod_add_half(s, 0, p.q), mont_redc(prod, p)
     # MODE_PWM
-    prod, _ = dual_lane_mult(io.in1, io.in3, DILITHIUM_SINGLE, counter)
+    prod, _ = dual_lane_mult(io.in1, io.in3, DILITHIUM_SINGLE)
     return mont_redc(prod, p), 0
 
 

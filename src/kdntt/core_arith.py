@@ -5,7 +5,13 @@ Montgomery multiplication with a power-of-two radix, single-conditional
 modular add/sub, the halving adder used by inverse-transform butterflies,
 and the shared dual-lane adder/subtractor that runs either two 12-bit
 Kyber operations or one 24-bit Dilithium operation through a single carry
-chain with a guard bit at position 12.
+chain with a guard bit at position 12.  Each w-bit lane leaves the chain
+with the bit above it (a sum's carry, a difference's no-borrow), and one
+rule per op corrects every lane: a sum sheds q once, r - q*(r >= q); a
+difference that borrowed takes q back, (r + q*(1 - (r >> w))) & (2**w-1).
+That body, _add_sub_lanes, is operators only (no branch on data, no
+assert), so the tests sweep every Kyber lane pair through it on int64
+arrays, and an array executor can run it too.
 
 Coefficients are unsigned ints in [0, q) at every operation boundary.
 Range checks are ``assert`` statements, so they vanish under ``python -O``
@@ -219,7 +225,7 @@ def unpack_lanes(word: int) -> tuple[int, int]:
     return word & ((1 << _LANE_BITS) - 1), word >> _LANE_BITS
 
 
-def _carry_chain(x: int, y: int, op: str, mode: str) -> int:
+def _carry_chain(x, y, op: str, mode: str):
     """One pass through the shared 25-bit adder.
 
     ``x``/``y`` are 24-bit operand words (two Kyber lanes, or one Dilithium
@@ -228,14 +234,25 @@ def _carry_chain(x: int, y: int, op: str, mode: str) -> int:
     window (guard included) and injects carry-in 1.
     """
     sel_a, sel_b = GUARD_SEL[(op, mode)]
-    lo_mask = (1 << _GUARD_POS) - 1
-    xw = ((x >> _GUARD_POS) << (_GUARD_POS + 1)) | (sel_a << _GUARD_POS) | (x & lo_mask)
-    yw = ((y >> _GUARD_POS) << (_GUARD_POS + 1)) | (sel_b << _GUARD_POS) | (y & lo_mask)
-    cin = 0
+    xw = (x >> _GUARD_POS << (_GUARD_POS + 1)) | (sel_a << _GUARD_POS) | (x & 0xFFF)
+    yw = (y >> _GUARD_POS << (_GUARD_POS + 1)) | (sel_b << _GUARD_POS) | (y & 0xFFF)
     if op == "sub":
-        yw = ~yw & _WINDOW_MASK
-        cin = 1
-    return xw + yw + cin  # up to 26 bits with the final carry-out
+        return xw + (~yw & _WINDOW_MASK) + 1
+    return xw + yw  # up to 26 bits with the final carry-out
+
+
+# The adder's one correction rule per op (see the module docstring).
+_CORRECT = {"add": lambda r, _w, q: r - q * (r >= q),
+            "sub": lambda r, w, q: (r + q * (1 - (r >> w))) & ((1 << w) - 1)}
+
+
+def _add_sub_lanes(x, y, op: str, mode: str, q: int):
+    """shared_add_sub past its checks: the chain, then op's correction
+    on every lane the chain yields."""
+    s, fix = _carry_chain(x, y, op, mode), _CORRECT[op]
+    if mode == KYBER_PAIR:  # bits 0..12 and 13..25
+        return fix(s & 0x1FFF, 12, q) | fix(s >> 13, 12, q) << 12
+    return fix((s >> 13 << 12) | (s & 0xFFF), 24, q)  # guard slot dropped
 
 
 def shared_add_sub(x: int, y: int, mode: str, op: str, p: ModulusParams) -> int:
@@ -255,46 +272,10 @@ def shared_add_sub(x: int, y: int, mode: str, op: str, p: ModulusParams) -> int:
         raise ValueError(f"unknown op {op!r}")
     if mode != (KYBER_PAIR if p.scheme == "kyber" else DILITHIUM_SINGLE):
         raise ValueError(f"no {mode!r} mode on {p.scheme} parameters")
+    q = p.q
     if mode == KYBER_PAIR:
-        x0, x1 = unpack_lanes(x)
-        y0, y1 = unpack_lanes(y)
-        assert x0 < p.q and x1 < p.q and y0 < p.q and y1 < p.q, "lane out of range"
-        s = _carry_chain(x, y, op, mode)
-        if op == "add":
-            # Lane sums are 13 bits; lane 0's carry surfaces in the (zero)
-            # guard slot, lane 1's in the window's carry-out.
-            raw0 = s & 0x1FFF
-            raw1 = s >> (_GUARD_POS + 1)
-            out0 = raw0 - p.q if raw0 >= p.q else raw0
-            out1 = raw1 - p.q if raw1 >= p.q else raw1
-        else:
-            # The a-side guard turns the lane-0 carry-out into an
-            # unconditional +1 for lane 1 (its own two's-complement +1),
-            # leaving S[12] = !borrow0 and the carry-out = !borrow1.
-            raw0 = s & 0xFFF
-            raw1 = (s >> (_GUARD_POS + 1)) & 0xFFF
-            out0 = raw0 if (s >> _GUARD_POS) & 1 else raw0 + p.q - (1 << _LANE_BITS)
-            out1 = raw1 if s >> (2 * _LANE_BITS + 1) else raw1 + p.q - (1 << _LANE_BITS)
-            out0 &= 0xFFF
-            out1 &= 0xFFF
-        assert out0 == (
-            mod_add(x0, y0, p.q) if op == "add" else mod_sub(x0, y0, p.q)
-        )
-        assert out1 == (
-            mod_add(x1, y1, p.q) if op == "add" else mod_sub(x1, y1, p.q)
-        )
-        return pack_lanes(out0, out1)
-
-    assert 0 <= x < p.q and 0 <= y < p.q, "lane out of range"
-    s = _carry_chain(x, y, op, mode)
-    # Reassemble, dropping the guard position: bits 0..11 plus bits 13..
-    raw = ((s >> (_GUARD_POS + 1)) << _GUARD_POS) | (s & ((1 << _GUARD_POS) - 1))
-    if op == "add":
-        value = raw & 0xFFFFFF
-        out = value - p.q if value >= p.q else value
+        assert 0 <= x >> 12 < q and 0 <= y >> 12 < q \
+            and x & 0xFFF < q and y & 0xFFF < q, "lane out of range"
     else:
-        no_borrow = raw >> 24  # carry-out of the full 24-bit chain
-        value = raw & 0xFFFFFF
-        out = value if no_borrow else (value + p.q) & 0xFFFFFF
-    assert out == (mod_add(x, y, p.q) if op == "add" else mod_sub(x, y, p.q))
-    return out
+        assert 0 <= x < q and 0 <= y < q, "lane out of range"
+    return _add_sub_lanes(x, y, op, mode, q)

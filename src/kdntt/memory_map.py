@@ -624,11 +624,13 @@ def estimate_bram_usage(design: str) -> BramEstimate:
 # ---------------------------------------------------------------------------
 
 def rom_image_lines(words, width: int) -> list[str]:
-    """Hex lines, one word per line, most-significant nibble first."""
+    """Hex lines, one word per line, most-significant nibble first.
+    Raises ValueError for a word that does not fit ``width`` bits."""
     digits = math.ceil(width / 4)
     lines = []
     for w in words:
-        assert 0 <= w < (1 << width)
+        if not 0 <= w < (1 << width):
+            raise ValueError(f"ROM word {w:#x} does not fit {width} bits")
         lines.append(f"{w:0{digits}x}")
     return lines
 

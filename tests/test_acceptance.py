@@ -45,7 +45,6 @@ from kdntt.bfu import (
     MODE_PWM0,
     MODE_PWM1,
     BfuIo,
-    MultCounter,
     ct_butterfly,
     dilithium_pwm,
     fast_intt,
@@ -216,63 +215,62 @@ def test_c5_conflict_freedom():
           "shipped depths 15/15/8/11; reversal removal hazards at the bound")
 
 
-def test_c6_unified_lane_equivalence():
+def test_c6_unified_lane_equivalence(count_mults):
     """unified_bfu_step vs standalone lanes, 1e5 samples per mode, with
-    the multiplication counters at 2/step (Kyber), 1/step (Dilithium),
+    the counted multiplier passes at 2/step (Kyber), 1/step (Dilithium),
     and 4 per Kyber pointwise pair."""
     n = 100_000
     rng = random.Random("c6")
     kq = KYBER.q
 
-    counter = MultCounter()
+    counter = count_mults()
     for _ in range(n):
         a0, b0, a1, b1 = (rng.randrange(kq) for _ in range(4))
         w0, w1 = to_mont(rng.randrange(kq), KYBER), to_mont(rng.randrange(kq), KYBER)
         lanes = (BfuIo(in1=a0, in2=b0, in3=w0), BfuIo(in1=a1, in2=b1, in3=w1))
-        out = unified_bfu_step(lanes, MODE_NTT, "kyber", KYBER, counter=counter)
+        out = unified_bfu_step(lanes, MODE_NTT, "kyber", KYBER)
         assert out[0] == ct_butterfly(a0, b0, w0, KYBER)
         assert out[1] == ct_butterfly(a1, b1, w1, KYBER)
     assert counter.kyber_mults == 2 * n
 
-    counter = MultCounter()
+    counter = count_mults()
     for _ in range(n):
         a0, b0, a1, b1 = (rng.randrange(kq) for _ in range(4))
         w0, w1 = to_mont(rng.randrange(kq), KYBER), to_mont(rng.randrange(kq), KYBER)
         lanes = (BfuIo(in1=a0, in2=b0, in3=w0), BfuIo(in1=a1, in2=b1, in3=w1))
-        out = unified_bfu_step(lanes, MODE_INTT, "kyber", KYBER, counter=counter)
+        out = unified_bfu_step(lanes, MODE_INTT, "kyber", KYBER)
         assert out[0] == gs_butterfly_halving(a0, b0, w0, KYBER)
         assert out[1] == gs_butterfly_halving(a1, b1, w1, KYBER)
     assert counter.kyber_mults == 2 * n
 
-    counter = MultCounter()
+    counter = count_mults()
     for _ in range(n):
         a = (rng.randrange(kq), rng.randrange(kq))
         b = (rng.randrange(kq), rng.randrange(kq))
         psi = rng.randrange(1, kq)
         io0 = BfuIo(in1=a[0], in2=a[1],
                     in3=to_mont(b[0], KYBER), in4=to_mont(b[1], KYBER))
-        carry = unified_bfu_step(io0, MODE_PWM0, "kyber", KYBER, counter=counter)
+        carry = unified_bfu_step(io0, MODE_PWM0, "kyber", KYBER)
         io1 = BfuIo(in3=to_mont(psi, KYBER))
-        done = unified_bfu_step(io1, MODE_PWM1, "kyber", KYBER,
-                                carry=carry, counter=counter)
+        done = unified_bfu_step(io1, MODE_PWM1, "kyber", KYBER, carry=carry)
         assert done == kyber_basecase_ref(a, b, psi)
     assert counter.kyber_mults == 4 * n  # the Karatsuba count
 
     p = DILITHIUM
-    counter = MultCounter()
+    counter = count_mults()
     for mode, ref in ((MODE_NTT, ct_butterfly),
                       (MODE_INTT, gs_butterfly_halving)):
         for _ in range(n):
             a, b = rng.randrange(p.q), rng.randrange(p.q)
             w = to_mont(rng.randrange(1, p.q), p)
             out = unified_bfu_step(BfuIo(in1=a, in2=b, in3=w), mode,
-                                   "dilithium", p, counter=counter)
+                                   "dilithium", p)
             assert out == ref(a, b, w, p)
     for _ in range(n):
         a = rng.randrange(p.q)
         w = to_mont(rng.randrange(p.q), p)
         out = unified_bfu_step(BfuIo(in1=a, in3=w), MODE_PWM,
-                               "dilithium", p, counter=counter)
+                               "dilithium", p)
         assert out == (dilithium_pwm(a, w, p), 0)
     assert counter.dilithium_mults == 3 * n and counter.kyber_mults == 0
     print(f"criterion 6 PASS: unified == standalone on {n} samples/mode; "

@@ -2,9 +2,11 @@
 pointwise product, the unified dual-lane step, and the fast transforms."""
 
 import random
+import sys
 
 import pytest
 
+from kdntt import bfu
 from kdntt.core_arith import (
     DILITHIUM,
     DILITHIUM_SINGLE,
@@ -30,7 +32,6 @@ from kdntt.bfu import (
     MODE_PWM0,
     MODE_PWM1,
     BfuIo,
-    MultCounter,
     ct_butterfly,
     dilithium_pwm,
     dual_lane_mult,
@@ -78,15 +79,17 @@ def test_dual_lane_mult_dilithium_shift_add():
         y = RNG.randrange(1 << 24)
         p, zero = dual_lane_mult(x, y, DILITHIUM_SINGLE)
         assert p == x * y and zero == 0
-    with pytest.raises(AssertionError):
-        dual_lane_mult(1 << 23, 0, DILITHIUM_SINGLE)
+    if sys.flags.optimize == 0:  # -O strips the operand-range assert
+        with pytest.raises(AssertionError):
+            dual_lane_mult(1 << 23, 0, DILITHIUM_SINGLE)
 
 
-def test_dual_lane_mult_counter():
-    c = MultCounter()
-    dual_lane_mult(0, 0, KYBER_PAIR, c)
+def test_dual_lane_mult_counter(count_mults):
+    """The tally counts each pass at the name unified_bfu_step calls."""
+    c = count_mults()
+    bfu.dual_lane_mult(0, 0, KYBER_PAIR)
     assert (c.kyber_mults, c.dilithium_mults) == (2, 0)
-    dual_lane_mult(0, 0, DILITHIUM_SINGLE, c)
+    bfu.dual_lane_mult(0, 0, DILITHIUM_SINGLE)
     assert (c.kyber_mults, c.dilithium_mults) == (2, 1)
 
 
@@ -155,37 +158,36 @@ def test_unified_kyber_intt_matches_standalone():
                 gs_butterfly_halving(src.in1, src.in2, src.in3, KYBER)
 
 
-def test_unified_kyber_pwm_two_stage():
+def test_unified_kyber_pwm_two_stage(count_mults):
     q = 3329
-    c = MultCounter()
+    c = count_mults()
     for _ in range(2000):
         a = (RNG.randrange(q), RNG.randrange(q))
         b = (RNG.randrange(q), RNG.randrange(q))
         psi = RNG.randrange(1, q)
         io0 = BfuIo(in1=a[0], in2=a[1],
                     in3=to_mont(b[0], KYBER), in4=to_mont(b[1], KYBER))
-        carry = unified_bfu_step(io0, MODE_PWM0, "kyber", KYBER, counter=c)
+        carry = unified_bfu_step(io0, MODE_PWM0, "kyber", KYBER)
         io1 = BfuIo(in3=to_mont(psi, KYBER))
-        done = unified_bfu_step(io1, MODE_PWM1, "kyber", KYBER,
-                                carry=carry, counter=c)
+        done = unified_bfu_step(io1, MODE_PWM1, "kyber", KYBER, carry=carry)
         assert done == kyber_basecase_ref(a, b, psi)
     assert c.kyber_mults == 4 * 2000  # Karatsuba count: 4 per pair
 
 
-def test_unified_dilithium_modes_match_standalone():
+def test_unified_dilithium_modes_match_standalone(count_mults):
     p = DILITHIUM
-    c = MultCounter()
+    c = count_mults()
     for _ in range(2000):
         a, b = RNG.randrange(p.q), RNG.randrange(p.q)
         w = to_mont(RNG.randrange(1, p.q), p)
         out = unified_bfu_step(BfuIo(in1=a, in2=b, in3=w), MODE_NTT,
-                               "dilithium", p, counter=c)
+                               "dilithium", p)
         assert out == ct_butterfly(a, b, w, p)
         out = unified_bfu_step(BfuIo(in1=a, in2=b, in3=w), MODE_INTT,
-                               "dilithium", p, counter=c)
+                               "dilithium", p)
         assert out == gs_butterfly_halving(a, b, w, p)
         out = unified_bfu_step(BfuIo(in1=a, in3=w), MODE_PWM,
-                               "dilithium", p, counter=c)
+                               "dilithium", p)
         assert out == (dilithium_pwm(a, w, p), 0)
     assert c.dilithium_mults == 3 * 2000 and c.kyber_mults == 0
 

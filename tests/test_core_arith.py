@@ -24,6 +24,7 @@ from kdntt.core_arith import (
     KYBER_PAIR,
     SCHEMES,
     ModulusParams,
+    _add_sub_lanes,
     from_mont,
     mod_add,
     mod_add_array,
@@ -227,10 +228,11 @@ def test_pack_unpack_lanes():
     assert pack_lanes(0xFFF, 0) == 0xFFF
     assert pack_lanes(0, 1) == 1 << 12
     assert unpack_lanes(pack_lanes(123, 456)) == (123, 456)
-    with pytest.raises(AssertionError):
-        pack_lanes(4096, 0)
-    with pytest.raises(AssertionError):
-        pack_lanes(0, -1)
+    if sys.flags.optimize == 0:  # -O strips the lane-range assert
+        with pytest.raises(AssertionError):
+            pack_lanes(4096, 0)
+        with pytest.raises(AssertionError):
+            pack_lanes(0, -1)
 
 
 def test_guard_sel_covers_all_cases():
@@ -295,12 +297,47 @@ def test_shared_add_sub_boundary_lanes():
                 == mod_sub(x, y, DILITHIUM.q)
 
 
+def test_adder_body_on_every_kyber_lane_pair():
+    """Every Kyber lane pair, add and sub, through the adder's body on
+    int64 arrays, against (x + y) mod q and (x - y) mod q.
+
+    Three sweeps per op cover every pair of packed words.  Lane 0 sees
+    no lane-1 bit, since a carry only moves up: one sweep takes all q**2
+    lane-0 pairs with lane 1 at 0.  Lane 1 sees lane 0 only through the
+    guard column, whose carry-out GUARD_SEL fixes per op (add: 0 + 0 +
+    carry never carries out; sub: 1 + 1 + carry always does, the +1 of
+    lane 1's two's complement), whatever carry the column takes in.  So
+    two sweeps take all q**2 lane-1 pairs, with lane 0 set so that the
+    column takes in a carry and, separately, none: a lane-0 sum that
+    overflows 12 bits or not, a lane-0 difference that does not borrow
+    or does."""
+    import numpy as np
+    q = KYBER.q
+    b = np.arange(q, dtype=np.int64)[None, :]
+    for op, ref, lane0_pairs in (("add", np.add, ((q - 1, q - 1), (0, 0))),
+                                 ("sub", np.subtract, ((0, 0), (0, 1)))):
+        for start in range(0, q, 256):
+            a = np.arange(start, min(start + 256, q), dtype=np.int64)[:, None]
+            want = ref(a, b) % q
+            got = _add_sub_lanes(a, b, op, KYBER_PAIR, q)
+            assert np.array_equal(got, want), (op, start)
+            for x0, y0 in lane0_pairs:
+                got = _add_sub_lanes(a << 12 | x0, b << 12 | y0, op,
+                                     KYBER_PAIR, q)
+                assert np.array_equal(got, want << 12 | ref(x0, y0) % q), \
+                    (op, start, x0, y0)
+
+
 def test_shared_add_sub_rejects_malformed():
-    with pytest.raises(AssertionError):
-        shared_add_sub(pack_lanes(3329, 0), pack_lanes(0, 0),
-                       KYBER_PAIR, "add", KYBER)  # lane >= q
-    with pytest.raises(AssertionError):
-        shared_add_sub(DILITHIUM.q, 0, DILITHIUM_SINGLE, "add", DILITHIUM)
+    if sys.flags.optimize == 0:  # -O strips the lane-range asserts
+        with pytest.raises(AssertionError):
+            shared_add_sub(pack_lanes(3329, 0), pack_lanes(0, 0),
+                           KYBER_PAIR, "add", KYBER)  # lane >= q
+        with pytest.raises(AssertionError):
+            shared_add_sub(-4096, 0, KYBER_PAIR, "sub", KYBER)  # lane 1 < 0
+        with pytest.raises(AssertionError):
+            shared_add_sub(DILITHIUM.q, 0, DILITHIUM_SINGLE, "add",
+                           DILITHIUM)
     with pytest.raises(ValueError):
         shared_add_sub(0, 0, KYBER_PAIR, "add", DILITHIUM)  # scheme mismatch
     with pytest.raises(ValueError):
@@ -308,14 +345,15 @@ def test_shared_add_sub_rejects_malformed():
 
 
 def test_out_of_range_inputs_rejected():
-    with pytest.raises(AssertionError):
-        mod_add(3329, 0, 3329)
-    with pytest.raises(AssertionError):
-        mod_sub(0, -1, 3329)
-    with pytest.raises(AssertionError):
-        mont_mul(KYBER.q, 1, KYBER)
-    with pytest.raises(AssertionError):
-        mont_redc(KYBER.r * KYBER.q, KYBER)
+    if sys.flags.optimize == 0:  # -O strips the hot-path range asserts
+        with pytest.raises(AssertionError):
+            mod_add(3329, 0, 3329)
+        with pytest.raises(AssertionError):
+            mod_sub(0, -1, 3329)
+        with pytest.raises(AssertionError):
+            mont_mul(KYBER.q, 1, KYBER)
+        with pytest.raises(AssertionError):
+            mont_redc(KYBER.r * KYBER.q, KYBER)
 
 
 

@@ -385,8 +385,10 @@ def test_rom_image_lines_format():
     assert lines == ["000", "abc", "00f"]
     lines = rom_image_lines([1 << 21], 22)
     assert lines == ["200000"]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="does not fit 12 bits"):
         rom_image_lines([1 << 12], 12)  # word wider than declared
+    with pytest.raises(ValueError, match="does not fit 4 bits"):
+        rom_image_lines([-1], 4)
 
 
 def test_build_rom_images_deterministic_and_consistent():
