@@ -89,10 +89,11 @@ def dual_lane_mult(x: int, y: int, mode: str) -> tuple[int, int]:
     """
     if mode not in (KYBER_PAIR, DILITHIUM_SINGLE):
         raise ValueError(f"unknown multiplier mode {mode!r}")
+    assert 0 <= x < 1 << (24 if mode == KYBER_PAIR else 23) \
+        and 0 <= y < 1 << 24, "operand out of range"
     y0, y1 = y & 0xFFF, y >> 12
     if mode == KYBER_PAIR:
         return (x & 0xFFF) * y0, (x >> 12) * y1
-    assert 0 <= x < (1 << 23) and 0 <= y < (1 << 24)
     return x * y0 + (x * y1 << 12), 0
 
 

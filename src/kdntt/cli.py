@@ -20,14 +20,12 @@ import os
 import random
 import re
 import sys
-from array import array
 from functools import lru_cache
 
-from .core_arith import SCHEMES
+from .core_arith import N, SCHEMES
 from .ntt_reference import (
     DOMAINS,
     Polynomial,
-    _draw_coefficients,
     direct_ntt_columns,
     reference_pwm_columns,
     schoolbook_columns,
@@ -221,6 +219,29 @@ def cmd_gen_roms(args) -> int:
     return EXIT_OK
 
 
+def _draw_trials(q: int, seed: int, scheme: str, indices):
+    """verify's a and b, int64 (256, len(indices)) arrays: column j is
+    Polynomial.random drawn a then b from trial indices[j]'s rng.  That
+    rng is verify's alone, so the draw may read past the 512th value's
+    word: getrandbits(32*m) returns m words, lowest first, and the first
+    512 of their w >> (32 - k) below q are the values of 512
+    randrange(q) calls.  m is the expected need plus a margin; a trial
+    left short draws m more words."""
+    import numpy as np
+    k = q.bit_length()
+    m = (2 * N << k) // q + 32
+    out = np.empty((2 * N, len(indices)), np.int64)
+    for j, i in enumerate(indices):
+        rng = random.Random(f"{seed}/{scheme}/{i}")
+        kept = np.empty(0, np.uint32)
+        while len(kept) < 2 * N:
+            words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+            w = np.frombuffer(words, "<u4") >> 32 - k
+            kept = np.concatenate((kept, w[w < q]))
+        out[:, j] = kept[:2 * N]
+    return out.reshape(2, N, -1)
+
+
 def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
                    override) -> str | None:
     """Run verify's trials through the core in batches of VERIFY_BATCH and
@@ -241,13 +262,7 @@ def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
 
     for start in range(0, trials, VERIFY_BATCH):
         indices = range(start, min(start + VERIFY_BATCH, trials))
-        words = array("I")
-        for i in indices:  # a then b, as Polynomial.random draws them
-            rng = random.Random(f"{seed}/{scheme}/{i}")
-            _draw_coefficients(p.q, rng, words)
-            _draw_coefficients(p.q, rng, words)
-        a, b = (np.frombuffer(words, np.uintc).reshape(len(indices), 2, -1)
-                .transpose(1, 2, 0).astype(np.int64, order="C"))
+        a, b = _draw_trials(p.q, seed, scheme, indices)
         fa, fb = run(OP_NTT, a), direct_ntt_columns(b, p)
         checks = (
             ("product", run(OP_POLYMUL, a, b), schoolbook_columns(a, b, p)),

@@ -129,12 +129,18 @@ DILITHIUM = ModulusParams("dilithium", q=8380417, root=1753, root_order=512)
 SCHEMES = {"kyber": KYBER, "dilithium": DILITHIUM}
 
 
+def _redc(t, p: ModulusParams):
+    """mont_redc past its check, operators only, so int64 arrays pass
+    too: m makes t + m*q a multiple of R, and t < R*q gives u < 2q."""
+    m = ((t & p.mask) * p.q_prime) & p.mask
+    u = (t + m * p.q) >> p.r_bits
+    return u - p.q * (u >= p.q)
+
+
 def mont_redc(t: int, p: ModulusParams) -> int:
     """Montgomery reduction: t -> t * R**-1 mod q, for 0 <= t < R*q."""
     assert 0 <= t < p.r * p.q
-    m = ((t & p.mask) * p.q_prime) & p.mask
-    u = (t + m * p.q) >> p.r_bits
-    return u - p.q if u >= p.q else u
+    return _redc(t, p)
 
 
 def mont_mul(a: int, b: int, p: ModulusParams) -> int:
@@ -187,16 +193,13 @@ def mod_add_half(a: int, b: int, q: int) -> int:
 # Branch-free forms of mont_mul, mod_add, mod_sub and mod_add_half for
 # whole arrays of coefficients at once: operators only, each comparison
 # selecting its correction by a 0/1 factor, so an int64 numpy array (or a
-# plain int) works.  They have no range checks and share no code with
-# the scalar forms above, whose per-call cost the golden model pays on
-# every butterfly.  Dilithium's t + m*q stays below 2**47, so int64 is
-# exact.
+# plain int) works.  They have no range checks.  mont_mul_array shares
+# _redc with mont_redc; the others share no code with the scalar forms
+# above, whose per-call cost the golden model pays on every butterfly.
+# Dilithium's t + m*q stays below 2**47, so int64 is exact.
 
 def mont_mul_array(a, b, p: ModulusParams):
-    t = a * b
-    m = ((t & p.mask) * p.q_prime) & p.mask
-    u = (t + m * p.q) >> p.r_bits
-    return u - p.q * (u >= p.q)
+    return _redc(a * b, p)
 
 
 def mod_add_array(a, b, q: int):

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import operator
 import random
-import sys
-from array import array
 from functools import lru_cache
 
 from .core_arith import (
@@ -100,32 +98,21 @@ class Polynomial(_Frozen):
         """256 uniform coefficients, the values of 256 rng.randrange(q)
         calls, leaving rng in the same state (see _draw_coefficients)."""
         _check_tags(scheme, domain)
-        out = array("I")
-        _draw_coefficients(SCHEMES[scheme].q, rng, out)
-        return cls._trusted(tuple(out), scheme, domain)
+        coeffs = _draw_coefficients(SCHEMES[scheme].q, rng)
+        return cls._trusted(tuple(coeffs), scheme, domain)
 
 
-def _draw_coefficients(q: int, rng: random.Random, out: array) -> None:
-    """Append to the array("I") out the values of 256 rng.randrange(q)
-    calls, leaving rng in the same state: Polynomial.random's draw, which
-    verify also uses to fill its trial arrays.
-
-    randrange(q) takes a word w from the Mersenne Twister, keeps
-    w >> (32 - k) for k = q.bit_length() and draws again while that is
-    not below q; getrandbits(32*m) returns the next m words, the first
-    in the lowest 32 bits, and array("I") reads them back as 32-bit
-    words.  Drawing as many words as values are still missing never
-    reads past the word of the 256th accepted value.
-    """
-    shift = 32 - q.bit_length()
-    end = len(out) + N
-    while len(out) < end:
-        need = end - len(out)
-        words = array("I", rng.getrandbits(32 * need)
-                      .to_bytes(4 * need, "little"))
-        if sys.byteorder == "big":
-            words.byteswap()
-        out.extend([v for w in words if (v := w >> shift) < q])
+def _draw_coefficients(q: int, rng: random.Random) -> list[int]:
+    """The values of 256 rng.randrange(q) calls, leaving rng in the same
+    state: randrange(q) takes getrandbits(q.bit_length()), the top bits
+    of one Mersenne Twister word, until that is below q.  Drawing as many
+    words as values are still missing never reads past the 256th's."""
+    k = q.bit_length()
+    out = []
+    while len(out) < N:
+        out += [v for _ in range(N - len(out))
+                if (v := rng.getrandbits(k)) < q]
+    return out
 
 
 def _check_tags(scheme: str, domain: str) -> None:

@@ -84,6 +84,19 @@ def test_dual_lane_mult_dilithium_shift_add():
             dual_lane_mult(1 << 23, 0, DILITHIUM_SINGLE)
 
 
+def test_dual_lane_mult_kyber_operand_range():
+    """Kyber words are two 12-bit lanes: the widest pass, and a word
+    outside [0, 2**24) fails the range assert instead of feeding a block
+    more than 12 bits of y or a negative lane."""
+    top = (1 << 24) - 1
+    assert dual_lane_mult(top, top, KYBER_PAIR) == (0xFFF ** 2, 0xFFF ** 2)
+    if sys.flags.optimize == 0:  # -O strips the operand-range assert
+        for x, y in ((5 | 7 << 12, 3 | 1 << 32), (-1, 3), (-(1 << 12), 3),
+                     (1 << 24, 0), (0, 1 << 24), (0, -1)):
+            with pytest.raises(AssertionError):
+                dual_lane_mult(x, y, KYBER_PAIR)
+
+
 def test_dual_lane_mult_counter(count_mults):
     """The tally counts each pass at the name unified_bfu_step calls."""
     c = count_mults()

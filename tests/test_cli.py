@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from kdntt.ntt_reference import (
     reference_pwm,
     schoolbook_negacyclic,
 )
-from kdntt.core_arith import DILITHIUM
+from kdntt.core_arith import DILITHIUM, SCHEMES
 
 RNG = random.Random(0xC11)
 SRC = str(Path(kdntt.__file__).resolve().parents[1])
@@ -332,6 +333,44 @@ def test_verify_draws_its_trials_as_polynomial_random_does(monkeypatch,
                                    for _ in "ab"])
                 assert (a[:, i] == want[:, 0]).all(), (seed, scheme, i)
                 assert (b[:, i] == want[:, 1]).all(), (seed, scheme, i)
+
+
+def test_draw_trials_equals_polynomial_random(monkeypatch):
+    """_draw_trials' columns are Polynomial.random drawn a then b from
+    each trial's rng, for 200 seeds of both schemes and trials 0..22 (a
+    full batch and a partial one).  Its first getrandbits call leaves
+    some Kyber trials short of 512 values, and those draw again."""
+    calls = []  # getrandbits calls of each trial rng _draw_trials builds
+
+    class CountingRandom(random.Random):
+        def __init__(self, x):
+            super().__init__(x)
+            calls.append(0)
+
+        def getrandbits(self, k):
+            calls[-1] += 1
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(kdntt.cli, "random",
+                        types.SimpleNamespace(Random=CountingRandom))
+    for scheme, p in SCHEMES.items():
+        calls.clear()
+        for seed in range(200):
+            want = []
+            for i in range(VERIFY_BATCH + 3):
+                rng = random.Random(f"{seed}/{scheme}/{i}")
+                want += [Polynomial.random(scheme, rng) for _ in "ab"]
+            want = as_columns(want)
+            a, b = np.concatenate([
+                kdntt.cli._draw_trials(p.q, seed, scheme, indices)
+                for indices in (range(VERIFY_BATCH),
+                                range(VERIFY_BATCH, VERIFY_BATCH + 3))], 2)
+            assert a.dtype == b.dtype == np.int64
+            assert np.array_equal(a, want[:, 0::2]), (scheme, seed)
+            assert np.array_equal(b, want[:, 1::2]), (scheme, seed)
+        assert len(calls) == 200 * (VERIFY_BATCH + 3) and min(calls) == 1
+        if scheme == "kyber":
+            assert max(calls) == 2
 
 
 def test_verify_builds_no_polynomial(monkeypatch, capsys):

@@ -25,6 +25,7 @@ from kdntt.core_arith import (
     SCHEMES,
     ModulusParams,
     _add_sub_lanes,
+    _redc,
     from_mont,
     mod_add,
     mod_add_array,
@@ -121,6 +122,30 @@ def test_mont_redc_full_range_edges():
         rinv = pow(p.r, -1, p.q)
         for t in (0, 1, p.q - 1, p.q, p.r - 1, p.r, p.r * p.q - 1):
             assert mont_redc(t, p) == t * rinv % p.q
+
+
+def test_montgomery_reduction_on_every_residue():
+    """_redc, the body of mont_redc and mont_mul_array, on every input
+    0 <= t < R*q, by its parts.  m depends only on t mod R, so one sweep
+    over every residue r in [0, R) checks that m makes r + m*q a
+    multiple of R, and then t + m*q is one for every t with that residue:
+    the shift drops no bit, and u*R == t (mod q).  As m < R and t < R*q,
+    u = (t + m*q) / R < 2q, so one subtraction at u >= q brings every u
+    into [0, q); it is checked at u = q - 1, q and 2q - 1 (t = u*R, where
+    m = 0).  The sweep runs _redc on every residue too, in chunks of
+    2**20 int64 values (Dilithium's R is 2**23)."""
+    import numpy as np
+    for p in SCHEMES.values():
+        rinv = pow(p.r, -1, p.q)
+        for start in range(0, p.r, 1 << 20):
+            r = np.arange(start, min(start + (1 << 20), p.r), dtype=np.int64)
+            m = ((r & p.mask) * p.q_prime) & p.mask  # as _redc forms it
+            assert not ((r + m * p.q) & p.mask).any(), (p.scheme, start)
+            assert np.array_equal(_redc(r, p), r * rinv % p.q)
+        t = [u << p.r_bits for u in (p.q - 1, p.q, 2 * p.q - 1)]
+        want = [p.q - 1, 0, p.q - 1]
+        assert [_redc(x, p) for x in t] == want
+        assert _redc(np.array(t, dtype=np.int64), p).tolist() == want
 
 
 def test_mod_add_examples():
