@@ -8,7 +8,9 @@ Each oracle is written once, over an int64 (256, batch) array with a
 column per polynomial, so verify checks a whole batch in one call;
 direct_ntt, direct_intt, schoolbook_negacyclic and reference_pwm are
 one-column calls of those bodies.  The oracles stay naive: no
-butterfly and no Montgomery arithmetic.  numpy is imported only inside
+butterfly and no Montgomery arithmetic.  The direct transforms are one
+float64 matrix product of residues centred into (-q/2, q/2], exact since
+every partial sum stays below 2**52 < 2**53.  numpy is imported only inside
 the functions that use it, never at module level, so the CLI's
 simulator commands start without paying for it.
 
@@ -213,8 +215,9 @@ def _direct_matrices(p: ModulusParams) -> tuple[np.ndarray, np.ndarray]:
     """(forward, inverse) evaluation matrices in ``ntt-br`` order.
 
     forward[k, i] = root**(i*(2*bitrev(k)+1)); inverse folds n'**-1 in.
-    Entries and coefficients are < 2**23, so a 256-term dot product stays
-    < 2**54 and int64 accumulation is exact.
+    Entries and coefficients are centred float64 in (-q/2, q/2], below
+    2**22 in size: a term is < 2**44 and a partial sum of up to 256 terms
+    < 2**52 < 2**53, exact in any summation order, with or without FMA.
     """
     import numpy as np
     half = p.root_order // 2  # points per sub-transform: 128 (K), 256 (D)
@@ -225,7 +228,12 @@ def _direct_matrices(p: ModulusParams) -> tuple[np.ndarray, np.ndarray]:
     n_inv = pow(half, -1, p.q)
     inv_powers = [pow(p.root, -e, p.q) * n_inv % p.q for e in range(p.root_order)]
     inv = np.array(inv_powers, dtype=np.int64)[exps.T]
-    return fwd, inv
+    return _centred(fwd, p.q), _centred(inv, p.q)
+
+
+def _centred(x: np.ndarray, q: int) -> np.ndarray:
+    """Residues in [0, q) as float64 values in (-q/2, q/2]."""
+    return (x - q * (x > q // 2)).astype("float64")
 
 
 def _evaluate(x: np.ndarray, p: ModulusParams,
@@ -234,8 +242,8 @@ def _evaluate(x: np.ndarray, p: ModulusParams,
     (two for Kyber, one for Dilithium) of every column, results
     interleaved in place: (256, batch) is read as (256/min_len,
     min_len*batch), one matrix column per stream of a polynomial."""
-    streams = x.reshape(-1, p.min_len * x.shape[1])
-    return (matrix @ streams % p.q).reshape(x.shape)
+    streams = _centred(x.reshape(-1, p.min_len * x.shape[1]), p.q)
+    return ((matrix @ streams).astype("int64") % p.q).reshape(x.shape)
 
 
 def direct_ntt_columns(x: np.ndarray, p: ModulusParams) -> np.ndarray:
