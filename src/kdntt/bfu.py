@@ -16,6 +16,11 @@ data: the model selects its datapath by mode name and never reads them.
 Standalone reference behavior lives in the plain functions
 (ct_butterfly, gs_butterfly_halving, kyber_pwm_pair, dilithium_pwm);
 unified_bfu_step must match them bit for bit, which the tests enforce.
+The scalar driver (pipeline_sim's execute step) calls the per-lane
+butterflies, not unified_bfu_step: a Kyber unified step costs about
+8 us for its two lanes, against under 1 us per lane for ct_butterfly.
+That split is safe only once the two are proven to compute the same
+function on every input; until then the tests compare them on samples.
 The unit keeps no tally of its multiplications: every product goes
 through one dual_lane_mult pass, looked up by name at call time, so the
 tests count them by wrapping it (2 per Kyber pass, 1 per Dilithium).

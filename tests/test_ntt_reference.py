@@ -5,6 +5,7 @@ evaluation points of the one spectral order."""
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from kdntt.core_arith import DILITHIUM, KYBER, SCHEMES
@@ -119,6 +120,43 @@ def test_direct_ntt_is_the_fips_203_204_ntt():
                 for c in reversed(stream):
                     acc = (acc * x + c) % p.q
                 assert got[k * p.min_len + s] == acc, (scheme, k, s)
+
+
+def test_direct_transforms_are_exact_at_the_centring_extremes():
+    """The direct transforms sum float64 products of residues centred
+    into (-q/2, q/2].  Columns of all (q-1)/2 and all (q+1)/2 straddle
+    the centring boundary and give the largest centred terms; all q-1
+    and all q-2 give the largest uncentred ones (q-1 is a multiple of
+    2**8 (Kyber) and 2**13 (Dilithium), so only the odd q-2 also shows an
+    uncentred sum past 2**53 rounding).  For both schemes and directions,
+    every entry equals the defining sum mod q worked out here in pure
+    Python with pow: Horner at each point for the forward transform, the
+    inverse's sum term by term.  The column oracles return int64, and
+    direct_ntt/direct_intt Python ints, so no float reaches a Polynomial."""
+    for scheme, p in SCHEMES.items():
+        q, m, half = p.q, p.min_len, p.root_order // 2
+        values = (q - 1, q - 2, (q - 1) // 2, (q + 1) // 2)
+        x = np.array([[v] * 256 for v in values], np.int64).T
+        fwd, inv = direct_ntt_columns(x, p), direct_intt_columns(x, p)
+        n_inv = pow(half, -1, q)
+        points = [pow(FIPS_ZETA[scheme], 2 * bit_reverse(k, p.layers) + 1, q)
+                  for k in range(half)]
+        for j, v in enumerate(values):
+            for k, point in enumerate(points):
+                acc = 0
+                for _ in range(half):
+                    acc = (acc * point + v) % q
+                assert all(fwd[k * m + s, j] == acc for s in range(m))
+            for i in range(half):
+                want = sum(v * pow(pt, -i, q) for pt in points) * n_inv % q
+                assert all(inv[i * m + s, j] == want for s in range(m))
+        a = Polynomial((q - 1,) * 256, scheme)
+        b = Polynomial(((q + 1) // 2,) * 256, scheme)
+        cols = (fwd, inv, schoolbook_columns(x, x, p),
+                reference_pwm_columns(x, x, p))
+        assert all(c.dtype == np.int64 for c in cols)
+        for poly in (direct_ntt(a, p), direct_intt(direct_ntt(b, p), p)):
+            assert all(type(c) is int for c in poly.coeffs)
 
 
 def test_schoolbook_identity_and_wraparound():
