@@ -2,8 +2,8 @@
 
 The package has three layers:
 
-- plain-integer reference arithmetic (core_arith, ntt_reference): modular
-  and Montgomery primitives plus slow, obviously-correct transforms;
+- arithmetic and the Polynomial value type (core_arith), and the slow,
+  obviously-correct oracles over them (ntt_reference);
 - the hardware datapath model (bfu, memory_map): the unified butterfly
   unit, twiddle/address ROM generation, and the conflict-free two-bank
   access schedule;
@@ -12,10 +12,15 @@ The package has three layers:
 
 from .core_arith import (
     DILITHIUM,
+    DOMAIN_NORMAL,
+    DOMAIN_NTT_BR,
+    DOMAINS,
     KYBER,
     ModulusParams,
     N,
+    Polynomial,
     SCHEMES,
+    bit_reverse,
     from_mont,
     mod_add,
     mod_add_half,
@@ -26,11 +31,6 @@ from .core_arith import (
     to_mont,
 )
 from .ntt_reference import (
-    DOMAIN_NORMAL,
-    DOMAIN_NTT_BR,
-    DOMAINS,
-    Polynomial,
-    bit_reverse,
     direct_intt,
     direct_ntt,
     reference_pwm,

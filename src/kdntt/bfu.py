@@ -37,6 +37,7 @@ from .core_arith import (
     DILITHIUM_SINGLE,
     KYBER_PAIR,
     ModulusParams,
+    Polynomial,
     mod_add,
     mod_add_half,
     mod_sub,
@@ -46,7 +47,6 @@ from .core_arith import (
     shared_add_sub,
     unpack_lanes,
 )
-from .ntt_reference import Polynomial
 
 MODE_NTT = "ntt"
 MODE_INTT = "intt"

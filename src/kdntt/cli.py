@@ -22,14 +22,7 @@ import re
 import sys
 from functools import lru_cache
 
-from .core_arith import N, SCHEMES
-from .ntt_reference import (
-    DOMAINS,
-    Polynomial,
-    direct_ntt_columns,
-    reference_pwm_columns,
-    schoolbook_columns,
-)
+from .core_arith import DOMAINS, N, SCHEMES, Polynomial
 from .memory_map import (
     DESIGNS,
     build_rom_images,
@@ -219,7 +212,7 @@ def cmd_gen_roms(args) -> int:
     return EXIT_OK
 
 
-def _draw_trials(q: int, seed: int, scheme: str, indices):
+def _draw_trials(seed: int, scheme: str, indices):
     """verify's a and b, int64 (256, len(indices)) arrays: column j is
     Polynomial.random drawn a then b from trial indices[j]'s rng.  That
     rng is verify's alone, so the draw may read past the 512th value's
@@ -228,6 +221,7 @@ def _draw_trials(q: int, seed: int, scheme: str, indices):
     randrange(q) calls.  m is the expected need plus a margin; a trial
     left short draws m more words."""
     import numpy as np
+    q = SCHEMES[scheme].q
     k = q.bit_length()
     m = (2 * N << k) // q + 32
     out = np.empty((2 * N, len(indices)), np.int64)
@@ -252,6 +246,8 @@ def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
     int64 (256, batch) arrays throughout; no Polynomial is built."""
     import numpy as np
 
+    from . import ntt_reference as nr
+
     plans = {}
     for op in (OP_POLYMUL, OP_NTT, OP_INTT, OP_PWM):
         plans[op], p, tw, _ = _prepare(cfg, scheme, op, override, False)
@@ -262,14 +258,14 @@ def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
 
     for start in range(0, trials, VERIFY_BATCH):
         indices = range(start, min(start + VERIFY_BATCH, trials))
-        a, b = _draw_trials(p.q, seed, scheme, indices)
-        fa, fb = run(OP_NTT, a), direct_ntt_columns(b, p)
+        a, b = _draw_trials(seed, scheme, indices)
+        fa, fb = run(OP_NTT, a), nr.direct_ntt_columns(b, p)
         checks = (
-            ("product", run(OP_POLYMUL, a, b), schoolbook_columns(a, b, p)),
-            ("forward transform", fa, direct_ntt_columns(a, p)),
+            ("product", run(OP_POLYMUL, a, b), nr.schoolbook_columns(a, b, p)),
+            ("forward transform", fa, nr.direct_ntt_columns(a, p)),
             ("roundtrip", run(OP_INTT, fa), a),
             ("pointwise", run(OP_PWM, fa, fb),
-             reference_pwm_columns(fa, fb, p)),
+             nr.reference_pwm_columns(fa, fb, p)),
         )
         # wrong[check, coefficient, trial]; argwhere lists hits in index
         # order, so over (trial, check, coefficient) the first is the

@@ -21,10 +21,15 @@ A mode or op that names no datapath raises ValueError, also under -O.
 _Frozen, the base of the checked value types (ModulusParams, Polynomial,
 MemoryGeometry, CoreConfig), and the NamedTuple records spare a cold CLI
 start the import of dataclasses; _Frozen keeps fields in an instance
-dict, where hot loops read them fastest.
+dict, where hot loops read them fastest.  The bottom module also holds
+the value type Polynomial, with its domains, draw and column form, and
+_check_operand_tags, the one check of an operand's scheme and domain.
 """
 
 from __future__ import annotations
+
+import operator
+import random
 
 N = 256  # ring degree, common to both schemes
 
@@ -127,6 +132,129 @@ KYBER = ModulusParams("kyber", q=3329, root=17, root_order=256)
 DILITHIUM = ModulusParams("dilithium", q=8380417, root=1753, root_order=512)
 
 SCHEMES = {"kyber": KYBER, "dilithium": DILITHIUM}
+
+DOMAIN_NORMAL = "normal"
+DOMAIN_NTT_BR = "ntt-br"  # the FIPS 203/204 NTT order, as the core emits
+DOMAINS = (DOMAIN_NORMAL, DOMAIN_NTT_BR)
+
+
+class Polynomial(_Frozen):
+    """A length-256 coefficient vector tagged with scheme and ordering."""
+
+    _fields = ("coeffs", "scheme", "domain")
+    coeffs: tuple[int, ...]
+    scheme: str
+    domain: str
+
+    def __init__(self, coeffs, scheme: str,
+                 domain: str = DOMAIN_NORMAL) -> None:
+        _check_tags(scheme, domain)
+        try:
+            coeffs = tuple(coeffs)
+            if any(type(c) is bool for c in coeffs):  # index(True) == 1
+                raise TypeError
+            coeffs = tuple(map(operator.index, coeffs))
+        except TypeError:
+            raise ValueError("coefficients must be integers") from None
+        if len(coeffs) != N:
+            raise ValueError(f"expected {N} coefficients, got {len(coeffs)}")
+        q = SCHEMES[scheme].q
+        for i, c in enumerate(coeffs):
+            if not 0 <= c < q:
+                raise ValueError(f"coefficient {i} = {c} out of range [0, {q})")
+        vars(self).update(coeffs=coeffs, scheme=scheme, domain=domain)
+
+    @property
+    def params(self) -> ModulusParams:
+        return SCHEMES[self.scheme]
+
+    def with_coeffs(self, coeffs, domain: str | None = None) -> "Polynomial":
+        return Polynomial(coeffs, self.scheme,
+                          self.domain if domain is None else domain)
+
+    @classmethod
+    def zero(cls, scheme: str, domain: str = DOMAIN_NORMAL) -> "Polynomial":
+        return cls((0,) * N, scheme, domain)
+
+    @classmethod
+    def delta(cls, scheme: str, index: int = 0, value: int = 1,
+              domain: str = DOMAIN_NORMAL) -> "Polynomial":
+        if not 0 <= index < N:
+            raise ValueError(f"delta index {index} outside [0, {N})")
+        coeffs = [0] * N
+        coeffs[index] = value
+        return cls(tuple(coeffs), scheme, domain)
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...], scheme: str,
+                 domain: str) -> "Polynomial":
+        """A polynomial from values the caller built in [0, q) as Python
+        ints, under a valid scheme and domain: none of it is checked."""
+        a = object.__new__(cls)
+        vars(a).update(coeffs=coeffs, scheme=scheme, domain=domain)
+        return a
+
+    @classmethod
+    def random(cls, scheme: str, rng: random.Random,
+               domain: str = DOMAIN_NORMAL) -> "Polynomial":
+        """256 uniform coefficients, the values of 256 rng.randrange(q)
+        calls, leaving rng in the same state (see _draw_coefficients)."""
+        _check_tags(scheme, domain)
+        coeffs = _draw_coefficients(SCHEMES[scheme].q, rng)
+        return cls._trusted(tuple(coeffs), scheme, domain)
+
+
+def _draw_coefficients(q: int, rng: random.Random) -> list[int]:
+    """The values of 256 rng.randrange(q) calls, leaving rng in the same
+    state: randrange(q) takes getrandbits(q.bit_length()), the top bits
+    of one Mersenne Twister word, until that is below q.  Drawing as many
+    words as values are still missing never reads past the 256th's."""
+    k = q.bit_length()
+    out = []
+    while len(out) < N:
+        out += [v for _ in range(N - len(out))
+                if (v := rng.getrandbits(k)) < q]
+    return out
+
+
+def _check_tags(scheme: str, domain: str) -> None:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if domain not in DOMAINS:
+        raise ValueError(f"unknown domain {domain!r}")
+
+
+def _check_operand_tags(polys, scheme: str, domain: str) -> None:
+    """ValueError unless every one of polys is of scheme and in domain."""
+    if any(a.scheme != scheme for a in polys):
+        raise ValueError(f"operand scheme does not match {scheme}")
+    if any(a.domain != domain for a in polys):
+        raise ValueError(f"expected {domain}-domain operands")
+
+
+def bit_reverse(i: int, width: int) -> int:
+    """Reverse the low ``width`` bits of ``i``."""
+    if not 0 <= i < (1 << width):
+        raise ValueError(f"{i} does not fit in {width} bits")
+    out = 0
+    for _ in range(width):
+        out = (out << 1) | (i & 1)
+        i >>= 1
+    return out
+
+
+def as_columns(polys) -> np.ndarray:
+    """The polynomials' coefficients as an int64 (256, len(polys)) array,
+    a column per polynomial."""
+    import numpy as np
+    return np.array([a.coeffs for a in polys], np.int64).T
+
+
+def _from_columns(cols: np.ndarray, scheme: str,
+                 domain: str) -> list[Polynomial]:
+    """One polynomial per column of an array whose entries are in [0, q)."""
+    return [Polynomial._trusted(tuple(c), scheme, domain)
+            for c in cols.T.tolist()]
 
 
 def _redc(t, p: ModulusParams):

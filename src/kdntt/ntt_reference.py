@@ -12,7 +12,8 @@ butterfly and no Montgomery arithmetic.  The direct transforms are one
 float64 matrix product of residues centred into (-q/2, q/2], exact since
 every partial sum stays below 2**52 < 2**53.  numpy is imported only inside
 the functions that use it, never at module level, so the CLI's
-simulator commands start without paying for it.
+simulator commands start without paying for it.  The module imports
+only core_arith, where Polynomial lives.
 
 Spectral order.  The one spectral domain, ``ntt-br``, is the NTT of
 FIPS 203 (ML-KEM) and FIPS 204 (ML-DSA): entry k (for Kyber, pair k of
@@ -25,118 +26,25 @@ ML-KEM/ML-DSA NTT vectors compare with the core's output directly.
 
 from __future__ import annotations
 
-import operator
-import random
 from functools import lru_cache
 
 from .core_arith import (
+    DOMAIN_NORMAL,
+    DOMAIN_NTT_BR,
     N,
     SCHEMES,
     ModulusParams,
-    _Frozen,
+    Polynomial,
+    _check_operand_tags,
+    _from_columns,
+    as_columns,
+    bit_reverse,
     to_mont,
 )
 
-DOMAIN_NORMAL = "normal"
-DOMAIN_NTT_BR = "ntt-br"  # the FIPS 203/204 NTT order, as the core emits
-DOMAINS = (DOMAIN_NORMAL, DOMAIN_NTT_BR)
-
-class Polynomial(_Frozen):
-    """A length-256 coefficient vector tagged with scheme and ordering."""
-
-    _fields = ("coeffs", "scheme", "domain")
-    coeffs: tuple[int, ...]
-    scheme: str
-    domain: str
-
-    def __init__(self, coeffs, scheme: str,
-                 domain: str = DOMAIN_NORMAL) -> None:
-        _check_tags(scheme, domain)
-        try:
-            coeffs = tuple(map(operator.index, coeffs))
-        except TypeError:
-            raise ValueError("coefficients must be integers") from None
-        if len(coeffs) != N:
-            raise ValueError(f"expected {N} coefficients, got {len(coeffs)}")
-        q = SCHEMES[scheme].q
-        for i, c in enumerate(coeffs):
-            if not 0 <= c < q:
-                raise ValueError(f"coefficient {i} = {c} out of range [0, {q})")
-        vars(self).update(coeffs=coeffs, scheme=scheme, domain=domain)
-
-    @property
-    def params(self) -> ModulusParams:
-        return SCHEMES[self.scheme]
-
-    def with_coeffs(self, coeffs, domain: str | None = None) -> "Polynomial":
-        return Polynomial(coeffs, self.scheme,
-                          self.domain if domain is None else domain)
-
-    @classmethod
-    def zero(cls, scheme: str, domain: str = DOMAIN_NORMAL) -> "Polynomial":
-        return cls((0,) * N, scheme, domain)
-
-    @classmethod
-    def delta(cls, scheme: str, index: int = 0, value: int = 1,
-              domain: str = DOMAIN_NORMAL) -> "Polynomial":
-        if not 0 <= index < N:
-            raise ValueError(f"delta index {index} outside [0, {N})")
-        coeffs = [0] * N
-        coeffs[index] = value
-        return cls(tuple(coeffs), scheme, domain)
-
-    @classmethod
-    def _trusted(cls, coeffs: tuple[int, ...], scheme: str,
-                 domain: str) -> "Polynomial":
-        """A polynomial from values the caller built in [0, q) as Python
-        ints, under a valid scheme and domain: none of it is checked."""
-        a = object.__new__(cls)
-        vars(a).update(coeffs=coeffs, scheme=scheme, domain=domain)
-        return a
-
-    @classmethod
-    def random(cls, scheme: str, rng: random.Random,
-               domain: str = DOMAIN_NORMAL) -> "Polynomial":
-        """256 uniform coefficients, the values of 256 rng.randrange(q)
-        calls, leaving rng in the same state (see _draw_coefficients)."""
-        _check_tags(scheme, domain)
-        coeffs = _draw_coefficients(SCHEMES[scheme].q, rng)
-        return cls._trusted(tuple(coeffs), scheme, domain)
-
-
-def _draw_coefficients(q: int, rng: random.Random) -> list[int]:
-    """The values of 256 rng.randrange(q) calls, leaving rng in the same
-    state: randrange(q) takes getrandbits(q.bit_length()), the top bits
-    of one Mersenne Twister word, until that is below q.  Drawing as many
-    words as values are still missing never reads past the 256th's."""
-    k = q.bit_length()
-    out = []
-    while len(out) < N:
-        out += [v for _ in range(N - len(out))
-                if (v := rng.getrandbits(k)) < q]
-    return out
-
-
-def _check_tags(scheme: str, domain: str) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if domain not in DOMAINS:
-        raise ValueError(f"unknown domain {domain!r}")
-
-
-def bit_reverse(i: int, width: int) -> int:
-    """Reverse the low ``width`` bits of ``i``."""
-    if not 0 <= i < (1 << width):
-        raise ValueError(f"{i} does not fit in {width} bits")
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (i & 1)
-        i >>= 1
-    return out
-
 
 # ---------------------------------------------------------------------------
-# Twiddle tables (Montgomery-scaled), shared by the fast paths and the ROMs.
+# The ROM twiddles (Montgomery-scaled), kept here while perfbench reads them.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -189,24 +97,11 @@ def basemul_zetas(p: ModulusParams) -> tuple[int, ...]:
 # a column per polynomial; the per-polynomial functions are one-column calls.
 # ---------------------------------------------------------------------------
 
-def as_columns(polys) -> np.ndarray:
-    """The polynomials' coefficients as an int64 (256, len(polys)) array,
-    a column per polynomial."""
-    import numpy as np
-    return np.array([a.coeffs for a in polys], np.int64).T
-
-
-def _from_columns(cols: np.ndarray, scheme: str,
-                 domain: str) -> list[Polynomial]:
-    """One polynomial per column of an array whose entries are in [0, q)."""
-    return [Polynomial._trusted(tuple(c), scheme, domain)
-            for c in cols.T.tolist()]
-
-
-def _one_column(body, domain: str, p: ModulusParams, *polys) -> Polynomial:
-    """A column oracle applied to polynomials as one-column arrays."""
+def _one_column(body, p, d_in: str, d_out: str, *polys) -> Polynomial:
+    """A column oracle on p's d_in polynomials as one-column arrays."""
+    _check_operand_tags(polys, p.scheme, d_in)
     (out,) = _from_columns(body(*(as_columns([a]) for a in polys), p),
-                          p.scheme, domain)
+                          p.scheme, d_out)
     return out
 
 
@@ -256,13 +151,6 @@ def direct_intt_columns(x: np.ndarray, p: ModulusParams) -> np.ndarray:
     return _evaluate(x, p, _direct_matrices(p)[1])
 
 
-def _check_operand(a: Polynomial, p: ModulusParams, domain: str) -> None:
-    if a.scheme != p.scheme:
-        raise ValueError("polynomial/params scheme mismatch")
-    if a.domain != domain:
-        raise ValueError(f"expected a {domain!r} polynomial, got {a.domain!r}")
-
-
 def direct_ntt(a: Polynomial, p: ModulusParams) -> Polynomial:
     """Evaluate the forward transform straight from its defining sum.
 
@@ -271,14 +159,12 @@ def direct_ntt(a: Polynomial, p: ModulusParams) -> Polynomial:
     applied independently to the even and odd coefficient streams,
     results interleaved in place.  This is FIPS 204's and FIPS 203's NTT.
     """
-    _check_operand(a, p, DOMAIN_NORMAL)
-    return _one_column(direct_ntt_columns, DOMAIN_NTT_BR, p, a)
+    return _one_column(direct_ntt_columns, p, DOMAIN_NORMAL, DOMAIN_NTT_BR, a)
 
 
 def direct_intt(a: Polynomial, p: ModulusParams) -> Polynomial:
     """Inverse of direct_ntt, with the explicit n'**-1 scaling built in."""
-    _check_operand(a, p, DOMAIN_NTT_BR)
-    return _one_column(direct_intt_columns, DOMAIN_NORMAL, p, a)
+    return _one_column(direct_intt_columns, p, DOMAIN_NTT_BR, DOMAIN_NORMAL, a)
 
 
 def schoolbook_columns(x: np.ndarray, y: np.ndarray,
@@ -300,11 +186,8 @@ def schoolbook_negacyclic(a: Polynomial, b: Polynomial) -> Polynomial:
     The end-to-end ground truth: multiplication in Z_q[x]/(X^256 + 1) by
     plain convolution with the wrap-around terms negated.
     """
-    if a.scheme != b.scheme:
-        raise ValueError("scheme mismatch")
-    if a.domain != DOMAIN_NORMAL or b.domain != DOMAIN_NORMAL:
-        raise ValueError("schoolbook multiplication needs normal-domain inputs")
-    return _one_column(schoolbook_columns, DOMAIN_NORMAL, a.params, a, b)
+    return _one_column(schoolbook_columns, a.params, DOMAIN_NORMAL,
+                       DOMAIN_NORMAL, a, b)
 
 
 def _schoolbook_slow(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -369,8 +252,5 @@ def reference_pwm(a: Polynomial, b: Polynomial) -> Polynomial:
     For Kyber, pair i is multiplied mod (X**2 - psi) with
     psi = root**(2*bitrev7(i)+1): FIPS 203's MultiplyNTTs.
     """
-    if a.scheme != b.scheme:
-        raise ValueError("operands must share a scheme")
-    if a.domain != DOMAIN_NTT_BR or b.domain != DOMAIN_NTT_BR:
-        raise ValueError("pointwise multiplication operates on spectral data")
-    return _one_column(reference_pwm_columns, DOMAIN_NTT_BR, a.params, a, b)
+    return _one_column(reference_pwm_columns, a.params, DOMAIN_NTT_BR,
+                       DOMAIN_NTT_BR, a, b)

@@ -63,21 +63,20 @@ from itertools import count
 from typing import NamedTuple
 
 from .core_arith import (
+    DOMAIN_NORMAL,
+    DOMAIN_NTT_BR,
     SCHEMES,
     ModulusParams,
+    Polynomial,
     _Frozen,
+    _check_operand_tags,
+    _from_columns,
+    as_columns,
     mod_add_array,
     mod_add_half_array,
     mod_sub_array,
     mont_mul_array,
     to_mont,
-)
-from .ntt_reference import (
-    DOMAIN_NORMAL,
-    DOMAIN_NTT_BR,
-    Polynomial,
-    _from_columns,
-    as_columns,
 )
 from .bfu import (
     MODE_PWM0,
@@ -346,11 +345,7 @@ def _check_operands(scheme: str, op: str, As, Bs) -> None:
     if Bs is not None and len(Bs) != len(As):
         raise ValueError(f"{op} got {len(As)} a operands "
                          f"but {len(Bs)} b operands")
-    operands = As if Bs is None else (*As, *Bs)
-    if any(x.scheme != scheme for x in operands):
-        raise ValueError("operand scheme does not match the run")
-    if any(x.domain != d_in for x in operands):
-        raise ValueError(f"{op} expects {d_in}-domain operands")
+    _check_operand_tags(As if Bs is None else (*As, *Bs), scheme, d_in)
 
 
 def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,

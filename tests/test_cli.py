@@ -226,14 +226,14 @@ def test_verify_runs_both_schemes_of_design(capsys):
 
 
 def test_verify_names_first_mismatching_coefficient(monkeypatch, capsys):
-    real = kdntt.cli.direct_ntt_columns
+    real = kdntt.ntt_reference.direct_ntt_columns
 
     def off_at_7(x, p):
         f = real(x, p)
         f[7] = (f[7] + 1) % p.q
         return f
 
-    monkeypatch.setattr(kdntt.cli, "direct_ntt_columns", off_at_7)
+    monkeypatch.setattr(kdntt.ntt_reference, "direct_ntt_columns", off_at_7)
     assert main(["verify", "--design", "standalone-kyber",
                  "--trials", "1"]) == 1
     assert "forward transform mismatch at coefficient 7" in \
@@ -247,7 +247,7 @@ def test_verify_names_the_global_trial_past_the_first_batch(monkeypatch,
     trial's own index, not its column, also when the trial is alone in a
     partial last batch.  The oracle must see each batch up to the failing
     one and no batch after it."""
-    real = kdntt.cli.schoolbook_columns
+    real = kdntt.ntt_reference.schoolbook_columns
     for bad, trials, widths in (
             (VERIFY_BATCH + 3, VERIFY_BATCH + 7, [VERIFY_BATCH, 7]),
             (VERIFY_BATCH, VERIFY_BATCH + 1, [VERIFY_BATCH, 1]),
@@ -262,7 +262,8 @@ def test_verify_names_the_global_trial_past_the_first_batch(monkeypatch,
                 c[5, bad % VERIFY_BATCH] = (c[5, bad % VERIFY_BATCH] + 1) % p.q
             return c
 
-        monkeypatch.setattr(kdntt.cli, "schoolbook_columns", wrong_once)
+        monkeypatch.setattr(kdntt.ntt_reference, "schoolbook_columns",
+                            wrong_once)
         assert main(["verify", "--design", "d3", "--scheme", "kyber",
                      "--trials", str(trials), "--seed", "6"]) == 1
         out = capsys.readouterr().out
@@ -353,7 +354,7 @@ def test_draw_trials_equals_polynomial_random(monkeypatch):
 
     monkeypatch.setattr(kdntt.cli, "random",
                         types.SimpleNamespace(Random=CountingRandom))
-    for scheme, p in SCHEMES.items():
+    for scheme in SCHEMES:
         calls.clear()
         for seed in range(200):
             want = []
@@ -362,7 +363,7 @@ def test_draw_trials_equals_polynomial_random(monkeypatch):
                 want += [Polynomial.random(scheme, rng) for _ in "ab"]
             want = as_columns(want)
             a, b = np.concatenate([
-                kdntt.cli._draw_trials(p.q, seed, scheme, indices)
+                kdntt.cli._draw_trials(seed, scheme, indices)
                 for indices in (range(VERIFY_BATCH),
                                 range(VERIFY_BATCH, VERIFY_BATCH + 3))], 2)
             assert a.dtype == b.dtype == np.int64

@@ -25,6 +25,7 @@ from kdntt.core_arith import (
     SCHEMES,
     ModulusParams,
     _add_sub_lanes,
+    _carry_chain,
     _redc,
     from_mont,
     mod_add,
@@ -351,6 +352,62 @@ def test_adder_body_on_every_kyber_lane_pair():
                                      KYBER_PAIR, q)
                 assert np.array_equal(got, want << 12 | ref(x0, y0) % q), \
                     (op, start, x0, y0)
+
+
+def test_adder_body_on_every_dilithium_pair():
+    """Every Dilithium operand pair, add and sub, through the adder's body
+    on int64 arrays, by halves: q**2 pairs are too many to enumerate.
+
+    Write x = x_hi*2**12 + x_lo and y likewise (x_hi, y_hi < 2**11), and
+    raw for the chain's output with its guard slot (bit 12) dropped, as
+    _add_sub_lanes drops it.  The claim is raw == x + y for add and
+    raw == 2**24 + x - y for sub (bit 24 the no-borrow).  The chain is one
+    binary addition whose columns 0..12 see only the low halves and the
+    guard bits, so raw's low 12 bits and the 0/1 carry c out of the guard
+    column depend on (x_lo, y_lo) alone, and raw >> 12 on (x_hi, y_hi, c)
+    alone.  Three sweeps per op:
+    1. every low pair (2**24) with both high halves 0 gives the claimed
+       raw: its low 12 bits, and in raw >> 12 the carry (add) or
+       no-borrow (sub) that the guard slot passes up;
+    2. every high pair (2**22), under a low pair that passes c = 1 and
+       one that passes c = 0 (both read in sweep 1), gives the claimed
+       raw, so raw >> 12 is right for each (x_hi, y_hi, c).  It is also
+       one-to-one in c at x_hi = y_hi = 0, so sweep 1 read every low
+       pair's c as claimed, and raw is right on all q**2 pairs;
+    3. the output is the op's correction of raw alone, so one pair for
+       every reachable raw value (x + y in 0..2q-2, x - y in
+       -(q-1)..q-1) through _add_sub_lanes gives (x + y) mod q and
+       (x - y) mod q.
+    No assert of shared_add_sub takes part: the body has none."""
+    import numpy as np
+    q, mode = DILITHIUM.q, DILITHIUM_SINGLE
+
+    def raw(x, y, op):
+        s = _carry_chain(x, y, op, mode)
+        return s >> 13 << 12 | s & 0xFFF
+
+    lo = np.arange(1 << 12, dtype=np.int64)
+    hi = np.arange(1 << 11, dtype=np.int64) << 12
+    for op, claim, low_pairs in (
+            ("add", lambda x, y: x + y, ((4095, 1), (0, 0))),
+            ("sub", lambda x, y: (1 << 24) + x - y, ((0, 0), (0, 1)))):
+        for start in range(0, 1 << 12, 256):
+            x = lo[start:start + 256, None]
+            assert np.array_equal(raw(x, lo, op), claim(x, lo)), (op, start)
+        for x_lo, y_lo in low_pairs:  # c = 1, then c = 0
+            for start in range(0, 1 << 11, 256):
+                x, y = hi[start:start + 256, None] | x_lo, hi | y_lo
+                assert np.array_equal(raw(x, y, op), claim(x, y)), \
+                    (op, start, x_lo, y_lo)
+    for start in range(0, 2 * q - 1, 1 << 20):
+        r = np.arange(start, min(start + (1 << 20), 2 * q - 1))
+        x = np.minimum(r, q - 1)
+        assert np.array_equal(_add_sub_lanes(x, r - x, "add", mode, q),
+                              r % q), ("add", start)
+        d = r - (q - 1)
+        x = np.maximum(d, 0)
+        assert np.array_equal(_add_sub_lanes(x, x - d, "sub", mode, q),
+                              d % q), ("sub", start)
 
 
 def test_shared_add_sub_rejects_malformed():

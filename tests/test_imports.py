@@ -1,8 +1,9 @@
 """Every name a kdntt module imports is used by that module, every
 parameter a kdntt function takes is read by it, every name in
 kdntt.__all__ exists, the modules' top-level imports form no cycle,
-only memory_map reads a program's bank addresses and routing flags, and
-only pipeline_sim's compile step reads a word width.
+only memory_map reads a program's bank addresses and routing flags,
+only pipeline_sim's compile step reads a word width, and no model
+module but memory_map (for the ROM zetas) imports the oracles.
 
 No linter ships with the project, so this stdlib-ast check stands in
 for one.  __init__ is skipped: its imports are the package's re-exports.
@@ -141,6 +142,68 @@ def test_only_memory_map_touches_the_banks():
         if path.name != "memory_map.py":
             found = _bank_access(path.read_text(encoding="utf-8"))
             assert not found, f"{path.name}: reads the banks {found}"
+
+
+def _oracle_imports(source: str) -> list[tuple[str | None, tuple[str, ...]]]:
+    """(top-level function or None, names) for each import of ntt_reference
+    in a module's source; names is ("ntt_reference",) for the module."""
+    found = []
+    for top in ast.parse(source).body:
+        func = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                names = tuple(a.name for a in node.names)
+                if (node.module or "").endswith("ntt_reference"):
+                    found.append((func, names))
+                elif "ntt_reference" in names:
+                    found.append((func, ("ntt_reference",)))
+            elif isinstance(node, ast.Import):
+                found += [(func, ("ntt_reference",)) for a in node.names
+                          if a.name.endswith("ntt_reference")]
+    return found
+
+
+def _package_imports(source: str) -> set[str]:
+    """The kdntt modules a module's source imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("kdntt")):
+            found |= ({node.module} if node.module
+                      else {a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names
+                      if a.name.startswith("kdntt")}
+    return found
+
+
+def test_oracles_sit_on_their_own_layer():
+    # the oracles check the model, so the model must not run on them:
+    # memory_map reads only the ROM zetas there (until the benchmark
+    # reads them elsewhere), the CLI loads the oracles inside verify, and
+    # the oracles take the model's value type from core_arith
+    assert _oracle_imports(
+        "from .ntt_reference import a, b\n"
+        "def f():\n    def g():\n        from . import ntt_reference as n\n"
+        "import kdntt.ntt_reference\n") == [
+        (None, ("a", "b")), ("f", ("ntt_reference",)),
+        (None, ("ntt_reference",))]
+    assert _package_imports(
+        "from .a import x\nfrom . import b\nimport os, kdntt.c\n"
+        "from numpy import e\ndef f():\n    from kdntt.d import y\n") == {
+        "a", "b", "kdntt.c", "kdntt.d"}
+    pkg = Path(kdntt.__file__).parent
+    found = {path.stem: _oracle_imports(path.read_text(encoding="utf-8"))
+             for path in pkg.glob("*.py")}
+    assert found.pop("memory_map") == [
+        (None, ("basemul_zetas", "forward_zetas", "inverse_zetas"))]
+    assert [func for func, _ in found.pop("cli")] == ["_verify_trials"]
+    found.pop("__init__")  # the package re-exports the oracles
+    assert found == {name: [] for name in found}
+    assert {"core_arith", "bfu", "pipeline_sim"} <= set(found)
+    assert _package_imports((pkg / "ntt_reference.py").read_text(
+        encoding="utf-8")) == {"core_arith"}
+    assert kdntt.ntt_reference.Polynomial is kdntt.core_arith.Polynomial
 
 
 def test_only_compile_knows_the_word_width():

@@ -56,6 +56,8 @@ def test_polynomial_validation():
         Polynomial((0,) * 256, "ntru", DOMAIN_NORMAL)
     with pytest.raises(ValueError, match="integers"):
         Polynomial((2.5,) * 256, "kyber", DOMAIN_NORMAL)
+    with pytest.raises(ValueError, match="integers"):
+        Polynomial([True] * 256, "kyber")  # operator.index(True) == 1
     for index in (-1, 300):
         with pytest.raises(ValueError, match="delta index"):
             Polynomial.delta("kyber", index)
