@@ -2,8 +2,8 @@
 parameter a kdntt function takes is read by it, every name in
 kdntt.__all__ exists, the modules' top-level imports form no cycle,
 only memory_map reads a program's bank addresses and routing flags,
-only pipeline_sim's compile step reads a word width, and no model
-module but memory_map (for the ROM zetas) imports the oracles.
+only pipeline_sim's compile step reads a word width, and only
+memory_map (for the ROM zetas) and verify import the oracles.
 
 No linter ships with the project, so this stdlib-ast check stands in
 for one.  __init__ is skipped: its imports are the package's re-exports.
