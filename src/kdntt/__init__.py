@@ -42,7 +42,6 @@ from .bfu import (
     BfuIo,
     ct_butterfly,
     dilithium_pwm,
-    fast_intt,
     fast_ntt,
     gs_butterfly_halving,
     kyber_pwm_pair,
@@ -87,10 +86,9 @@ __all__ = [
     "SimReport", "TwiddleRom", "bit_reverse", "build_rom_images",
     "build_twiddle_rom", "check_conflict_free", "ct_butterfly",
     "dilithium_pwm", "direct_intt", "direct_ntt", "estimate_bram_usage",
-    "fast_intt", "fast_ntt", "from_mont", "generate_addresses",
-    "gs_butterfly_halving", "initial_layout", "kyber_pwm_pair",
-    "latency_model", "mod_add", "mod_add_half", "mod_sub", "mont_mul",
-    "mont_redc", "reference_pwm", "run_batch", "run_op", "run_polymul",
-    "schoolbook_negacyclic", "shared_add_sub", "to_mont",
-    "transformed_layout", "unified_bfu_step",
+    "fast_ntt", "from_mont", "generate_addresses", "gs_butterfly_halving",
+    "initial_layout", "kyber_pwm_pair", "latency_model", "mod_add",
+    "mod_add_half", "mod_sub", "mont_mul", "mont_redc", "reference_pwm",
+    "run_batch", "run_op", "run_polymul", "schoolbook_negacyclic",
+    "shared_add_sub", "to_mont", "transformed_layout", "unified_bfu_step",
 ]

@@ -24,9 +24,10 @@ function on every input; until then the tests compare them on samples.
 The unit keeps no tally of its multiplications: every product goes
 through one dual_lane_mult pass, looked up by name at call time, so the
 tests count them by wrapping it (2 per Kyber pass, 1 per Dilithium).
-fast_ntt and fast_intt at the bottom are not a separate transform: they
-run the simulated d3 core (pipeline_sim.run_op), importing it inside
-the function because pipeline_sim imports this module.
+fast_ntt at the bottom is not a separate transform: it is one
+pipeline_sim.run_op call on d3, imported inside the function because
+pipeline_sim imports this module.  It is kept only for perfbench's
+micro items, which time it; everything else runs run_op or run_batch.
 """
 
 from __future__ import annotations
@@ -258,18 +259,12 @@ def unified_bfu_step(io, mode: str, scheme: str, p: ModulusParams, carry=None):
 
 
 # ---------------------------------------------------------------------------
-# Whole transforms: the simulated core itself.
+# The forward transform that perfbench times: the simulated core itself.
 # ---------------------------------------------------------------------------
 
 def fast_ntt(a: Polynomial, p: ModulusParams) -> Polynomial:
     """Forward transform on the simulated d3 core: normal domain in,
-    bit-reversed out.  d3's programs hold both mirror and in-word stages
-    for both schemes, so every caller exercises the banks and routing."""
+    bit-reversed out.  Kept only for perfbench's micro items; other
+    callers run run_op or run_batch."""
     from .pipeline_sim import CoreConfig, run_op
     return run_op(CoreConfig.for_design("d3"), p.scheme, "ntt", a)[0]
-
-
-def fast_intt(a: Polynomial, p: ModulusParams) -> Polynomial:
-    """Inverse of fast_ntt on the same core: bit-reversed in, normal out."""
-    from .pipeline_sim import CoreConfig, run_op
-    return run_op(CoreConfig.for_design("d3"), p.scheme, "intt", a)[0]

@@ -441,7 +441,7 @@ def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
     """Run one op (ntt, intt, pwm or polymul) on many operand sets at once.
 
     As (and Bs, for pwm and polymul, paired with As by position) are
-    sequences of polynomials under run_op's and run_polymul's domain
+    iterables of polynomials under run_op's and run_polymul's domain
     contracts.  Returns one output per a operand, each equal to what
     run_op or run_polymul returns for it, and the plan's report, which
     every operand set shares.  A hazardous plan is refused, as run_op
@@ -449,6 +449,7 @@ def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
     """
     import numpy as np
 
+    As, Bs = tuple(As), None if Bs is None else tuple(Bs)
     plan, p, tw, report = _prepare(cfg, scheme, op, rom_override, False)
     _check_operands(scheme, op, As, Bs)
     out = _execute_columns(plan, p, [np.array(t, np.int64) for t in tw],

@@ -4,8 +4,9 @@ PASS line (pytest -v adds the per-criterion pass/fail verdict either way).
  1. cycle counts match the published per-operation latencies, exactly
  2. 100 seeded random polynomial pairs per scheme and configuration go
     through the simulated core and equal schoolbook multiplication
- 3. the fast transforms match the direct O(n^2) oracles; inverse-of-
-    forward is the identity with n^-1 folded into per-stage halving
+ 3. the core's own ntt and intt (run_batch on d3) match the direct
+    O(n^2) oracles; inverse-of-forward is the identity with n^-1 folded
+    into per-stage halving
  4. modular add/sub/halving-add exhaustively correct over all Kyber
     input pairs; Montgomery multipliers match a wide-integer oracle on
     1e6 random pairs per scheme
@@ -47,8 +48,6 @@ from kdntt.bfu import (
     BfuIo,
     ct_butterfly,
     dilithium_pwm,
-    fast_intt,
-    fast_ntt,
     gs_butterfly_halving,
     unified_bfu_step,
 )
@@ -68,6 +67,7 @@ from kdntt.pipeline_sim import (
     OP_PWM,
     CoreConfig,
     latency_model,
+    run_batch,
     run_op,
     run_polymul,
 )
@@ -104,7 +104,7 @@ def test_c1_latency_reproduction():
         p = SCHEMES[scheme]
         a = Polynomial.random(scheme, rng)
         b = Polynomial.random(scheme, rng)
-        fa, fb = fast_ntt(a, p), fast_ntt(b, p)
+        fa, fb = direct_ntt(a, p), direct_ntt(b, p)
         measured = (
             run_op(cfg, scheme, OP_NTT, a)[1].busy_cycles,
             run_op(cfg, scheme, OP_INTT, fa)[1].busy_cycles,
@@ -118,18 +118,21 @@ def test_c1_latency_reproduction():
 
 def test_c2_end_to_end_correctness():
     """100 random pairs per scheme per configuration, simulated core vs
-    schoolbook, exact, under one minute."""
+    schoolbook, exact, under one minute.  Each configuration's pairs run
+    as one run_batch polymul."""
     t0 = time.monotonic()
     runs = 0
     for design, dg in DESIGNS.items():
         cfg = CoreConfig.for_design(design)
         for scheme in dg.schemes:
+            As, Bs = [], []
             for trial in range(100):
                 rng = random.Random(f"c2/{design}/{scheme}/{trial}")
-                a = Polynomial.random(scheme, rng)
-                b = Polynomial.random(scheme, rng)
-                got, rep = run_polymul(cfg, scheme, a, b)
-                assert not rep.hazards
+                As.append(Polynomial.random(scheme, rng))
+                Bs.append(Polynomial.random(scheme, rng))
+            outs, rep = run_batch(cfg, scheme, OP_POLYMUL, As, Bs)
+            assert not rep.hazards
+            for trial, (a, b, got) in enumerate(zip(As, Bs, outs)):
                 want = schoolbook_negacyclic(a, b)
                 assert got.coeffs == want.coeffs, \
                     f"{design}/{scheme} trial {trial} mismatch"
@@ -141,8 +144,10 @@ def test_c2_end_to_end_correctness():
 
 
 def test_c3_transform_oracle_equivalence():
-    """Fast transforms vs direct oracles, 1e3 polynomials per scheme;
-    inverse(forward) identity with scaling done purely by halving."""
+    """The core's transforms (run_batch ntt, then intt of its outputs,
+    on d3) vs direct oracles, 1e3 polynomials per scheme; inverse(forward)
+    identity with scaling done purely by halving."""
+    cfg = CoreConfig.for_design("d3")
     for scheme, p in SCHEMES.items():
         rng = random.Random(scheme)
         # the only inverse scaling available is the pre-halved twiddle ROM:
@@ -152,13 +157,14 @@ def test_c3_transform_oracle_equivalence():
             f = from_mont(rom.forward[k], p)
             i = from_mont(rom.inverse[k], p)
             assert 2 * f * i % p.q == 1
-        for _ in range(1000):
-            a = Polynomial.random(scheme, rng)
-            fast = fast_ntt(a, p)
+        As = [Polynomial.random(scheme, rng) for _ in range(1000)]
+        spectra = run_batch(cfg, scheme, OP_NTT, As)[0]
+        back = run_batch(cfg, scheme, OP_INTT, spectra)[0]
+        for a, got, inverse in zip(As, spectra, back):
             want = direct_ntt(a, p)
-            assert fast.coeffs == want.coeffs
-            assert fast_intt(fast, p).coeffs == a.coeffs
-    print("criterion 3 PASS: fast == direct on 1000 polynomials/scheme, "
+            assert got.coeffs == want.coeffs
+            assert inverse.coeffs == a.coeffs
+    print("criterion 3 PASS: core == direct on 1000 polynomials/scheme, "
           "inverse-of-forward identity via per-stage halving")
 
 

@@ -1,5 +1,6 @@
 """Tests for the butterfly unit: standalone butterflies, the staged Kyber
-pointwise product, the unified dual-lane step, and the fast transforms."""
+pointwise product, the unified dual-lane step, and fast_ntt (kept for
+perfbench), with the core's intt checked against its oracle."""
 
 import random
 import sys
@@ -35,12 +36,13 @@ from kdntt.bfu import (
     ct_butterfly,
     dilithium_pwm,
     dual_lane_mult,
-    fast_intt,
     fast_ntt,
     gs_butterfly_halving,
     kyber_pwm_pair,
     unified_bfu_step,
 )
+from kdntt.memory_map import DESIGNS
+from kdntt.pipeline_sim import OP_INTT, CoreConfig, run_op
 
 RNG = random.Random(0xBF)
 
@@ -237,22 +239,30 @@ def test_fast_ntt_matches_direct():
             assert fast.domain == DOMAIN_NTT_BR
             want = direct_ntt(a, p)
             assert fast.coeffs == want.coeffs
-            assert fast_intt(fast, p).coeffs == a.coeffs
+            back = run_op(CoreConfig.for_design("d3"), scheme, OP_INTT, fast)
+            assert back[0].coeffs == a.coeffs
 
 
-def test_fast_intt_matches_direct():
+def test_intt_matches_direct_on_every_design():
     for scheme, p in SCHEMES.items():
-        for _ in range(20):
-            fa = Polynomial.random(scheme, RNG, domain=DOMAIN_NTT_BR)
-            got = fast_intt(fa, p)
-            want = direct_intt(fa, p)
-            assert got.coeffs == want.coeffs
+        fas = [Polynomial.random(scheme, RNG, domain=DOMAIN_NTT_BR)
+               for _ in range(20)]
+        for design, dg in DESIGNS.items():
+            if scheme not in dg.schemes:
+                continue
+            cfg = CoreConfig.for_design(design)
+            for fa in fas:
+                got = run_op(cfg, scheme, OP_INTT, fa)[0]
+                want = direct_intt(fa, p)
+                assert got.coeffs == want.coeffs, (design, scheme)
 
 
 def test_fast_transform_domain_guards():
     a = Polynomial.random("kyber", RNG)
-    with pytest.raises(ValueError):
-        fast_intt(a, KYBER)
+    for design, dg in DESIGNS.items():
+        if "kyber" in dg.schemes:
+            with pytest.raises(ValueError):
+                run_op(CoreConfig.for_design(design), "kyber", OP_INTT, a)
     f = fast_ntt(a, KYBER)
     with pytest.raises(ValueError):
         fast_ntt(f, KYBER)

@@ -22,7 +22,6 @@ from kdntt.ntt_reference import (
     reference_pwm,
     schoolbook_negacyclic,
 )
-from kdntt.bfu import fast_ntt
 from kdntt.memory_map import (
     CH_NTT,
     DESIGNS,
@@ -119,7 +118,7 @@ def test_measured_busy_equals_model():
         a = Polynomial.random(scheme, RNG)
         b = Polynomial.random(scheme, RNG)
         p = SCHEMES[scheme]
-        fa, fb = fast_ntt(a, p), fast_ntt(b, p)
+        fa, fb = direct_ntt(a, p), direct_ntt(b, p)
         for op, operand, second, want in (
                 (OP_NTT, a, None, row[0]),
                 (OP_INTT, fa, None, row[1]),
@@ -272,7 +271,7 @@ def test_run_op_domain_and_scheme_guards():
     with pytest.raises(ValueError):
         run_op(cfg, "kyber", OP_INTT, a)          # normal-domain input
     with pytest.raises(ValueError):
-        run_op(cfg, "kyber", OP_NTT, fast_ntt(a, SCHEMES["kyber"]))
+        run_op(cfg, "kyber", OP_NTT, direct_ntt(a, SCHEMES["kyber"]))
     with pytest.raises(ValueError):
         run_op(cfg, "dilithium", OP_NTT, a)       # scheme mismatch
     with pytest.raises(ValueError):
@@ -281,13 +280,13 @@ def test_run_op_domain_and_scheme_guards():
         run_op(CoreConfig.for_design("standalone-kyber"),
                "dilithium", OP_NTT, a)
     with pytest.raises(ValueError):
-        run_op(cfg, "kyber", OP_PWM, fast_ntt(a, SCHEMES["kyber"]),
+        run_op(cfg, "kyber", OP_PWM, direct_ntt(a, SCHEMES["kyber"]),
                a)                                  # second operand not spectral
     with pytest.raises(ValueError, match="two operands"):
         run_polymul(cfg, "kyber", a, None)       # was an all-zero product
     with pytest.raises(ValueError, match="one operand"):
         run_op(cfg, "kyber", OP_NTT, a, a)       # b was silently dropped
-    fa = fast_ntt(a, SCHEMES["kyber"])
+    fa = direct_ntt(a, SCHEMES["kyber"])
     with pytest.raises(ValueError, match="one operand"):
         run_op(cfg, "kyber", OP_INTT, fa, fa)
     # run_batch shares the checks and adds its own two
@@ -295,6 +294,11 @@ def test_run_op_domain_and_scheme_guards():
         run_batch(cfg, "kyber", OP_NTT, [])
     with pytest.raises(ValueError, match="2 a operands but 1 b"):
         run_batch(cfg, "kyber", OP_POLYMUL, [a, a], [a])
+    # the same checks on generators, which run_batch reads only once
+    with pytest.raises(ValueError, match="no operands"):
+        run_batch(cfg, "kyber", OP_NTT, (x for x in []))
+    with pytest.raises(ValueError, match="2 a operands but 1 b"):
+        run_batch(cfg, "kyber", OP_POLYMUL, [a, a], (y for y in [a]))
     with pytest.raises(ValueError, match="one operand"):
         run_batch(cfg, "kyber", OP_NTT, [a], [a])
     with pytest.raises(ValueError, match="one operand"):
@@ -313,8 +317,9 @@ def test_run_op_domain_and_scheme_guards():
 
 
 def _assert_batch_equals_scalar(cfg, scheme, rng, **kw):
-    """run_batch on three operand sets of every op equals run_op or
-    run_polymul on each set: outputs and reports."""
+    """run_batch on three operand sets of every op, given as lists and
+    as generators, equals run_op or run_polymul on each set: outputs and
+    reports."""
     a, b = ([Polynomial.random(scheme, rng) for _ in range(3)]
             for _ in range(2))
     sa, sb = ([Polynomial.random(scheme, rng, DOMAIN_NTT_BR)
@@ -322,6 +327,9 @@ def _assert_batch_equals_scalar(cfg, scheme, rng, **kw):
     for op, xs, ys in ((OP_NTT, a, None), (OP_INTT, sa, None),
                        (OP_PWM, sa, sb), (OP_POLYMUL, a, b)):
         outs, rep = run_batch(cfg, scheme, op, xs, ys, **kw)
+        gen_ys = None if ys is None else (y for y in ys)
+        assert run_batch(cfg, scheme, op, (x for x in xs), gen_ys,
+                         **kw) == (outs, rep)
         for k, x in enumerate(xs):
             y = None if ys is None else ys[k]
             want = (run_polymul(cfg, scheme, x, y, **kw) if op == OP_POLYMUL
