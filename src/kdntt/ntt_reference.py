@@ -8,12 +8,13 @@ Each oracle is written once, over an int64 (256, batch) array with a
 column per polynomial, so verify checks a whole batch in one call;
 direct_ntt, direct_intt, schoolbook_negacyclic and reference_pwm are
 one-column calls of those bodies.  The oracles stay naive: no
-butterfly and no Montgomery arithmetic.  The direct transforms are one
-float64 matrix product of residues centred into (-q/2, q/2], exact since
-every partial sum stays below 2**52 < 2**53.  numpy is imported only inside
-the functions that use it, never at module level, so the CLI's
-simulator commands start without paying for it.  The module imports
-only core_arith, where Polynomial lives.
+butterfly and no Montgomery arithmetic.  The direct transforms (one
+matrix product) and the schoolbook (one convolution per column) work in
+float64 on residues centred into (-q/2, q/2]: a term is below 2**44 and
+a sum of up to 256 terms below 2**52 < 2**53, so both are exact.
+numpy is imported only inside the functions that use it, never at
+module level, so the CLI's simulator commands start without paying for
+it.  The module imports only core_arith, where Polynomial lives.
 
 Spectral order.  The one spectral domain, ``ntt-br``, is the NTT of
 FIPS 203 (ML-KEM) and FIPS 204 (ML-DSA): entry k (for Kyber, pair k of
@@ -171,13 +172,15 @@ def schoolbook_columns(x: np.ndarray, y: np.ndarray,
                        p: ModulusParams) -> np.ndarray:
     """schoolbook_negacyclic of every column pair of x and y."""
     import numpy as np
+    x, y = _centred(x, p.q), _centred(y, p.q)
     out = np.empty_like(x)
     for j in range(x.shape[1]):
-        # Largest term: 256 * (q-1)**2 < 2**54 for Dilithium: int64 is exact.
+        # Centred terms are below 2**44 in size and an output sums 256 of
+        # them, below 2**52 < 2**53: float64 is exact in any order.
         conv = np.convolve(x[:, j], y[:, j])
         out[:, j] = conv[:N]
         out[: N - 1, j] -= conv[N:]
-    return out % p.q
+    return out.astype("int64") % p.q
 
 
 def schoolbook_negacyclic(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -188,22 +191,6 @@ def schoolbook_negacyclic(a: Polynomial, b: Polynomial) -> Polynomial:
     """
     return _one_column(schoolbook_columns, a.params, DOMAIN_NORMAL,
                        DOMAIN_NORMAL, a, b)
-
-
-def _schoolbook_slow(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Pure-python schoolbook used to cross-check the vectorized one."""
-    q = a.params.q
-    out = [0] * N
-    for i, ai in enumerate(a.coeffs):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b.coeffs):
-            k = i + j
-            if k < N:
-                out[k] = (out[k] + ai * bj) % q
-            else:
-                out[k - N] = (out[k - N] - ai * bj) % q
-    return a.with_coeffs(out)
 
 
 def kyber_basecase_ref(a_pair: tuple[int, int], b_pair: tuple[int, int],

@@ -10,12 +10,15 @@ word.  No address, routing flag or landing cycle depends on the data, so
 the plan, the cycle counts and the hazards are all fixed by those three.
 The plan is the replay's record compiled down to operand positions:
 every value the op computes has a position in one list (a's
-coefficients, b's, then each stage's outputs in order), and a stage
-lists each butterfly's or product's two operand positions and twiddle
-index.  Only _compile knows how a word's t slots are laid out and which
-slots a butterfly pairs.  The execute step then runs only arithmetic,
-one loop per stage kind.  Operands are addressed by region (a in 0, b in
-1); the bank memory alone decides where a region sits.
+coefficients, b's, then each plan stage's outputs in order), and a
+stage lists each butterfly's or product's two operand positions and
+twiddle index.  A polymul's forward stage k is NTT(a)'s stage k and
+then NTT(b)'s, so its plan has one stage per butterfly layer and the
+pwm stage, 15 for Kyber and 17 for Dilithium.  Only _compile knows how
+a word's t slots are laid out and which slots a butterfly pairs.  The
+execute step then runs only arithmetic, one loop per stage kind.
+Operands are addressed by region (a in 0, b in 1); the bank memory
+alone decides where a region sits.
 
 Two drivers execute a plan, after one shared prologue (_prepare: the
 scheme and rom_override checks, the plan lookup and the refusal of a
@@ -197,7 +200,8 @@ def _layout(domain: str, d: int):
 class _Plan(NamedTuple):
     # Per stage: (phase, xs, ys, ws): the positions of each butterfly's
     # or product's two operands in the op's value list and its twiddle
-    # index (a Kyber pair's two products share one psi index).
+    # index (a Kyber pair's two products share one psi index).  A
+    # polymul's forward stage lists a's butterflies, then b's.
     stages: tuple[tuple[str, array, array, array], ...]
     size: int                # values the op computes, inputs included
     busy: int
@@ -210,9 +214,12 @@ class _Plan(NamedTuple):
 def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
     """The op's phases run on banks holding word ids: a's word w is id w,
     b's (for pwm and polymul) id 2d + w, and each written word takes the
-    next id.  words[i] holds where word id i's t slots sit in the value
-    list: a's coefficients first, then b's, then every output in the
-    order the stages, cycles and butterflies (or products) produce it."""
+    next id, so every replayed stage's 2d words take the next 2d ids.
+    words[i] holds where word id i's t slots sit in the value list: a's
+    coefficients first, then b's, then each plan stage's outputs in the
+    order its cycles and butterflies (or products) produce them.  A
+    polymul's forward stage k is NTT(a)'s stage k, then NTT(b)'s, so
+    words is filled by id, not in id order."""
     t, d = geom.t, geom.d
     d_in, d_out, phases = _OPS[op]
     with_b = OP_PWM in phases
@@ -229,40 +236,45 @@ def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
     for phase in phases:
         program = getattr(prog, phase)
         start = m.cycle
-        record = run_stages(m, program, 0, ids)
+        runs = [run_stages(m, program, 0, ids)]
         busy += m.cycle - start
         if phase == OP_NTT and with_b:
             # NTT(b) preparation: counted in neither total (see the
             # module docstring) and not drained apart from NTT(a).
-            record += run_stages(m, program, 1, ids)
-            program *= 2
+            runs.append(run_stages(m, program, 1, ids))
         fill_drain += m.drain()
-        for stage, (reads, tws) in zip(program, record):
-            # run_batch computes a whole stage before the next one, so no
-            # stage may read a word it writes (a conflict-free program
-            # reads each row once per stage; a stale read sees an older id).
-            if max(reads) >= len(words):
-                raise RuntimeError(f"a {op} stage reads a word it writes")
+        first = len(words)  # the id the phase's first written word takes
+        words += [None] * (2 * d * len(program) * len(runs))
+        for k, stage in enumerate(program):
             xs, ys, ws = array("I"), array("I"), array("I")
-            pairs = iter(reads)
             bfly = None if stage.kind == "pwm" else _butterflies(stage, t)
-            for lo, hi, tw in zip(pairs, pairs, tws):
-                if bfly is None:
-                    xs.extend(words[lo])
-                    ys.extend(words[hi])
-                    if geom.scheme == "kyber":  # slots 2k, 2k + 1: pair k
-                        ws.extend(range(tw, tw + t // 2))
-                    words.append(range(size, size + t))
-                    size += t
-                    continue
-                slots = [*words[lo], *words[hi]]
-                for i, j, k in bfly:
-                    xs.append(slots[i])
-                    ys.append(slots[j])
-                    ws.append(tw + k)
-                    slots[i], slots[j] = size, size + 1
-                    size += 2
-                words += slots[:t], slots[t:]  # the low id, then the high
+            for r, (reads, tws) in enumerate(run[k] for run in runs):
+                wid = first + 2 * d * (r * len(program) + k)
+                # run_batch computes a whole stage at once, so no stage may
+                # read a word it writes (a stale read sees an older id).  A
+                # run reads only its own region: check it on its own writes.
+                if max(reads) >= wid:
+                    raise RuntimeError(f"a {op} stage reads a word it writes")
+                new = []  # the run's written words, in id order
+                pairs = iter(reads)
+                for lo, hi, tw in zip(pairs, pairs, tws):
+                    if bfly is None:
+                        xs.extend(words[lo])
+                        ys.extend(words[hi])
+                        if geom.scheme == "kyber":  # slots 2k, 2k + 1: pair k
+                            ws.extend(range(tw, tw + t // 2))
+                        new.append(range(size, size + t))
+                        size += t
+                        continue
+                    slots = [*words[lo], *words[hi]]
+                    for i, j, s in bfly:
+                        xs.append(slots[i])
+                        ys.append(slots[j])
+                        ws.append(tw + s)
+                        slots[i], slots[j] = size, size + 1
+                        size += 2
+                    new += slots[:t], slots[t:]  # the low id, then the high
+                words[wid: wid + len(new)] = new
             stages.append((phase, xs, ys, ws))
     out = array("I", [s for i in m.extract(_layout(d_out, d))
                       for s in words[i]])

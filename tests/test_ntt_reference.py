@@ -8,12 +8,11 @@ import random
 import numpy as np
 import pytest
 
-from kdntt.core_arith import DILITHIUM, KYBER, SCHEMES
+from kdntt.core_arith import DILITHIUM, KYBER, N, SCHEMES
 from kdntt.ntt_reference import (
     DOMAIN_NORMAL,
     DOMAIN_NTT_BR,
     Polynomial,
-    _schoolbook_slow,
     as_columns,
     bit_reverse,
     direct_intt,
@@ -28,6 +27,23 @@ from kdntt.ntt_reference import (
 )
 
 RNG = random.Random(0x17)
+
+
+def _schoolbook_slow(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Pure-Python schoolbook, over exact integers, that the vectorized
+    one is cross-checked against."""
+    q = a.params.q
+    out = [0] * N
+    for i, ai in enumerate(a.coeffs):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b.coeffs):
+            k = i + j
+            if k < N:
+                out[k] = (out[k] + ai * bj) % q
+            else:
+                out[k - N] = (out[k - N] - ai * bj) % q
+    return a.with_coeffs(out)
 
 
 def test_bit_reverse_values():
@@ -172,6 +188,28 @@ def test_schoolbook_identity_and_wraparound():
         prod = schoolbook_negacyclic(x, x255)
         q = SCHEMES[scheme].q
         assert prod.coeffs == (q - 1,) + (0,) * 255
+
+
+def test_schoolbook_is_exact_at_the_centring_extremes():
+    """schoolbook_columns convolves float64 residues centred into
+    (-q/2, q/2], exact while an output's 256 terms sum below 2**53.  On
+    constant columns of 0, q-1, q-2, (q-1)/2 and (q+1)/2 squared, and
+    (q-1)/2 times (q+1)/2, it equals the pure-Python schoolbook for both
+    schemes, and returns int64.  (q-1)/2 and (q+1)/2 straddle the
+    centring boundary and give the largest centred terms; uncentred,
+    all-(q-2) columns give Dilithium sums past 2**53 that round."""
+    for scheme, p in SCHEMES.items():
+        q = p.q
+        values = (0, q - 1, q - 2, (q - 1) // 2, (q + 1) // 2)
+        pairs = [(v, v) for v in values] + [((q - 1) // 2, (q + 1) // 2)]
+        x, y = (np.array([[pair[s]] * N for pair in pairs], np.int64).T
+                for s in (0, 1))
+        got = schoolbook_columns(x, y, p)
+        assert got.dtype == np.int64
+        for j, (u, v) in enumerate(pairs):
+            want = _schoolbook_slow(Polynomial((u,) * N, scheme),
+                                    Polynomial((v,) * N, scheme))
+            assert tuple(got[:, j]) == want.coeffs, (scheme, u, v)
 
 
 def test_schoolbook_matches_slow_path():

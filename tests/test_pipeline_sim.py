@@ -220,6 +220,27 @@ def test_plan_positions_are_well_formed():
     assert plans == 32
 
 
+def test_polymul_plan_runs_each_forward_layer_once_over_both_operands():
+    """A polymul plan lowers NTT(a)'s stage k and NTT(b)'s stage k into
+    one stage, a's butterflies first.  For every shipped (design, scheme)
+    it has as many ntt stages as the ntt plan, ntt stage k's twiddle
+    indices are the ntt plan's stage-k indices for a and then for b, and
+    its pwm and intt stages carry the pwm and intt plans' indices."""
+    import kdntt.pipeline_sim as ps
+    for design, dg in DESIGNS.items():
+        for scheme in dg.schemes:
+            plans = {op: ps._compile(dg.geometry(scheme), dg.pipeline_depth,
+                                     op)
+                     for op in (OP_NTT, OP_INTT, OP_PWM, OP_POLYMUL)}
+            got = [(phase, ws) for phase, _, _, ws in plans[OP_POLYMUL].stages]
+            ntt = [ws for _, _, _, ws in plans[OP_NTT].stages]
+            assert [ws for phase, ws in got if phase == OP_NTT] == \
+                [ws + ws for ws in ntt], (design, scheme)
+            assert got[len(ntt):] == [
+                (phase, ws) for op in (OP_PWM, OP_INTT)
+                for phase, _, _, ws in plans[op].stages], (design, scheme)
+
+
 def test_fill_drain_accounting():
     # pipeline depth P costs P-1 idle cycles per drain; polymul drains
     # three times (after transforms, after pwm, after the inverse)
