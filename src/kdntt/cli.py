@@ -30,11 +30,9 @@ from .memory_map import (
     estimate_bram_usage,
 )
 from .pipeline_sim import (
-    OP_INTT,
-    OP_NTT,
     OP_POLYMUL,
-    OP_PWM,
     SIM_OPS,
+    VERIFY_OPS,
     CoreConfig,
     _execute_columns,
     _prepare,
@@ -248,25 +246,21 @@ def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
 
     from . import ntt_reference as nr
 
-    plans = {}
-    for op in (OP_POLYMUL, OP_NTT, OP_INTT, OP_PWM):
-        plans[op], p, tw, _ = _prepare(cfg, scheme, op, override, False)
+    # one plan runs the four checks' ops: polymul(a, b), ntt(a) = fa,
+    # intt(fa) and pwm(fa, fb), with fb the oracle's spectrum of b
+    plan, p, tw, _ = _prepare(cfg, scheme, VERIFY_OPS, override, False)
     tables = [np.array(t, np.int64) for t in tw]
-
-    def run(op, a, b=None):
-        return _execute_columns(plans[op], p, tables, a, b)
-
     for start in range(0, trials, VERIFY_BATCH):
         indices = range(start, min(start + VERIFY_BATCH, trials))
         a, b = _draw_trials(seed, scheme, indices)
-        fa = run(OP_NTT, a)
         da, fb = np.hsplit(nr.direct_ntt_columns(np.hstack((a, b)), p), 2)
+        product, fa, back, pointwise = np.split(
+            _execute_columns(plan, p, tables, a, np.vstack((b, fb))), 4)
         checks = (
-            ("product", run(OP_POLYMUL, a, b), nr.schoolbook_columns(a, b, p)),
+            ("product", product, nr.schoolbook_columns(a, b, p)),
             ("forward transform", fa, da),
-            ("roundtrip", run(OP_INTT, fa), a),
-            ("pointwise", run(OP_PWM, fa, fb),
-             nr.reference_pwm_columns(fa, fb, p)),
+            ("roundtrip", back, a),
+            ("pointwise", pointwise, nr.reference_pwm_columns(fa, fb, p)),
         )
         # wrong[check, coefficient, trial]; argwhere lists hits in index
         # order, so over (trial, check, coefficient) the first is the

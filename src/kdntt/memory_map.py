@@ -13,7 +13,8 @@ physical bank and row, a write lands pipeline_depth cycles after issue,
 and reading a row whose write is still in flight is a hazard.  A phase
 is a tuple of StageSchedules, and run_stages is the one replay of a
 phase on the banks, whose record the simulator's compile step,
-check_conflict_free (returning the hazards) and the pairing oracle read.
+check_conflict_free (returning the hazards) and the tests' pairing
+oracle read.
 
 Transform scheduling.  Word-level stages pair words (x, x+p) for spans
 p = d, d/2, ..., 1, one stage per layer.  Within a span-p row group the
@@ -459,28 +460,6 @@ def check_conflict_free(stages, pipeline_depth: int) -> tuple[Hazard, ...]:
     m = BankMemory(len(stages[0].entries), pipeline_depth)
     run_stages(m, stages, 0, count())
     return tuple(m.hazards)
-
-
-def enumerate_stage_pairs(ch: int, stages):
-    """Word-index partner pairs per stage: run_stages from banks holding
-    word indices in direction ch's start layout, each read id mapped back
-    to its word — the oracle view used to prove schedule completeness
-    against a reference transform trace."""
-    d = len(stages[0].entries)
-    start, end = ((initial_layout, transformed_layout) if ch == CH_NTT
-                  else (transformed_layout, initial_layout))
-    m = BankMemory(d, 1)
-    m.load(0, start(d), range(2 * d))
-    words = list(range(2 * d))  # the word each id carries
-    out = []
-    for reads, _tws in run_stages(m, stages, 0, count(2 * d)):
-        out.append([])
-        for lo, hi in zip(reads[0::2], reads[1::2]):
-            out[-1].append((words[lo], words[hi]))
-            words += out[-1][-1]  # a cycle writes its low, then high, id
-    m.drain()
-    assert [words[i] for i in m.extract(end(d))] == list(range(2 * d))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,16 @@ told to run one anyway) and the operand checks (_check_operands).
 run_op and run_polymul run one operand set through _execute, one
 butterfly call per butterfly.  run_batch runs many through
 _execute_columns, which takes the same plan a whole stage at a time
-over int64 (256, batch) arrays with a column per operand set, using
-core_arith's branch-free array forms; in a warm process it is the
-faster driver even for one product.  The CLI's verify calls
-_execute_columns directly on the arrays it draws, so its trials never
-become polynomials.  The scalar driver stays because the CLI must start
-without numpy, and because it calls the bfu butterflies that the
-golden-polymul benchmark counts.  It is not rebuilt on the array forms:
+over (256, batch) arrays with a column per operand set, using
+core_arith's branch-free array forms on int64 operands gathered from
+an int32 value store; in a warm process it is the faster driver even
+for one product.  The CLI's verify calls _execute_columns directly on
+the arrays it draws, so its trials never become polynomials, and on
+one plan (_compose) that runs the polymul, ntt, intt and pwm plans of
+its four checks side by side, 15 stages for Kyber and 17 for
+Dilithium.  The scalar driver stays because the CLI must start without
+numpy, and because it calls the bfu butterflies that the golden-polymul
+benchmark counts.  It is not rebuilt on the array forms:
 making the scalar primitives accept arrays slowed run_polymul by 8-25%.
 So the two share the plan and the checks but no arithmetic.
 Stage-at-a-time execution is exact because no stage reads a word that
@@ -107,6 +110,8 @@ OP_INTT = "intt"
 OP_PWM = "pwm"
 OP_POLYMUL = "polymul"
 SIM_OPS = (OP_NTT, OP_INTT, OP_PWM)
+# verify's checks in report order; as _prepare's op, their one plan
+VERIFY_OPS = (OP_POLYMUL, OP_NTT, OP_INTT, OP_PWM)
 
 
 class CoreConfig(_Frozen):
@@ -281,6 +286,47 @@ def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
     return _Plan(tuple(stages), size, busy, fill_drain, tuple(m.hazards), out)
 
 
+@lru_cache(maxsize=16)  # all 8 shipped (design, scheme), twice
+def _compose(geom: MemoryGeometry, depth: int) -> _Plan:
+    """verify's four plans (VERIFY_OPS) as one, over inputs a, b and fb
+    (b's spectrum).  Stage k is the polymul plan's stage k, then the
+    next stage of the plan run by that stage's phase: ntt while the
+    polymul runs forward, then pwm, then intt.  The pwm and intt plans
+    read the ntt plan's outputs as their a, and pwm reads fb as its b.
+    Only positions are relabelled, in stage order, so a stage still
+    reads only positions below its outputs.  The outputs are the four
+    results in VERIFY_OPS order, and the hazards and cycles are the four
+    plans'."""
+    # built past _compile's cache, so verify keeps only the composed plan
+    plans = {op: _compile.__wrapped__(geom, depth, op) for op in VERIFY_OPS}
+    n = len(plans[OP_NTT].out)
+    # each plan's positions, in the order it numbers them, as composed ones
+    at = {OP_POLYMUL: list(range(2 * n)), OP_NTT: list(range(n))}
+    rest = {op: iter(plans[op].stages) for op in (OP_NTT, OP_PWM, OP_INTT)}
+    stages, size = [], 3 * n
+    for stage in plans[OP_POLYMUL].stages:
+        phase = stage[0]
+        if phase == OP_PWM:  # the ntt plan is done: fa is its output
+            at[OP_INTT] = [at[OP_NTT][i] for i in plans[OP_NTT].out]
+            at[OP_PWM] = at[OP_INTT] + list(range(2 * n, 3 * n))
+        xs, ys, ws = array("I"), array("I"), array("I")
+        for op, (_, pxs, pys, pws) in ((OP_POLYMUL, stage),
+                                       (phase, next(rest[phase]))):
+            xs.extend(at[op][i] for i in pxs)
+            ys.extend(at[op][i] for i in pys)
+            ws.extend(pws)
+            new = len(pxs) * (1 + (phase != OP_PWM))
+            at[op] += range(size, size + new)
+            size += new
+        stages.append((phase, xs, ys, ws))
+    parts = plans.values()  # in VERIFY_OPS order
+    return _Plan(tuple(stages), size, sum(q.busy for q in parts),
+                 sum(q.fill_drain for q in parts),
+                 sum((q.hazards for q in parts), ()),
+                 array("I", [at[op][i] for op in plans
+                             for i in plans[op].out]))
+
+
 def _execute(plan: _Plan, p: ModulusParams, tw, a: Polynomial,
              b: Polynomial | None) -> list[int]:
     """The plan's arithmetic over one list of values, each output
@@ -312,12 +358,10 @@ def _execute(plan: _Plan, p: ModulusParams, tw, a: Polynomial,
 def _prepare(cfg: CoreConfig, scheme: str, op: str, rom_override,
              allow_hazards: bool):
     """The prologue of every run, before any operand is seen: check the
-    op, the scheme and rom_override, take the op's plan for this geometry
-    and depth (compiled on first use) and refuse a hazardous one.
-    Returns the plan, the scheme's parameters, the twiddle tables and
-    the report."""
-    if op not in _OPS:
-        raise ValueError(f"unknown op {op!r}")
+    scheme and rom_override, take the op's plan for this geometry and
+    depth (built on first use) and refuse a hazardous one.  op is one of
+    _OPS, which the public drivers check, or VERIFY_OPS.  Returns the
+    plan, the scheme's parameters, the twiddle tables and the report."""
     if scheme not in cfg.schemes:
         raise ValueError(f"design {cfg.design} has no {scheme} lanes")
     p = SCHEMES[scheme]
@@ -333,7 +377,9 @@ def _prepare(cfg: CoreConfig, scheme: str, op: str, rom_override,
             raise ValueError(f"rom_override must hold integer tables of "
                              f"lengths {tuple(map(len, tw))} in [0, {p.q})")
         tw = override
-    plan = _compile(cfg.geometry(scheme), cfg.pipeline_depth, op)
+    geom, depth = cfg.geometry(scheme), cfg.pipeline_depth
+    plan = (_compose(geom, depth) if op == VERIFY_OPS
+            else _compile(geom, depth, op))
     if plan.hazards and not allow_hazards:
         h = plan.hazards[0]
         raise RuntimeError(
@@ -407,21 +453,24 @@ def _execute_columns(plan: _Plan, p: ModulusParams, tables, a, b):
     """The plan's arithmetic a whole stage at a time, over int64 (256,
     batch) arrays a and b (None for ntt and intt) with a column per
     operand set, under run_op's domain contracts, and the twiddle tables
-    as int64 arrays.  Returns the (256, batch) result.  Nothing is
-    checked: _prepare and the caller vouch for the plan and the values."""
+    as int64 arrays.  b may stack more rows (verify's b, then fb), all
+    Montgomery-prescaled at load.  The store is int32, as every value is
+    a residue below q < 2**23, and each gather widens to int64.  Returns
+    the int64 (len(plan.out), batch) result.  Nothing is checked:
+    _prepare and the caller vouch for the plan and the values."""
     import numpy as np
 
-    q, n = p.q, len(a)
+    q = p.q
     # Row i of vals is position i of _execute's list, one column per
     # operand set; each stage fills the next block of rows.
-    vals = np.empty((plan.size, a.shape[1]), np.int64)
-    vals[:n] = a
+    vals = np.empty((plan.size, a.shape[1]), np.int32)
+    vals[:len(a)] = a
+    pos = len(a) if b is None else len(a) + len(b)
     if b is not None:
-        vals[n:2 * n] = mont_mul_array(b, p.r2_mod_q, p)
-    pos = n if b is None else 2 * n
+        vals[len(a):pos] = mont_mul_array(b, p.r2_mod_q, p)
     for phase, xs, ys, ws in plan.stages:
-        x = vals[np.frombuffer(xs, np.uintc)]
-        y = vals[np.frombuffer(ys, np.uintc)]
+        x = vals.take(np.frombuffer(xs, np.uintc), 0).astype(np.int64)
+        y = vals.take(np.frombuffer(ys, np.uintc), 0).astype(np.int64)
         w = np.frombuffer(ws, np.uintc)
         # A product has one output, a butterfly two.
         out = vals[pos: pos + len(xs) * (1 + (phase != OP_PWM))]
@@ -445,7 +494,7 @@ def _execute_columns(plan: _Plan, p: ModulusParams, tables, a, b):
             out[0::2] = mod_add_half_array(x, y, q)
             out[1::2] = mont_mul_array(mod_sub_array(x, y, q),
                                        tables[1][w, None], p)
-    return vals[np.frombuffer(plan.out, np.uintc)]
+    return vals.take(np.frombuffer(plan.out, np.uintc), 0).astype(np.int64)
 
 
 def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
@@ -461,6 +510,8 @@ def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
     """
     import numpy as np
 
+    if op not in _OPS:
+        raise ValueError(f"unknown op {op!r}")
     As, Bs = tuple(As), None if Bs is None else tuple(Bs)
     plan, p, tw, report = _prepare(cfg, scheme, op, rom_override, False)
     _check_operands(scheme, op, As, Bs)

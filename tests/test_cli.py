@@ -22,6 +22,7 @@ from kdntt.ntt_reference import (
     schoolbook_negacyclic,
 )
 from kdntt.core_arith import DILITHIUM, SCHEMES
+from kdntt.pipeline_sim import VERIFY_OPS
 
 RNG = random.Random(0xC11)
 SRC = str(Path(kdntt.__file__).resolve().parents[1])
@@ -284,10 +285,10 @@ def test_verify_reports_the_lowest_trial_then_the_first_check(monkeypatch,
     real = kdntt.cli._execute_columns
 
     def faulty(plan, p, tables, a, b):
-        out = real(plan, p, tables, a, b)
+        out = real(plan, p, tables, a, b)  # one 256-row block per check
         for f_op, trial, k in faults:  # the 4 trials are one batch
-            if f_op == _plan_op(plan):
-                out[k, trial] = (out[k, trial] + 1) % DILITHIUM.q
+            row = 256 * VERIFY_OPS.index(f_op) + k
+            out[row, trial] = (out[row, trial] + 1) % DILITHIUM.q
         return out
 
     monkeypatch.setattr(kdntt.cli, "_execute_columns", faulty)
@@ -295,12 +296,6 @@ def test_verify_reports_the_lowest_trial_then_the_first_check(monkeypatch,
                  "--trials", "4", "--seed", "5"]) == 1
     assert capsys.readouterr().out == \
         "FAIL dilithium trial 2 (seed 5): roundtrip mismatch at coefficient 9\n"
-
-
-def _plan_op(plan):
-    """The op a plan runs: its one phase, or polymul for three."""
-    phases = {phase for phase, *_ in plan.stages}
-    return "polymul" if len(phases) > 1 else phases.pop()
 
 
 def test_verify_draws_its_trials_as_polynomial_random_does(monkeypatch,
@@ -311,9 +306,8 @@ def test_verify_draws_its_trials_as_polynomial_random_does(monkeypatch,
     and one partial one."""
     real, seen = kdntt.cli._execute_columns, []
 
-    def recording(plan, p, tables, a, b):
-        if _plan_op(plan) == "polymul":
-            seen.append((p.scheme, a.copy(), b.copy()))
+    def recording(plan, p, tables, a, b):  # b is b, then fb
+        seen.append((p.scheme, a.copy(), b[:256].copy()))
         return real(plan, p, tables, a, b)
 
     monkeypatch.setattr(kdntt.cli, "_execute_columns", recording)

@@ -4,6 +4,7 @@ ROM construction, coefficient packing, and the BRAM estimator."""
 import hashlib
 import math
 import random
+from itertools import count
 
 import pytest
 
@@ -22,13 +23,13 @@ from kdntt.memory_map import (
     build_twiddle_rom,
     check_conflict_free,
     decode_twiddle_image,
-    enumerate_stage_pairs,
     estimate_bram_usage,
     generate_addresses,
     initial_layout,
     intra_word_stages,
     pwm_schedule,
     rom_image_lines,
+    run_stages,
     scheme_program,
     transformed_layout,
     pack_word,
@@ -79,6 +80,28 @@ def test_stage2_documented_pattern():
         got = [(e.addr_a, e.addr_b) for e in s[1].entries[:4]]
         h = d // 2
         assert got == [(0, h - 1), (h - 1, 0), (1, h - 2), (h - 2, 1)]
+
+
+def enumerate_stage_pairs(ch: int, stages):
+    """The pairing oracle: word-index partner pairs per stage.  It runs
+    run_stages from banks holding word indices in direction ch's start
+    layout and maps each read id back to its word, the view that proves
+    schedule completeness against a reference transform trace."""
+    d = len(stages[0].entries)
+    start, end = ((initial_layout, transformed_layout) if ch == CH_NTT
+                  else (transformed_layout, initial_layout))
+    m = BankMemory(d, 1)
+    m.load(0, start(d), range(2 * d))
+    words = list(range(2 * d))  # the word each id carries
+    out = []
+    for reads, _tws in run_stages(m, stages, 0, count(2 * d)):
+        out.append([])
+        for lo, hi in zip(reads[0::2], reads[1::2]):
+            out[-1].append((words[lo], words[hi]))
+            words += out[-1][-1]  # a cycle writes its low, then high, id
+    m.drain()
+    assert [words[i] for i in m.extract(end(d))] == list(range(2 * d))
+    return out
 
 
 def test_forward_pairing_completeness_exhaustive():

@@ -241,6 +241,71 @@ def test_polymul_plan_runs_each_forward_layer_once_over_both_operands():
                 for phase, _, _, ws in plans[op].stages], (design, scheme)
 
 
+def test_verify_plan_equals_the_four_plans_it_composes(monkeypatch):
+    """verify's one plan, for every shipped (design, scheme) at its
+    shipped depth: its four 256-row output blocks equal, bit for bit,
+    the four single-op executor runs verify made before (polymul of a
+    and b, ntt of a, intt of that ntt and pwm of it with fb), at batch 20
+    and at batch 1, with the shipped twiddle tables and with one forward
+    twiddle off by one.  Every stage reads only positions below its
+    first output, the value list holds the three inputs plus the
+    outputs, and the 1024 output positions are distinct.  Moved to
+    d/2 + 1, a geometry's four plans carry their hazards into the
+    composed one, and verify refuses it before any arithmetic."""
+    import numpy as np
+    import kdntt.cli
+    import kdntt.pipeline_sim as ps
+    rng = np.random.default_rng(0xC0B)
+    for design, dg in DESIGNS.items():
+        for scheme in dg.schemes:
+            geom, p = dg.geometry(scheme), SCHEMES[scheme]
+            plans = {op: ps._compile(geom, dg.pipeline_depth, op)
+                     for op in ps.VERIFY_OPS}
+            plan = ps._compose(geom, dg.pipeline_depth)
+            first = 3 * 256
+            for phase, xs, ys, _ws in plan.stages:
+                assert len(xs) == len(ys) and max(*xs, *ys) < first, \
+                    (design, scheme)
+                first += len(xs) * (1 if phase == OP_PWM else 2)
+            assert plan.size == first, (design, scheme)
+            assert len(set(plan.out)) == 1024 and max(plan.out) < first
+            shipped = [np.array(t, np.int64)
+                       for t in build_twiddle_rom(scheme)]
+            off = [t.copy() for t in shipped]
+            w = plans[OP_NTT].stages[0][3][0]  # the first butterfly's
+            off[0][w] = (off[0][w] + 1) % p.q
+            for tables in (shipped, off):
+                for batch in (20, 1):
+                    a, b, fb = rng.integers(0, p.q, (3, 256, batch))
+
+                    def run(op, x, y=None, tables=tables):
+                        return ps._execute_columns(plans[op], p, tables, x, y)
+
+                    fa = run(OP_NTT, a)
+                    want = np.vstack((run(OP_POLYMUL, a, b), fa,
+                                      run(OP_INTT, fa), run(OP_PWM, fa, fb)))
+                    got = ps._execute_columns(plan, p, tables, a,
+                                              np.vstack((b, fb)))
+                    assert got.dtype == np.int64 and \
+                        np.array_equal(got, want), (design, scheme, batch)
+            # the off-by-one twiddle reaches the last batch's outputs
+            assert not np.array_equal(
+                fa, ps._execute_columns(plans[OP_NTT], p, shipped, a, None))
+    cfg = CoreConfig.for_design("d3")
+    geom = cfg.geometry("kyber")
+    object.__setattr__(cfg, "pipeline_depth", geom.d // 2 + 1)
+    deep = ps._compose(geom, cfg.pipeline_depth)
+    assert deep.hazards and deep.hazards == sum(
+        (ps._compile(geom, cfg.pipeline_depth, op).hazards
+         for op in ps.VERIFY_OPS), ())
+    ran = []
+    monkeypatch.setattr(kdntt.cli, "_execute_columns",
+                        lambda *args: ran.append(args))
+    with pytest.raises(RuntimeError, match="memory hazard"):
+        kdntt.cli._verify_trials(cfg, "kyber", 0, 1, None)
+    assert not ran
+
+
 def test_fill_drain_accounting():
     # pipeline depth P costs P-1 idle cycles per drain; polymul drains
     # three times (after transforms, after pwm, after the inverse)
