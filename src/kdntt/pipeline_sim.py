@@ -12,13 +12,17 @@ The plan is the replay's record compiled down to operand positions:
 every value the op computes has a position in one list (a's
 coefficients, b's, then each plan stage's outputs in order), and a
 stage lists each butterfly's or product's two operand positions and
-twiddle index.  A polymul's forward stage k is NTT(a)'s stage k and
-then NTT(b)'s, so its plan has one stage per butterfly layer and the
-pwm stage, 15 for Kyber and 17 for Dilithium.  Only _compile knows how
-a word's t slots are laid out and which slots a butterfly pairs.  The
-execute step then runs only arithmetic, one loop per stage kind.
-Operands are addressed by region (a in 0, b in 1); the bank memory
-alone decides where a region sits.
+twiddle index.  Every run of a phase lowers its stage k into the plan's
+stage k.  A polymul's forward stage k is NTT(a)'s stage k and then
+NTT(b)'s, so its plan has one stage per butterfly layer and the pwm
+stage, 15 for Kyber and 17 for Dilithium.  verify's plan (op
+VERIFY_OPS) runs its four checks' ops the same way, side by side, each
+on banks of its own: polymul, ntt, intt and pwm, where intt and pwm
+load the ids of the ntt's result.  It has the polymul's stage count.
+Only _compile knows how a word's t slots are laid out and which slots
+a butterfly pairs.  The execute step then runs only arithmetic, one
+loop per stage kind.  Operands are addressed by region (a in 0, b in
+1); the bank memory alone decides where a region sits.
 
 Two drivers execute a plan, after one shared prologue (_prepare: the
 scheme and rom_override checks, the plan lookup and the refusal of a
@@ -32,11 +36,9 @@ core_arith's branch-free array forms on int64 operands gathered from
 an int32 value store; in a warm process it is the faster driver even
 for one product.  The CLI's verify calls _execute_columns directly on
 the arrays it draws, so its trials never become polynomials, and on
-one plan (_compose) that runs the polymul, ntt, intt and pwm plans of
-its four checks side by side, 15 stages for Kyber and 17 for
-Dilithium.  The scalar driver stays because the CLI must start without
-numpy, and because it calls the bfu butterflies that the golden-polymul
-benchmark counts.  It is not rebuilt on the array forms:
+its one plan.  The scalar driver stays because the CLI must start
+without numpy, and because it calls the bfu butterflies that the
+golden-polymul benchmark counts.  It is not rebuilt on the array forms:
 making the scalar primitives accept arrays slowed run_polymul by 8-25%.
 So the two share the plan and the checks but no arithmetic.
 Stage-at-a-time execution is exact because no stage reads a word that
@@ -196,6 +198,10 @@ _OPS = {
     OP_PWM: (DOMAIN_NTT_BR, DOMAIN_NTT_BR, (OP_PWM,)),
     OP_POLYMUL: (DOMAIN_NORMAL, DOMAIN_NORMAL, (OP_NTT, OP_PWM, OP_INTT)),
 }
+# A multi-op plan's ops and what each loads as a (and b): a block of the
+# plan's inputs (a = 0, b = 1, fb = 2) or an earlier op's result.
+_MULTI_OPS = {VERIFY_OPS: ((OP_POLYMUL, (0, 1)), (OP_NTT, (0,)),
+                           (OP_INTT, (OP_NTT,)), (OP_PWM, (OP_NTT, 2)))}
 
 
 def _layout(domain: str, d: int):
@@ -212,54 +218,75 @@ class _Plan(NamedTuple):
     busy: int
     fill_drain: int
     hazards: tuple[Hazard, ...]
-    out: array               # the result's 256 positions, in order
+    out: array               # the result's positions, 256 per op, in order
 
 
-@lru_cache(maxsize=64)  # all 32 shipped (design, scheme, op), twice
-def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
-    """The op's phases run on banks holding word ids: a's word w is id w,
-    b's (for pwm and polymul) id 2d + w, and each written word takes the
-    next id, so every replayed stage's 2d words take the next 2d ids.
-    words[i] holds where word id i's t slots sit in the value list: a's
-    coefficients first, then b's, then each plan stage's outputs in the
-    order its cycles and butterflies (or products) produce them.  A
-    polymul's forward stage k is NTT(a)'s stage k, then NTT(b)'s, so
-    words is filled by id, not in id order."""
+@lru_cache(maxsize=64)  # 32 shipped single-op plans and 8 verify plans
+def _compile(geom: MemoryGeometry, depth: int,
+             op: str | tuple[str, ...]) -> _Plan:
+    """The op's phases run on banks holding word ids: input block k's
+    word w is id 2dk + w, and each written word takes the next id, so
+    every replayed stage's 2d words take the next 2d ids.  A multi-op
+    plan (_MULTI_OPS) runs each op on banks of its own, all drawing ids
+    from one count, and an op that loads an earlier op's result loads
+    the ids that op's banks hold.  Each phase runs on every op that has
+    it, and the plan's stage k is every run's stage k in turn: a
+    polymul's forward stage k is NTT(a)'s, then NTT(b)'s.  words[i]
+    holds where word id i's t slots sit in the value list: the input
+    blocks' coefficients first, then each plan stage's outputs in the
+    order its runs, cycles and butterflies (or products) produce them,
+    so words is filled by id, not in id order."""
     t, d = geom.t, geom.d
-    d_in, d_out, phases = _OPS[op]
-    with_b = OP_PWM in phases
+    runs = _MULTI_OPS.get(op) or (
+        (op, (0, 1) if OP_PWM in _OPS[op][2] else (0,)),)
+    blocks = 1 + max(s for _, srcs in runs for s in srcs if type(s) is int)
     prog = scheme_program(geom)
-    m = BankMemory(d, depth)
-    m.load(0, _layout(d_in, d), range(2 * d))
-    if with_b:
-        m.load(1, _layout(d_in, d), range(2 * d, 4 * d))
-    words = [range(t * i, t * i + t) for i in range(2 * d * (1 + with_b))]
+    mems = {}
+
+    def result(name):  # the op's result as word ids, in word order
+        return mems[name].extract(_layout(_OPS[name][1], d))
+
+    words = [range(t * i, t * i + t) for i in range(2 * d * blocks)]
     size = t * len(words)
     ids = count(len(words))
     stages = []
     busy = fill_drain = 0
-    for phase in phases:
+    for phase in _OPS[OP_POLYMUL][2]:  # every op's phases, in order
         program = getattr(prog, phase)
-        start = m.cycle
-        runs = [run_stages(m, program, 0, ids)]
-        busy += m.cycle - start
-        if phase == OP_NTT and with_b:
-            # NTT(b) preparation: counted in neither total (see the
-            # module docstring) and not drained apart from NTT(a).
-            runs.append(run_stages(m, program, 1, ids))
-        fill_drain += m.drain()
+        ran = []  # (op, record) per run, in the order they take ids
         first = len(words)  # the id the phase's first written word takes
-        words += [None] * (2 * d * len(program) * len(runs))
+        for name, srcs in runs:
+            if phase not in _OPS[name][2]:
+                continue
+            m = mems.get(name)
+            if m is None:  # the op's first phase: load its inputs
+                m = mems[name] = BankMemory(d, depth)
+                for region, src in enumerate(srcs):
+                    m.load(region, _layout(_OPS[name][0], d),
+                           range(2 * d * src, 2 * d * src + 2 * d)
+                           if type(src) is int else result(src))
+            start = m.cycle
+            ran.append((name, run_stages(m, program, 0, ids)))
+            busy += m.cycle - start
+            if phase == OP_NTT and len(srcs) == 2:
+                # NTT(b) preparation: counted in neither total (see the
+                # module docstring) and not drained apart from NTT(a).
+                ran.append((name, run_stages(m, program, 1, ids)))
+            fill_drain += m.drain()
+        if not ran:
+            continue
+        words += [None] * (2 * d * len(program) * len(ran))
         for k, stage in enumerate(program):
             xs, ys, ws = array("I"), array("I"), array("I")
             bfly = None if stage.kind == "pwm" else _butterflies(stage, t)
-            for r, (reads, tws) in enumerate(run[k] for run in runs):
+            for r, (name, record) in enumerate(ran):
+                reads, tws = record[k]
                 wid = first + 2 * d * (r * len(program) + k)
                 # run_batch computes a whole stage at once, so no stage may
                 # read a word it writes (a stale read sees an older id).  A
                 # run reads only its own region: check it on its own writes.
                 if max(reads) >= wid:
-                    raise RuntimeError(f"a {op} stage reads a word it writes")
+                    raise RuntimeError(f"a {name} stage reads a word it writes")
                 new = []  # the run's written words, in id order
                 pairs = iter(reads)
                 for lo, hi, tw in zip(pairs, pairs, tws):
@@ -281,50 +308,10 @@ def _compile(geom: MemoryGeometry, depth: int, op: str) -> _Plan:
                     new += slots[:t], slots[t:]  # the low id, then the high
                 words[wid: wid + len(new)] = new
             stages.append((phase, xs, ys, ws))
-    out = array("I", [s for i in m.extract(_layout(d_out, d))
+    out = array("I", [s for name, _ in runs for i in result(name)
                       for s in words[i]])
-    return _Plan(tuple(stages), size, busy, fill_drain, tuple(m.hazards), out)
-
-
-@lru_cache(maxsize=16)  # all 8 shipped (design, scheme), twice
-def _compose(geom: MemoryGeometry, depth: int) -> _Plan:
-    """verify's four plans (VERIFY_OPS) as one, over inputs a, b and fb
-    (b's spectrum).  Stage k is the polymul plan's stage k, then the
-    next stage of the plan run by that stage's phase: ntt while the
-    polymul runs forward, then pwm, then intt.  The pwm and intt plans
-    read the ntt plan's outputs as their a, and pwm reads fb as its b.
-    Only positions are relabelled, in stage order, so a stage still
-    reads only positions below its outputs.  The outputs are the four
-    results in VERIFY_OPS order, and the hazards and cycles are the four
-    plans'."""
-    # built past _compile's cache, so verify keeps only the composed plan
-    plans = {op: _compile.__wrapped__(geom, depth, op) for op in VERIFY_OPS}
-    n = len(plans[OP_NTT].out)
-    # each plan's positions, in the order it numbers them, as composed ones
-    at = {OP_POLYMUL: list(range(2 * n)), OP_NTT: list(range(n))}
-    rest = {op: iter(plans[op].stages) for op in (OP_NTT, OP_PWM, OP_INTT)}
-    stages, size = [], 3 * n
-    for stage in plans[OP_POLYMUL].stages:
-        phase = stage[0]
-        if phase == OP_PWM:  # the ntt plan is done: fa is its output
-            at[OP_INTT] = [at[OP_NTT][i] for i in plans[OP_NTT].out]
-            at[OP_PWM] = at[OP_INTT] + list(range(2 * n, 3 * n))
-        xs, ys, ws = array("I"), array("I"), array("I")
-        for op, (_, pxs, pys, pws) in ((OP_POLYMUL, stage),
-                                       (phase, next(rest[phase]))):
-            xs.extend(at[op][i] for i in pxs)
-            ys.extend(at[op][i] for i in pys)
-            ws.extend(pws)
-            new = len(pxs) * (1 + (phase != OP_PWM))
-            at[op] += range(size, size + new)
-            size += new
-        stages.append((phase, xs, ys, ws))
-    parts = plans.values()  # in VERIFY_OPS order
-    return _Plan(tuple(stages), size, sum(q.busy for q in parts),
-                 sum(q.fill_drain for q in parts),
-                 sum((q.hazards for q in parts), ()),
-                 array("I", [at[op][i] for op in plans
-                             for i in plans[op].out]))
+    return _Plan(tuple(stages), size, busy, fill_drain,
+                 tuple(h for name, _ in runs for h in mems[name].hazards), out)
 
 
 def _execute(plan: _Plan, p: ModulusParams, tw, a: Polynomial,
@@ -377,9 +364,7 @@ def _prepare(cfg: CoreConfig, scheme: str, op: str, rom_override,
             raise ValueError(f"rom_override must hold integer tables of "
                              f"lengths {tuple(map(len, tw))} in [0, {p.q})")
         tw = override
-    geom, depth = cfg.geometry(scheme), cfg.pipeline_depth
-    plan = (_compose(geom, depth) if op == VERIFY_OPS
-            else _compile(geom, depth, op))
+    plan = _compile(cfg.geometry(scheme), cfg.pipeline_depth, op)
     if plan.hazards and not allow_hazards:
         h = plan.hazards[0]
         raise RuntimeError(

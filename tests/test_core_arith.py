@@ -249,6 +249,42 @@ def test_array_forms_on_dilithium_samples():
                               np.concatenate((b, np.tile(edges, 4))))
 
 
+def test_array_forms_on_dilithium_boundaries():
+    """mod_add_array, mod_sub_array and mod_add_half_array equal Python's
+    % on every Dilithium operand pair, by cases.  For a, b in [0, q),
+    s = a + b lies in [0, 2q - 2] and d = a - b in [-(q - 1), q - 1].
+    Each form is one comparison and a 0/1 correction by q:
+    - add returns s below q and s - q from q on; each is s mod q on its
+      side, so the form is right unless the comparison splits at the
+      wrong sum, which the sums q - 1, q and q + 1 pin;
+    - sub returns d from 0 on and d + q below 0, pinned by d = -1, 0, 1;
+    - the halving add returns s/2 for an even s, (s + q)/2 for an odd s
+      below q and (s - q)/2 for an odd s from q on (q is odd, so both
+      are whole); each is s * 2**-1 mod q in [0, q), and the odd sums
+      q - 2 and q, beside the even q - 1 and q + 1, pin the split.
+    The operands 0 and q - 1 and the extreme sums 0 and 2q - 2 bound
+    every intermediate, far inside int64."""
+    import numpy as np
+    q = DILITHIUM.q
+    half = pow(2, -1, q)
+    edges = (0, 1, 2, q // 2, q // 2 + 1, q - 3, q - 2, q - 1)
+    pairs = {(x, y) for x in edges for y in edges}
+    for x in edges:
+        for y in {x - 1, x, x + 1} | {s - x for s in range(q - 2, q + 2)}:
+            if 0 <= y < q:
+                pairs |= {(x, y), (y, x)}
+    a, b = np.array(sorted(pairs), dtype=np.int64).T
+    assert {q - 2, q - 1, q, q + 1, 0, 2 * q - 2} <= set((a + b).tolist())
+    assert {-1, 0, 1} <= set((a - b).tolist())
+    for form, want in ((mod_add_array, lambda x, y: (x + y) % q),
+                       (mod_sub_array, lambda x, y: (x - y) % q),
+                       (mod_add_half_array,
+                        lambda x, y: (x + y) * half % q)):
+        got = form(a, b, q).tolist()
+        assert got == [want(x, y) for x, y in zip(a.tolist(), b.tolist())], \
+            form.__name__
+
+
 def test_pack_unpack_lanes():
     assert pack_lanes(0, 0) == 0
     assert pack_lanes(0xFFF, 0) == 0xFFF

@@ -241,17 +241,21 @@ def test_polymul_plan_runs_each_forward_layer_once_over_both_operands():
                 for phase, _, _, ws in plans[op].stages], (design, scheme)
 
 
-def test_verify_plan_equals_the_four_plans_it_composes(monkeypatch):
-    """verify's one plan, for every shipped (design, scheme) at its
-    shipped depth: its four 256-row output blocks equal, bit for bit,
-    the four single-op executor runs verify made before (polymul of a
-    and b, ntt of a, intt of that ntt and pwm of it with fb), at batch 20
-    and at batch 1, with the shipped twiddle tables and with one forward
-    twiddle off by one.  Every stage reads only positions below its
-    first output, the value list holds the three inputs plus the
-    outputs, and the 1024 output positions are distinct.  Moved to
-    d/2 + 1, a geometry's four plans carry their hazards into the
-    composed one, and verify refuses it before any arithmetic."""
+def test_verify_plan_equals_four_single_op_runs_at_every_depth(monkeypatch):
+    """verify's one plan, _compile(geom, depth, VERIFY_OPS), for every
+    shipped (design, scheme) at every depth of the 188-run sweep (1,
+    shipped, d/2, d/2 + 1, d/2 + 5 and d): its four 256-row output
+    blocks equal, bit for bit, four single-op executor runs (polymul of
+    a and b, ntt of a, intt of that ntt and pwm of it with fb), stale
+    reads included.  At the shipped depth they run at batch 20 and at
+    batch 1, each with the shipped twiddle tables and with one forward
+    twiddle off by one; at the other depths, at batch 20 with the
+    shipped tables and at batch 1 with the off one.  Its busy
+    and fill/drain cycles are the four plans' sums and its hazards are
+    theirs in VERIFY_OPS order.  Every stage reads only positions below
+    its first output, the value list holds the three inputs plus the
+    outputs, and the 1024 output positions are distinct.  At d/2 + 1,
+    verify refuses the plan before any arithmetic."""
     import numpy as np
     import kdntt.cli
     import kdntt.pipeline_sim as ps
@@ -259,27 +263,39 @@ def test_verify_plan_equals_the_four_plans_it_composes(monkeypatch):
     for design, dg in DESIGNS.items():
         for scheme in dg.schemes:
             geom, p = dg.geometry(scheme), SCHEMES[scheme]
-            plans = {op: ps._compile(geom, dg.pipeline_depth, op)
-                     for op in ps.VERIFY_OPS}
-            plan = ps._compose(geom, dg.pipeline_depth)
-            first = 3 * 256
-            for phase, xs, ys, _ws in plan.stages:
-                assert len(xs) == len(ys) and max(*xs, *ys) < first, \
-                    (design, scheme)
-                first += len(xs) * (1 if phase == OP_PWM else 2)
-            assert plan.size == first, (design, scheme)
-            assert len(set(plan.out)) == 1024 and max(plan.out) < first
+            d = geom.d
             shipped = [np.array(t, np.int64)
                        for t in build_twiddle_rom(scheme)]
-            off = [t.copy() for t in shipped]
-            w = plans[OP_NTT].stages[0][3][0]  # the first butterfly's
-            off[0][w] = (off[0][w] + 1) % p.q
-            for tables in (shipped, off):
-                for batch in (20, 1):
+            for depth in sorted({1, dg.pipeline_depth, d // 2, d // 2 + 1,
+                                 d // 2 + 5, d}):
+                where = (design, scheme, depth)
+                plans = {op: ps._compile(geom, depth, op)
+                         for op in ps.VERIFY_OPS}
+                plan = ps._compile(geom, depth, ps.VERIFY_OPS)
+                parts = plans.values()
+                assert (plan.busy, plan.fill_drain, plan.hazards) == (
+                    sum(q.busy for q in parts),
+                    sum(q.fill_drain for q in parts),
+                    sum((q.hazards for q in parts), ())), where
+                first = 3 * 256
+                for phase, xs, ys, _ws in plan.stages:
+                    assert len(xs) == len(ys) and max(*xs, *ys) < first, \
+                        where
+                    first += len(xs) * (1 if phase == OP_PWM else 2)
+                assert plan.size == first, where
+                assert len(set(plan.out)) == 1024 and max(plan.out) < first
+                off = [t.copy() for t in shipped]
+                w = plans[OP_NTT].stages[0][3][0]  # the first butterfly's
+                off[0][w] = (off[0][w] + 1) % p.q
+                grid = ((shipped, 20), (off, 20), (shipped, 1), (off, 1))
+                # the whole grid at the shipped depth, two corners elsewhere
+                for tables, batch in (grid if depth == dg.pipeline_depth
+                                      else grid[::3]):
                     a, b, fb = rng.integers(0, p.q, (3, 256, batch))
 
                     def run(op, x, y=None, tables=tables):
-                        return ps._execute_columns(plans[op], p, tables, x, y)
+                        return ps._execute_columns(plans[op], p, tables,
+                                                   x, y)
 
                     fa = run(OP_NTT, a)
                     want = np.vstack((run(OP_POLYMUL, a, b), fa,
@@ -287,23 +303,63 @@ def test_verify_plan_equals_the_four_plans_it_composes(monkeypatch):
                     got = ps._execute_columns(plan, p, tables, a,
                                               np.vstack((b, fb)))
                     assert got.dtype == np.int64 and \
-                        np.array_equal(got, want), (design, scheme, batch)
-            # the off-by-one twiddle reaches the last batch's outputs
-            assert not np.array_equal(
-                fa, ps._execute_columns(plans[OP_NTT], p, shipped, a, None))
+                        np.array_equal(got, want), (*where, batch)
+                # the off-by-one twiddle reaches the last batch's outputs
+                assert not np.array_equal(fa, ps._execute_columns(
+                    plans[OP_NTT], p, shipped, a, None)), where
     cfg = CoreConfig.for_design("d3")
     geom = cfg.geometry("kyber")
     object.__setattr__(cfg, "pipeline_depth", geom.d // 2 + 1)
-    deep = ps._compose(geom, cfg.pipeline_depth)
-    assert deep.hazards and deep.hazards == sum(
-        (ps._compile(geom, cfg.pipeline_depth, op).hazards
-         for op in ps.VERIFY_OPS), ())
+    assert ps._compile(geom, cfg.pipeline_depth, ps.VERIFY_OPS).hazards
     ran = []
     monkeypatch.setattr(kdntt.cli, "_execute_columns",
                         lambda *args: ran.append(args))
     with pytest.raises(RuntimeError, match="memory hazard"):
         kdntt.cli._verify_trials(cfg, "kyber", 0, 1, None)
     assert not ran
+
+
+def test_transforms_equal_the_oracles_on_the_unit_basis():
+    """The core's ntt and intt equal FIPS 203's and 204's on every input,
+    for every shipped (design, scheme) at depth 1, the shipped depth and
+    max_pipeline_depth (44 plans).  Every primitive the executor runs is
+    exact mod q on every operand in [0, q) (the sweeps in
+    test_core_arith; Dilithium's add, sub and halving add by
+    test_array_forms_on_dilithium_boundaries), and no address, flag or
+    twiddle index depends on the data, so a plan applies a fixed chain
+    of Z_q-linear steps (x + w*y, x - w*y, (x + y)/2, (x - y)*w): it is
+    a Z_q-linear map of its 256 inputs.  Two linear maps that agree on
+    the unit vectors e_0..e_255 agree everywhere, so one run on
+    np.eye(256), a column per unit vector, proves equality on all
+    q**256 inputs.
+
+    The same argument makes pwm and polymul bilinear in (a, b).  A wrong
+    bilinear core differs from schoolbook in some coefficient by a
+    nonzero polynomial of degree 2 in the 512 input coefficients, which
+    a uniform random pair zeroes with probability at most 2/q
+    (Schwartz-Zippel).  So c2's 100 independent pairs per configuration
+    pass a wrong core with probability at most (2/q)**100."""
+    import numpy as np
+    import kdntt.pipeline_sim as ps
+    from kdntt.ntt_reference import direct_intt_columns, direct_ntt_columns
+    eye = np.eye(256, dtype=np.int64)
+    points = 0
+    for design, dg in DESIGNS.items():
+        for scheme in dg.schemes:
+            geom, p = dg.geometry(scheme), SCHEMES[scheme]
+            tables = [np.array(t, np.int64)
+                      for t in build_twiddle_rom(scheme)]
+            for depth in sorted({1, dg.pipeline_depth,
+                                 dg.max_pipeline_depth}):
+                for op, oracle in ((OP_NTT, direct_ntt_columns),
+                                   (OP_INTT, direct_intt_columns)):
+                    plan = ps._compile(geom, depth, op)
+                    assert not plan.hazards
+                    got = ps._execute_columns(plan, p, tables, eye, None)
+                    assert np.array_equal(got, oracle(eye, p)), \
+                        (design, scheme, depth, op)
+                    points += 1
+    assert points == 44
 
 
 def test_fill_drain_accounting():
