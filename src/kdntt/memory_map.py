@@ -12,9 +12,10 @@ the one model of the banks: it maps a (region, role, row) address to a
 physical bank and row, a write lands pipeline_depth cycles after issue,
 and reading a row whose write is still in flight is a hazard.  A phase
 is a tuple of StageSchedules, and run_stages is the one replay of a
-phase on the banks, whose record the simulator's compile step,
-check_conflict_free (returning the hazards) and the tests' pairing
-oracle read.
+phase on the banks.  It hands each cycle's words to the caller's step
+and writes back the words the step returns: the simulator's compile
+step lowers them to operand positions, while check_conflict_free
+(returning the hazards) and the tests' pairing oracle return them.
 
 Transform scheduling.  Word-level stages pair words (x, x+p) for spans
 p = d, d/2, ..., 1, one stage per layer.  Within a span-p row group the
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from itertools import count
 from typing import NamedTuple
 
 from .core_arith import N, SCHEMES, _Frozen, from_mont
@@ -408,44 +408,38 @@ def build_twiddle_rom(scheme: str) -> TwiddleRom:
 # Conflict checking.
 # ---------------------------------------------------------------------------
 
-def run_stages(m: BankMemory, stages, region: int, ids) -> list:
-    """Run stages on m, one tick per entry, writing the next ids from ids:
-    the one replay of any phase, and the only reader of its addresses
-    and flags.  Returns, per stage, the ids its cycles read (in pairs)
-    and each pair's twiddle index.
+def run_stages(m: BankMemory, stages, region: int, step) -> None:
+    """Run stages on m, one tick per entry: the one replay of any phase,
+    and the only reader of its addresses and flags.
 
-    A transform cycle reads both rows of region, orders them (low, high)
-    by read_swap, and writes two ids back, the low one's routed by
-    write_swap.  A pwm word spans len(entries) // (2d) entries (two for
-    Kyber, one for Dilithium): its first reads a from region 0 and b
-    from the same role and row of region 1, the role being bank B's when
-    read_swap is set, and its last writes the product over a."""
-    record = []
-    for stage in stages:
-        reads, tws = [], []
+    Transform cycle i of stage k reads both rows of region, orders the
+    words (low, high) by read_swap and writes back the pair
+    step(k, i, low, high, tw_index) returns, low routed by write_swap.
+    Pwm word j spans len(entries) // (2d) entries (two for Kyber, one for
+    Dilithium): its first reads a from region 0 and b from the same role
+    and row of region 1, the role being bank B's when read_swap is set,
+    and its last writes step(k, j, a, b, tw_index) over a."""
+    for k, stage in enumerate(stages):
         per_word = len(stage.entries) // (2 * m.d)
         for i, e in enumerate(stage.entries):
             if stage.kind == "pwm":
                 role = BANK_B if e.read_swap else BANK_A
                 if i % per_word == 0:
-                    reads += (m.read(0, role, e.addr_a),
-                              m.read(1, role, e.addr_b))
-                    tws.append(e.tw_index)
+                    a, b = m.read(0, role, e.addr_a), m.read(1, role, e.addr_b)
                 if i % per_word == per_word - 1:
-                    m.write(0, role, e.addr_a, next(ids))
+                    m.write(0, role, e.addr_a,
+                            step(k, i // per_word, a, b, e.tw_index))
             else:
                 lo = m.read(region, BANK_A, e.addr_a)
                 hi = m.read(region, BANK_B, e.addr_b)
-                reads += (hi, lo) if e.read_swap else (lo, hi)
-                tws.append(e.tw_index)
-                lo, hi = next(ids), next(ids)
+                if e.read_swap:
+                    lo, hi = hi, lo
+                lo, hi = step(k, i, lo, hi, e.tw_index)
                 if e.write_swap:
                     lo, hi = hi, lo
                 m.write(region, BANK_A, e.addr_a, lo)
                 m.write(region, BANK_B, e.addr_b, hi)
             m.tick()
-        record.append((reads, tws))
-    return record
 
 
 def check_conflict_free(stages, pipeline_depth: int) -> tuple[Hazard, ...]:
@@ -458,7 +452,7 @@ def check_conflict_free(stages, pipeline_depth: int) -> tuple[Hazard, ...]:
     that is the whole point of the schedule.
     """
     m = BankMemory(len(stages[0].entries), pipeline_depth)
-    run_stages(m, stages, 0, count())
+    run_stages(m, stages, 0, lambda _k, _i, lo, hi, _tw: (lo, hi))
     return tuple(m.hazards)
 
 

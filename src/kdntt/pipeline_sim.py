@@ -2,27 +2,27 @@
 
 An op runs in two steps.  The compile step, once per (geometry, pipeline
 depth, op), replays the op's program through memory_map.run_stages on a
-BankMemory whose rows hold word ids instead of words, each written word
-taking a fresh id.  The bank memory delays each write by pipeline_depth
-cycles and records a read of a row whose write is still in flight as a
-hazard; the read sees the stale id, as the hardware would see the stale
-word.  No address, routing flag or landing cycle depends on the data, so
-the plan, the cycle counts and the hazards are all fixed by those three.
-The plan is the replay's record compiled down to operand positions:
+BankMemory whose rows hold words as the value positions they carry:
 every value the op computes has a position in one list (a's
-coefficients, b's, then each plan stage's outputs in order), and a
-stage lists each butterfly's or product's two operand positions and
-twiddle index.  Every run of a phase lowers its stage k into the plan's
-stage k.  A polymul's forward stage k is NTT(a)'s stage k and then
-NTT(b)'s, so its plan has one stage per butterfly layer and the pwm
-stage, 15 for Kyber and 17 for Dilithium.  verify's plan (op
-VERIFY_OPS) runs its four checks' ops the same way, side by side, each
-on banks of its own: polymul, ntt, intt and pwm, where intt and pwm
-load the ids of the ntt's result.  It has the polymul's stage count.
-Only _compile knows how a word's t slots are laid out and which slots
-a butterfly pairs.  The execute step then runs only arithmetic, one
-loop per stage kind.  Operands are addressed by region (a in 0, b in
-1); the bank memory alone decides where a region sits.
+coefficients, b's, then each plan stage's outputs in order).  The bank
+memory delays each write by pipeline_depth cycles and records a read of
+a row whose write is still in flight as a hazard; the read sees the
+stale word, as the hardware would.  No address, routing flag or landing
+cycle depends on the data, so the plan, the cycle counts and the hazards
+are all fixed by those three.  The replay hands the compile step each
+cycle's words; the step lists each butterfly's or product's two operand
+positions and twiddle index and returns the words written.  Every run of
+a phase lowers its stage k into the plan's stage k.  A polymul's forward
+stage k is NTT(a)'s stage k and then NTT(b)'s, so its plan has one stage
+per butterfly layer and the pwm stage, 15 for Kyber and 17 for
+Dilithium.  verify's plan (op VERIFY_OPS) runs its four checks' ops the
+same way, side by side, each on banks of its own: polymul, ntt, intt and
+pwm, where intt and pwm load the words of the ntt's result.  It has the
+polymul's stage count.  Only _compile knows how a word's t slots are
+laid out and which slots a butterfly pairs.  The execute step then runs
+only arithmetic, one loop per stage kind.  Operands are addressed by
+region (a in 0, b in 1); the bank memory alone decides where a region
+sits.
 
 Two drivers execute a plan, after one shared prologue (_prepare: the
 scheme and rom_override checks, the plan lookup and the refusal of a
@@ -67,12 +67,12 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import count
 from typing import NamedTuple
 
 from .core_arith import (
     DOMAIN_NORMAL,
     DOMAIN_NTT_BR,
+    N,
     SCHEMES,
     ModulusParams,
     Polynomial,
@@ -224,18 +224,15 @@ class _Plan(NamedTuple):
 @lru_cache(maxsize=64)  # 32 shipped single-op plans and 8 verify plans
 def _compile(geom: MemoryGeometry, depth: int,
              op: str | tuple[str, ...]) -> _Plan:
-    """The op's phases run on banks holding word ids: input block k's
-    word w is id 2dk + w, and each written word takes the next id, so
-    every replayed stage's 2d words take the next 2d ids.  A multi-op
-    plan (_MULTI_OPS) runs each op on banks of its own, all drawing ids
-    from one count, and an op that loads an earlier op's result loads
-    the ids that op's banks hold.  Each phase runs on every op that has
-    it, and the plan's stage k is every run's stage k in turn: a
-    polymul's forward stage k is NTT(a)'s, then NTT(b)'s.  words[i]
-    holds where word id i's t slots sit in the value list: the input
-    blocks' coefficients first, then each plan stage's outputs in the
-    order its runs, cycles and butterflies (or products) produce them,
-    so words is filled by id, not in id order."""
+    """The op's phases run on banks whose words are the t value-list
+    positions they carry (input block k's word w carries 256k + tw on).
+    A multi-op plan (_MULTI_OPS) runs each op on banks of its own, and an
+    op that loads an earlier op's result loads the words its banks hold.
+    Each phase runs on every op that has it, NTT(b) as a run of its own
+    on region 1, and plan stage k is every run's stage k in turn.  Every
+    run's stage computes 256 values, so each output's position is fixed
+    before the replay; step lists the operands and twiddle indices of the
+    words run_stages hands it and returns the words written."""
     t, d = geom.t, geom.d
     runs = _MULTI_OPS.get(op) or (
         (op, (0, 1) if OP_PWM in _OPS[op][2] else (0,)),)
@@ -243,73 +240,65 @@ def _compile(geom: MemoryGeometry, depth: int,
     prog = scheme_program(geom)
     mems = {}
 
-    def result(name):  # the op's result as word ids, in word order
+    def result(name):  # the op's result as words, in word order
         return mems[name].extract(_layout(_OPS[name][1], d))
 
-    words = [range(t * i, t * i + t) for i in range(2 * d * blocks)]
-    size = t * len(words)
-    ids = count(len(words))
+    inputs = [range(t * w, t * w + t) for w in range(2 * d * blocks)]
+    size = N * blocks
     stages = []
     busy = fill_drain = 0
     for phase in _OPS[OP_POLYMUL][2]:  # every op's phases, in order
         program = getattr(prog, phase)
-        ran = []  # (op, record) per run, in the order they take ids
-        first = len(words)  # the id the phase's first written word takes
-        for name, srcs in runs:
-            if phase not in _OPS[name][2]:
-                continue
+        ran = [(name, srcs, region) for name, srcs in runs
+               if phase in _OPS[name][2]
+               for region in range(len(srcs) if phase == OP_NTT else 1)]
+        if not ran:
+            continue
+        width = N * len(ran)  # values per plan stage
+        bfly = [None if st.kind == "pwm" else _butterflies(st, t)
+                for st in program]
+        xs, ys, ws = ([array("I") for _ in program] for _ in range(3))
+
+        def step(k, i, lo, hi, tw):  # cycle (pwm: word) i of stage k
+            x, y, w = xs[k], ys[k], ws[k]
+            if bfly[k] is None:  # t products of words lo (a) and hi (b)
+                pos = at + width * k + t * i
+                x.extend(lo)
+                y.extend(hi)
+                if geom.scheme == "kyber":  # slots 2k, 2k + 1: pair k
+                    w.extend(range(tw, tw + t // 2))
+                return range(pos, pos + t)
+            pos = at + width * k + 2 * t * i
+            slots = [*lo, *hi]
+            for u, v, s in bfly[k]:
+                x.append(slots[u])
+                y.append(slots[v])
+                w.append(tw + s)
+                slots[u], slots[v] = pos, pos + 1
+                pos += 2
+            return slots[:t], slots[t:]
+
+        for r, (name, srcs, region) in enumerate(ran):
             m = mems.get(name)
             if m is None:  # the op's first phase: load its inputs
                 m = mems[name] = BankMemory(d, depth)
-                for region, src in enumerate(srcs):
-                    m.load(region, _layout(_OPS[name][0], d),
-                           range(2 * d * src, 2 * d * src + 2 * d)
+                for reg, src in enumerate(srcs):
+                    m.load(reg, _layout(_OPS[name][0], d),
+                           inputs[2 * d * src: 2 * d * src + 2 * d]
                            if type(src) is int else result(src))
-            start = m.cycle
-            ran.append((name, run_stages(m, program, 0, ids)))
-            busy += m.cycle - start
-            if phase == OP_NTT and len(srcs) == 2:
-                # NTT(b) preparation: counted in neither total (see the
-                # module docstring) and not drained apart from NTT(a).
-                ran.append((name, run_stages(m, program, 1, ids)))
-            fill_drain += m.drain()
-        if not ran:
-            continue
-        words += [None] * (2 * d * len(program) * len(ran))
-        for k, stage in enumerate(program):
-            xs, ys, ws = array("I"), array("I"), array("I")
-            bfly = None if stage.kind == "pwm" else _butterflies(stage, t)
-            for r, (name, record) in enumerate(ran):
-                reads, tws = record[k]
-                wid = first + 2 * d * (r * len(program) + k)
-                # run_batch computes a whole stage at once, so no stage may
-                # read a word it writes (a stale read sees an older id).  A
-                # run reads only its own region: check it on its own writes.
-                if max(reads) >= wid:
-                    raise RuntimeError(f"a {name} stage reads a word it writes")
-                new = []  # the run's written words, in id order
-                pairs = iter(reads)
-                for lo, hi, tw in zip(pairs, pairs, tws):
-                    if bfly is None:
-                        xs.extend(words[lo])
-                        ys.extend(words[hi])
-                        if geom.scheme == "kyber":  # slots 2k, 2k + 1: pair k
-                            ws.extend(range(tw, tw + t // 2))
-                        new.append(range(size, size + t))
-                        size += t
-                        continue
-                    slots = [*words[lo], *words[hi]]
-                    for i, j, s in bfly:
-                        xs.append(slots[i])
-                        ys.append(slots[j])
-                        ws.append(tw + s)
-                        slots[i], slots[j] = size, size + 1
-                        size += 2
-                    new += slots[:t], slots[t:]  # the low id, then the high
-                words[wid: wid + len(new)] = new
-            stages.append((phase, xs, ys, ws))
-    out = array("I", [s for name, _ in runs for i in result(name)
-                      for s in words[i]])
+            at, start = size + N * r, m.cycle  # step's run's outputs
+            run_stages(m, program, region, step)
+            if not region:  # NTT(b), on region 1, is in neither total
+                busy += m.cycle - start
+        fill_drain += sum(mems[name].drain() for name, _, reg in ran if not reg)
+        for k in range(len(program)):
+            # run_batch computes a whole stage at once, so no stage may
+            # read a position it writes (a stale read sees an older word)
+            if max(max(xs[k]), max(ys[k])) >= size + width * k:
+                raise RuntimeError(f"a {phase} stage reads a word it writes")
+            stages.append((phase, xs[k], ys[k], ws[k]))
+        size += width * len(program)
+    out = array("I", [s for name, _ in runs for w in result(name) for s in w])
     return _Plan(tuple(stages), size, busy, fill_drain,
                  tuple(h for name, _ in runs for h in mems[name].hazards), out)
 
@@ -348,7 +337,7 @@ def _prepare(cfg: CoreConfig, scheme: str, op: str, rom_override,
     scheme and rom_override, take the op's plan for this geometry and
     depth (built on first use) and refuse a hazardous one.  op is one of
     _OPS, which the public drivers check, or VERIFY_OPS.  Returns the
-    plan, the scheme's parameters, the twiddle tables and the report."""
+    plan, the scheme's parameters and the twiddle tables."""
     if scheme not in cfg.schemes:
         raise ValueError(f"design {cfg.design} has no {scheme} lanes")
     p = SCHEMES[scheme]
@@ -370,10 +359,12 @@ def _prepare(cfg: CoreConfig, scheme: str, op: str, rom_override,
         raise RuntimeError(
             f"memory hazard at cycle {h.cycle}: bank {h.bank} row {h.row} "
             f"read before its write lands at {h.lands_at}")
-    return plan, p, tw, SimReport(
-        op=op, scheme=scheme, busy_cycles=plan.busy,
-        fill_drain_cycles=plan.fill_drain, hazards=plan.hazards,
-        bram_estimate=estimate_bram_usage(cfg.design).total_units)
+    return plan, p, tw
+
+
+def _report(cfg: CoreConfig, scheme: str, op: str, plan: _Plan) -> SimReport:
+    return SimReport(op, scheme, plan.busy, plan.fill_drain, plan.hazards,
+                     estimate_bram_usage(cfg.design).total_units)
 
 
 def _check_operands(scheme: str, op: str, As, Bs) -> None:
@@ -395,12 +386,11 @@ def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
          b: Polynomial | None, rom_override,
          allow_hazards: bool) -> tuple[Polynomial, SimReport]:
     """One operand set through _prepare and the scalar executor."""
-    plan, p, tw, report = _prepare(cfg, scheme, op, rom_override,
-                                   allow_hazards)
+    plan, p, tw = _prepare(cfg, scheme, op, rom_override, allow_hazards)
     _check_operands(scheme, op, (a,), None if b is None else (b,))
     out = Polynomial._trusted(tuple(_execute(plan, p, tw, a, b)), scheme,
                               _OPS[op][1])
-    return out, report
+    return out, _report(cfg, scheme, op, plan)
 
 
 def run_op(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
@@ -498,12 +488,13 @@ def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
     if op not in _OPS:
         raise ValueError(f"unknown op {op!r}")
     As, Bs = tuple(As), None if Bs is None else tuple(Bs)
-    plan, p, tw, report = _prepare(cfg, scheme, op, rom_override, False)
+    plan, p, tw = _prepare(cfg, scheme, op, rom_override, False)
     _check_operands(scheme, op, As, Bs)
     out = _execute_columns(plan, p, [np.array(t, np.int64) for t in tw],
                            as_columns(As),
                            None if Bs is None else as_columns(Bs))
-    return _from_columns(out, scheme, _OPS[op][1]), report
+    return (_from_columns(out, scheme, _OPS[op][1]),
+            _report(cfg, scheme, op, plan))
 
 
 def latency_model(cfg: CoreConfig, scheme: str, op: str) -> int:

@@ -165,7 +165,7 @@ def test_io_errors_exit_4(tmp_path):
                  "--outdir", str(pa / "roms")]) == 4
 
 
-def test_bad_flag_values_exit_2_via_argparse(tmp_path):
+def test_bad_flag_values_exit_2_via_argparse():
     with pytest.raises(SystemExit) as e:
         main(["ntt", "x.poly", "--design", "d9"])
     assert e.value.code == 2
@@ -387,6 +387,29 @@ def test_verify_builds_no_polynomial(monkeypatch, capsys):
     assert "ok kyber" in capsys.readouterr().out
     Polynomial.random("kyber", random.Random(0))  # the counters count
     assert built == ["trusted"]
+
+
+def test_no_report_carries_a_tuple_op(monkeypatch, capsys):
+    """A SimReport's op is one op's name: verify's four-op plan builds
+    no report, and a polymul's report names polymul."""
+    import kdntt.pipeline_sim as ps
+    ops = []
+    real = ps.SimReport
+
+    def recording(*args, **kwargs):
+        report = real(*args, **kwargs)
+        ops.append(report.op)
+        return report
+
+    monkeypatch.setattr(ps, "SimReport", recording)
+    assert main(["verify", "--design", "d2", "--trials", "1"]) == 0
+    assert "ok kyber" in capsys.readouterr().out
+    assert [op for op in ops if type(op) is not str] == []
+    rng = random.Random(0)
+    ps.run_polymul(ps.CoreConfig.for_design("d2"), "kyber",
+                   Polynomial.random("kyber", rng),
+                   Polynomial.random("kyber", rng))
+    assert ops[-1] == "polymul"  # the wrapper sees the reports built
 
 
 def test_cached_parser_carries_nothing_between_calls(capsys):

@@ -1,6 +1,6 @@
-"""Every name a kdntt module imports is used by that module, every
-parameter a kdntt function takes is read by it, every name in
-kdntt.__all__ exists, the modules' top-level imports form no cycle,
+"""Every name a kdntt or test module imports is used by that module,
+every parameter a kdntt or test function takes is read by it, every
+name in kdntt.__all__ exists, the modules' top-level imports form no cycle,
 only memory_map reads a program's bank addresses and routing flags,
 only pipeline_sim's compile step reads a word width, and only
 memory_map (for the ROM zetas) and verify import the oracles.
@@ -16,6 +16,12 @@ from pathlib import Path
 import pytest
 
 import kdntt
+
+
+def _linted_modules() -> list[Path]:
+    """The package's modules, then the test modules."""
+    return [*sorted(Path(kdntt.__file__).parent.glob("*.py")),
+            *sorted(Path(__file__).parent.glob("*.py"))]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -73,7 +79,7 @@ def test_unread_parameter_is_caught():
 
 
 def test_no_unread_parameters_in_package():
-    for path in sorted(Path(kdntt.__file__).parent.glob("*.py")):
+    for path in _linted_modules():
         unread = _unread_parameters(path.read_text(encoding="utf-8"))
         assert not unread, f"{path.name}: unread parameters {unread}"
 
@@ -85,7 +91,7 @@ def test_every_exported_name_resolves():
 
 
 def test_no_unused_imports_in_package():
-    for path in sorted(Path(kdntt.__file__).parent.glob("*.py")):
+    for path in _linted_modules():
         if path.name != "__init__.py":
             unused = _unused_imports(path.read_text(encoding="utf-8"))
             assert not unused, f"{path.name}: unused imports {unused}"
@@ -134,8 +140,9 @@ def _bank_access(source: str) -> list[str]:
 
 
 def test_only_memory_map_touches_the_banks():
-    # memory_map.run_stages is the one replay of a program on the banks;
-    # a second reader of the flags would be a second hazard model
+    # memory_map.run_stages is the one replay of a program on the banks,
+    # and a caller sees only the words it hands the caller's step; a
+    # second reader of the flags would be a second hazard model
     assert _bank_access("from .m import BANK_A, x\nx.read_swap\n") == [
         "BANK_A (line 1)", ".read_swap (line 2)"]
     for path in sorted(Path(kdntt.__file__).parent.glob("*.py")):

@@ -4,7 +4,6 @@ ROM construction, coefficient packing, and the BRAM estimator."""
 import hashlib
 import math
 import random
-from itertools import count
 
 import pytest
 
@@ -85,22 +84,23 @@ def test_stage2_documented_pattern():
 def enumerate_stage_pairs(ch: int, stages):
     """The pairing oracle: word-index partner pairs per stage.  It runs
     run_stages from banks holding word indices in direction ch's start
-    layout and maps each read id back to its word, the view that proves
-    schedule completeness against a reference transform trace."""
+    layout, each written word its own index, and lists the (low, high)
+    words each cycle reads, the view that proves schedule completeness
+    against a reference transform trace."""
     d = len(stages[0].entries)
     start, end = ((initial_layout, transformed_layout) if ch == CH_NTT
                   else (transformed_layout, initial_layout))
     m = BankMemory(d, 1)
     m.load(0, start(d), range(2 * d))
-    words = list(range(2 * d))  # the word each id carries
-    out = []
-    for reads, _tws in run_stages(m, stages, 0, count(2 * d)):
-        out.append([])
-        for lo, hi in zip(reads[0::2], reads[1::2]):
-            out[-1].append((words[lo], words[hi]))
-            words += out[-1][-1]  # a cycle writes its low, then high, id
+    out = [[] for _ in stages]
+
+    def step(k, _i, lo, hi, _tw):
+        out[k].append((lo, hi))
+        return lo, hi
+
+    run_stages(m, stages, 0, step)
     m.drain()
-    assert [words[i] for i in m.extract(end(d))] == list(range(2 * d))
+    assert m.extract(end(d)) == list(range(2 * d))
     return out
 
 

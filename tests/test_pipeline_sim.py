@@ -625,6 +625,39 @@ def test_simulator_behaviour_is_pinned():
                              "0720f7eacccfec6d0a30b63f6136918a")
 
 
+def test_compiled_plans_are_pinned():
+    """Every plan _compile builds for the ops of the simulator test above
+    and verify's VERIFY_OPS, at the same depths (235 plans, hazardous
+    ones included), hashes to a fixed digest: each stage's phase,
+    operand positions and twiddle indices, the value count, busy and
+    fill/drain cycles, hazards and result positions.  A rewrite of the
+    compile step or the bank replay must build the same plans, not only
+    plans that compute the same outputs."""
+    import kdntt.pipeline_sim as ps
+    h = hashlib.sha256()
+    plans = 0
+    for design, dg in DESIGNS.items():
+        for scheme in dg.schemes:
+            geom = dg.geometry(scheme)
+            for depth in sorted({1, dg.pipeline_depth, geom.d // 2,
+                                 geom.d // 2 + 1, geom.d // 2 + 5, geom.d}):
+                for op in (OP_NTT, OP_INTT, OP_PWM, OP_POLYMUL,
+                           ps.VERIFY_OPS):
+                    # uncached, so the shipped plans stay in the cache
+                    plan = ps._compile.__wrapped__(geom, depth, op)
+                    for phase, xs, ys, ws in plan.stages:
+                        h.update(phase.encode())
+                        for positions in (xs, ys, ws):
+                            h.update(positions.tobytes())
+                    h.update(repr((plan.size, plan.busy, plan.fill_drain,
+                                   plan.hazards)).encode())
+                    h.update(plan.out.tobytes())
+                    plans += 1
+    assert plans == 235
+    assert h.hexdigest() == ("fc4cc5c675d940d218295b24416e15ce"
+                             "e97c4c71285aeea55f6bd7dce643efaf")
+
+
 def test_deepest_legal_pipeline_is_clean():
     for design in DESIGNS:
         dg = DESIGNS[design]
