@@ -225,7 +225,7 @@ class _Plan(NamedTuple):
 def _compile(geom: MemoryGeometry, depth: int,
              op: str | tuple[str, ...]) -> _Plan:
     """The op's phases run on banks whose words are the t value-list
-    positions they carry (input block k's word w carries 256k + tw on).
+    positions they carry (input block k's word w carries 256k + t*w on).
     A multi-op plan (_MULTI_OPS) runs each op on banks of its own, and an
     op that loads an earlier op's result loads the words its banks hold.
     Each phase runs on every op that has it, NTT(b) as a run of its own
@@ -286,7 +286,7 @@ def _compile(geom: MemoryGeometry, depth: int,
                     m.load(reg, _layout(_OPS[name][0], d),
                            inputs[2 * d * src: 2 * d * src + 2 * d]
                            if type(src) is int else result(src))
-            at, start = size + N * r, m.cycle  # step's run's outputs
+            at, start = size + N * r, m.cycle  # run r's outputs start at at
             run_stages(m, program, region, step)
             if not region:  # NTT(b), on region 1, is in neither total
                 busy += m.cycle - start

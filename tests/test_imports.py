@@ -140,9 +140,9 @@ def _bank_access(source: str) -> list[str]:
 
 
 def test_only_memory_map_touches_the_banks():
-    # memory_map.run_stages is the one replay of a program on the banks,
-    # and a caller sees only the words it hands the caller's step; a
-    # second reader of the flags would be a second hazard model
+    # memory_map.run_stages is the one replay of a program on the banks;
+    # its callers see only the words it hands their step, and a second
+    # reader of the flags would be a second hazard model
     assert _bank_access("from .m import BANK_A, x\nx.read_swap\n") == [
         "BANK_A (line 1)", ".read_swap (line 2)"]
     for path in sorted(Path(kdntt.__file__).parent.glob("*.py")):
