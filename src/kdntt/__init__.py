@@ -37,8 +37,6 @@ from .ntt_reference import (
     schoolbook_negacyclic,
 )
 from .bfu import (
-    BFU_MODES,
-    CONTROL_WORDS,
     BfuIo,
     ct_butterfly,
     dilithium_pwm,
@@ -78,8 +76,7 @@ from .pipeline_sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BFU_MODES", "BfuIo", "BramEstimate", "CONTROL_WORDS", "CoreConfig",
-    "DESIGNS", "DILITHIUM", "DOMAINS",
+    "BfuIo", "BramEstimate", "CoreConfig", "DESIGNS", "DILITHIUM", "DOMAINS",
     "DOMAIN_NORMAL", "DOMAIN_NTT_BR", "DesignGeometry", "KYBER",
     "MemoryGeometry", "ModulusParams", "N", "OP_INTT", "OP_NTT",
     "OP_POLYMUL", "OP_PWM", "Polynomial", "SCHEMES", "SIM_OPS",

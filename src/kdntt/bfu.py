@@ -9,9 +9,10 @@ modular adder/subtractor.  Per cycle it behaves as either
   * one Kyber coefficient-pair product spread across both lanes
     (PWM0 then PWM1: 2 multiplications per stage, 4 per pair).
 
-SCHEME_MODES is the one rule for which of those modes a scheme has.
-CONTROL_WORDS holds the published mux-select bits of the Kyber modes as
-data: the model selects its datapath by mode name and never reads them.
+SCHEME_MODES is the one rule for which of those modes a scheme has;
+the model selects its datapath by mode name, so the published
+mux-select bits of the Kyber modes are not part of it (the tests keep
+them).
 
 Standalone reference behavior lives in the plain functions
 (ct_butterfly, gs_butterfly_halving, kyber_pwm_pair, dilithium_pwm);
@@ -54,20 +55,9 @@ MODE_INTT = "intt"
 MODE_PWM0 = "pwm0"  # Kyber pair product, first stage
 MODE_PWM1 = "pwm1"  # Kyber pair product, second stage
 MODE_PWM = "pwm"    # Dilithium coefficient product, single stage
-BFU_MODES = (MODE_NTT, MODE_INTT, MODE_PWM0, MODE_PWM1, MODE_PWM)
 SCHEME_MODES = {
     "kyber": (MODE_NTT, MODE_INTT, MODE_PWM0, MODE_PWM1),
     "dilithium": (MODE_NTT, MODE_INTT, MODE_PWM),
-}
-
-# The first 12-bit core takes 12 select bits, its partner 6 (it shares
-# the remaining routing); the per-bit mux wiring is not recoverable at
-# word level, and the wide Dilithium mode has no published encoding.
-CONTROL_WORDS: dict[str, tuple[str, str]] = {
-    MODE_NTT: ("000000001001", "000101"),
-    MODE_INTT: ("001011110100", "111010"),
-    MODE_PWM0: ("110100001010", "001100"),
-    MODE_PWM1: ("000010011000", "011100"),
 }
 
 

@@ -168,23 +168,6 @@ class Polynomial(_Frozen):
     def params(self) -> ModulusParams:
         return SCHEMES[self.scheme]
 
-    def with_coeffs(self, coeffs, domain: str | None = None) -> "Polynomial":
-        return Polynomial(coeffs, self.scheme,
-                          self.domain if domain is None else domain)
-
-    @classmethod
-    def zero(cls, scheme: str, domain: str = DOMAIN_NORMAL) -> "Polynomial":
-        return cls((0,) * N, scheme, domain)
-
-    @classmethod
-    def delta(cls, scheme: str, index: int = 0, value: int = 1,
-              domain: str = DOMAIN_NORMAL) -> "Polynomial":
-        if not 0 <= index < N:
-            raise ValueError(f"delta index {index} outside [0, {N})")
-        coeffs = [0] * N
-        coeffs[index] = value
-        return cls(tuple(coeffs), scheme, domain)
-
     @classmethod
     def _trusted(cls, coeffs: tuple[int, ...], scheme: str,
                  domain: str) -> "Polynomial":

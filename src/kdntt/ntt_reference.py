@@ -2,7 +2,8 @@
 
 Everything in this module is O(n**2) and written for clarity: direct
 evaluation of the transforms from their defining sums, schoolbook
-negacyclic multiplication, and the Kyber degree-1 basecase product.
+negacyclic multiplication, and the pointwise product of two spectra
+(for Kyber, FIPS 203's degree-1 basecase on each pair).
 The fast paths (bfu, pipeline_sim) are always tested against these.
 Each oracle is written once, over an int64 (256, batch) array with a
 column per polynomial, so verify checks a whole batch in one call;
@@ -33,7 +34,6 @@ from .core_arith import (
     DOMAIN_NORMAL,
     DOMAIN_NTT_BR,
     N,
-    SCHEMES,
     ModulusParams,
     Polynomial,
     _check_operand_tags,
@@ -191,24 +191,6 @@ def schoolbook_negacyclic(a: Polynomial, b: Polynomial) -> Polynomial:
     """
     return _one_column(schoolbook_columns, a.params, DOMAIN_NORMAL,
                        DOMAIN_NORMAL, a, b)
-
-
-def kyber_basecase_ref(a_pair: tuple[int, int], b_pair: tuple[int, int],
-                       psi: int) -> tuple[int, int]:
-    """Degree-1 product mod (X**2 - psi), Kyber's PWM basecase.
-
-    res0 = a0*b0 + a1*b1*psi, res1 = a0*b1 + a1*b0.  Plain wide-integer
-    arithmetic; psi in the normal domain.  reference_pwm_columns states
-    the same formula over arrays.
-    """
-    q = SCHEMES["kyber"].q
-    a0, a1 = a_pair
-    b0, b1 = b_pair
-    if not all(0 <= v < q for v in (a0, a1, b0, b1, psi)):
-        raise ValueError(f"basecase operands must be in [0, {q})")
-    res0 = (a0 * b0 + a1 * b1 % q * psi) % q
-    res1 = (a0 * b1 + a1 * b0) % q
-    return res0, res1
 
 
 @lru_cache(maxsize=None)

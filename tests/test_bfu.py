@@ -22,16 +22,14 @@ from kdntt.ntt_reference import (
     Polynomial,
     direct_intt,
     direct_ntt,
-    kyber_basecase_ref,
 )
 from kdntt.bfu import (
-    BFU_MODES,
-    CONTROL_WORDS,
     MODE_INTT,
     MODE_NTT,
     MODE_PWM,
     MODE_PWM0,
     MODE_PWM1,
+    SCHEME_MODES,
     BfuIo,
     ct_butterfly,
     dilithium_pwm,
@@ -43,10 +41,23 @@ from kdntt.bfu import (
 )
 from kdntt.memory_map import DESIGNS
 from kdntt.pipeline_sim import OP_INTT, CoreConfig, run_op
+from oracles import kyber_basecase_ref
 
 RNG = random.Random(0xBF)
 
 KYBER_INV17_HALF = to_mont(pow(17, -1, 3329) * KYBER.inv2 % 3329, KYBER)
+
+# The published mux-select bits of the Kyber modes, kept as data: the
+# model selects its datapath by mode name and never reads them.  The
+# first 12-bit core takes 12 select bits, its partner 6 (it shares the
+# remaining routing); the per-bit mux wiring is not recoverable at word
+# level, and the wide Dilithium mode has no published encoding.
+CONTROL_WORDS: dict[str, tuple[str, str]] = {
+    MODE_NTT: ("000000001001", "000101"),
+    MODE_INTT: ("001011110100", "111010"),
+    MODE_PWM0: ("110100001010", "001100"),
+    MODE_PWM1: ("000010011000", "011100"),
+}
 
 
 def test_control_word_table():
@@ -272,9 +283,10 @@ def test_fast_transform_domain_guards():
 
 def test_fast_ntt_zero_propagation():
     for scheme, p in SCHEMES.items():
-        z = Polynomial.zero(scheme)
+        z = Polynomial((0,) * 256, scheme)
         assert fast_ntt(z, p).coeffs == (0,) * 256
 
 
 def test_mode_list_is_stable():
-    assert BFU_MODES == ("ntt", "intt", "pwm0", "pwm1", "pwm")
+    assert SCHEME_MODES == {"kyber": ("ntt", "intt", "pwm0", "pwm1"),
+                            "dilithium": ("ntt", "intt", "pwm")}

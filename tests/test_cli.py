@@ -135,6 +135,11 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert main(["ntt", str(path)]) == 2
     assert f"{path}:259: value 99999 outside [0, 3329)" in \
         capsys.readouterr().err
+    # a file with no non-blank line has no header to read
+    path = tmp_path / "blank.poly"
+    path.write_text("\n  \n\t\n")
+    assert main(["ntt", str(path)]) == 2
+    assert f"{path}: empty file" in capsys.readouterr().err
 
 
 def test_wrong_domain_for_op_exits_2(tmp_path):

@@ -480,8 +480,8 @@ def test_out_of_range_inputs_rejected():
 FROZEN_CASES = [
     (ModulusParams("kyber", q=3329, root=17, root_order=256), KYBER,
      DILITHIUM, "q"),
-    (Polynomial([0] * 256, "kyber"), Polynomial.zero("kyber"),
-     Polynomial.zero("kyber", "ntt-br"), "coeffs"),
+    (Polynomial([0] * 256, "kyber"), Polynomial((0,) * 256, "kyber"),
+     Polynomial((0,) * 256, "kyber", "ntt-br"), "coeffs"),
     (MemoryGeometry("dilithium", 2), MemoryGeometry("dilithium", 2),
      MemoryGeometry("dilithium", 4), "t"),
     (CoreConfig("d2", 3), CoreConfig("d2", 3), CoreConfig("d3", 3),

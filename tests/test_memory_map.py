@@ -484,6 +484,8 @@ def test_memory_geometry_validation():
         MemoryGeometry("kyber", 2, 24, 64)
     with pytest.raises(ValueError):
         MemoryGeometry(scheme="kyber", t=3)
+    with pytest.raises(ValueError, match="unknown scheme 'ntru'"):
+        MemoryGeometry("ntru", 2)
     # t runs from the scheme's shortest butterfly (min_len) to 64 (d = 2)
     for scheme, lo in (("kyber", 2), ("dilithium", 1)):
         assert MemoryGeometry(scheme, lo).d == 128 // lo

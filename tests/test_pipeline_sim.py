@@ -74,6 +74,8 @@ def test_for_design_matches_shipped_table():
 def test_config_validation():
     with pytest.raises(ValueError):
         CoreConfig.for_design("d4")
+    with pytest.raises(ValueError, match="unknown design 'd4'"):
+        CoreConfig("d4", 1)
     with pytest.raises(TypeError):
         CoreConfig(design="d2", kyber_bfus=8, dilithium_bfus=2, pipeline_depth=15)
     with pytest.raises(ValueError):
@@ -239,6 +241,80 @@ def test_polymul_plan_runs_each_forward_layer_once_over_both_operands():
             assert got[len(ntt):] == [
                 (phase, ws) for op in (OP_PWM, OP_INTT)
                 for phase, _, _, ws in plans[op].stages], (design, scheme)
+
+
+def test_polymul_plan_is_the_ntt_pwm_and_intt_plans():
+    """For every shipped (design, scheme) at every depth of the 188-run
+    sweep, the polymul plan is the ntt plan on a and on b, then the pwm
+    plan, then the intt plan, under one relabelling of positions: ntt
+    stage k's output j lands at 512 + 512k + j (b's 256 later), and each
+    later plan's inputs are the relabelled outputs of the one before.
+    The pwm plan pairs a's coefficient k with b's, and a Kyber pair is
+    two adjacent positions under the psi of its pair index.  At depth 1,
+    the shipped depth and d/2 the unit-basis test below proves the ntt
+    and intt plans equal FIPS 203's and 204's transforms on every input,
+    so with the pointwise product of coefficient k (pair k for Kyber,
+    under psi k) the polymul is intt(ntt(a) * ntt(b)): it equals
+    schoolbook_negacyclic on every input pair.  The relabelling also
+    holds at the over-deep depths, stale reads included."""
+    import kdntt.pipeline_sim as ps
+
+    def listed(stage):  # a plan stage with lists for its position arrays
+        return stage[0], *map(list, stage[1:])
+
+    points = 0
+    for design, dg in DESIGNS.items():
+        for scheme in dg.schemes:
+            geom = dg.geometry(scheme)
+            d = geom.d
+            for depth in sorted({1, dg.pipeline_depth, d // 2, d // 2 + 1,
+                                 d // 2 + 5, d}):
+                where = (design, scheme, depth)
+                ntt, pwm, intt, mul = (ps._compile.__wrapped__(geom, depth, op)
+                                       for op in (OP_NTT, OP_PWM, OP_INTT,
+                                                  OP_POLYMUL))
+                layers = len(ntt.stages)
+                pwm_at = 512 + 512 * layers  # the pwm stage's first output
+
+                def of_ntt(x, b):  # ntt position on a (b = 0) or b (1)
+                    if x < 256:
+                        return x + 256 * b
+                    k, j = divmod(x - 256, 256)
+                    return 512 + 512 * k + 256 * b + j
+
+                def of_pwm(x):
+                    if x < 512:
+                        return of_ntt(ntt.out[x % 256], x // 256)
+                    return pwm_at + x - 512
+
+                def of_intt(x):  # outputs follow the pwm stage's 256
+                    return of_pwm(pwm.out[x]) if x < 256 else pwm_at + x
+
+                for k, (phase, xs, ys, ws) in enumerate(ntt.stages):
+                    assert listed(mul.stages[k]) == (
+                        phase, *([of_ntt(v, b) for b in (0, 1) for v in vs]
+                                 for vs in (xs, ys)),
+                        list(ws + ws)), (*where, k)
+                (phase, xs, ys, ws), = pwm.stages
+                assert listed(mul.stages[layers]) == (
+                    phase, [of_pwm(x) for x in xs], [of_pwm(y) for y in ys],
+                    list(ws)), where
+                assert sorted(xs) == list(range(256)), where
+                assert list(ys) == [x + 256 for x in xs], where
+                if scheme == "kyber":
+                    assert all(x % 2 == 0 for x in xs[0::2]), where
+                    assert list(xs[1::2]) == [x + 1 for x in xs[0::2]], where
+                    assert list(ws) == [x // 2 for x in xs[0::2]], where
+                assert [listed(st) for st in mul.stages[layers + 1:]] == [
+                    (phase, [of_intt(x) for x in xs],
+                     [of_intt(y) for y in ys], list(ws))
+                    for phase, xs, ys, ws in intt.stages], where
+                assert list(mul.out) == [of_intt(x) for x in intt.out], where
+                assert (mul.busy, mul.fill_drain) == (
+                    ntt.busy + pwm.busy + intt.busy,
+                    ntt.fill_drain + pwm.fill_drain + intt.fill_drain), where
+                points += 1
+    assert points == 47
 
 
 def test_verify_plan_equals_four_single_op_runs_at_every_depth(monkeypatch):
@@ -456,6 +532,8 @@ def test_run_op_domain_and_scheme_guards():
         run_batch(cfg, "kyber", OP_PWM, [fa, fa], [fa, a])
     with pytest.raises(ValueError, match="unknown op"):
         run_batch(cfg, "kyber", "transpose", [a])
+    with pytest.raises(ValueError, match="unknown op"):
+        latency_model(cfg, "kyber", "transpose")
 
 
 def _assert_batch_equals_scalar(cfg, scheme, rng, **kw):
@@ -751,6 +829,7 @@ def test_depth_and_bit_width_checks_survive_python_O():
     unknown multiplier mode, and a Kyber basecase operand not below q,
     each rejected under -O."""
     src = str(Path(kdntt.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
     proc = subprocess.run(
         [sys.executable, "-O", "-c",
          "from kdntt import (DILITHIUM, BfuIo, CoreConfig, "
@@ -760,7 +839,8 @@ def test_depth_and_bit_width_checks_survive_python_O():
          "from kdntt.core_arith import DILITHIUM_SINGLE, KYBER_PAIR, "
          "pack_lanes\n"
          "from kdntt.memory_map import pack_word\n"
-         "from kdntt.ntt_reference import bit_reverse, kyber_basecase_ref\n"
+         "from kdntt.ntt_reference import bit_reverse\n"
+         "from oracles import kyber_basecase_ref\n"
          "lanes = (BfuIo(1, 2, 3), BfuIo(4, 5, 6))\n"
          "for f in (lambda: bit_reverse(300, 8),\n"
          "          lambda: check_conflict_free(generate_addresses(0, 8), 0),\n"
@@ -780,7 +860,7 @@ def test_depth_and_bit_width_checks_survive_python_O():
          "    except ValueError as e:\n"
          "        print('rejected:', e)\n"],
         capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src})
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((src, tests))})
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 10 and all(ln.startswith("rejected:")
