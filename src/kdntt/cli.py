@@ -248,7 +248,7 @@ def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
 
     # one plan runs the four checks' ops: polymul(a, b), ntt(a) = fa,
     # intt(fa) and pwm(fa, fb), with fb the oracle's spectrum of b
-    plan, p, tw = _prepare(cfg, scheme, VERIFY_OPS, override, False)
+    plan, p, tw = _prepare(cfg, scheme, VERIFY_OPS, override)
     tables = [np.array(t, np.int64) for t in tw]
     for start in range(0, trials, VERIFY_BATCH):
         indices = range(start, min(start + VERIFY_BATCH, trials))

@@ -313,14 +313,11 @@ class BankMemory:
     and b_w from opposite banks at the same row.
 
     Each physical row keeps one write record: banks holds the last word
-    written to it, old the word a read sees until that write lands, and
-    lands the cycle it lands at (issue cycle + pipeline_depth); settled
-    is when the memory's last write lands.  A read before the landing
-    cycle is recorded as a Hazard (physical bank and row) and sees the
-    older word, as the hardware would.  A write to a row whose previous
-    write has landed first moves that word into old; a write to a row
-    whose previous write is still in flight replaces it, and the
-    replaced write never lands.
+    written to it and lands the cycle it lands at (issue cycle +
+    pipeline_depth); settled is when the memory's last write lands.  A
+    read before the landing cycle is recorded as a Hazard (physical bank
+    and row); no plan with one is run.  A write to a row whose previous
+    write is still in flight replaces that write, which never lands.
     """
 
     def __init__(self, d: int, pipeline_depth: int) -> None:
@@ -331,7 +328,6 @@ class BankMemory:
         self.d = d
         self.depth = pipeline_depth
         self.banks = [[0] * (2 * d), [0] * (2 * d)]
-        self.old = [[0] * (2 * d), [0] * (2 * d)]
         self.lands = [[0] * (2 * d), [0] * (2 * d)]
         self.cycle = self.settled = 0
         self.hazards: list[Hazard] = []
@@ -341,13 +337,10 @@ class BankMemory:
         lands = self.lands[bank][row]
         if self.cycle < lands:
             self.hazards.append(Hazard(self.cycle, bank, row, lands))
-            return self.old[bank][row]
         return self.banks[bank][row]
 
     def write(self, region: int, role: int, row: int, word: int) -> None:
         bank, row = role ^ region, region * self.d + row
-        if self.lands[bank][row] <= self.cycle:
-            self.old[bank][row] = self.banks[bank][row]
         self.banks[bank][row] = word
         self.lands[bank][row] = self.settled = self.cycle + self.depth
 

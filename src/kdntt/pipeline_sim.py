@@ -6,45 +6,44 @@ BankMemory whose rows hold words as the value positions they carry:
 every value the op computes has a position in one list (a's
 coefficients, b's, then each plan stage's outputs in order).  The bank
 memory delays each write by pipeline_depth cycles and records a read of
-a row whose write is still in flight as a hazard; the read sees the
-stale word, as the hardware would.  No address, routing flag or landing
-cycle depends on the data, so the plan, the cycle counts and the hazards
-are all fixed by those three.  The replay hands the compile step each
-cycle's words; the step lists each butterfly's or product's two operand
-positions and twiddle index and returns the words written.  Every run of
-a phase lowers its stage k into the plan's stage k.  A polymul's forward
-stage k is NTT(a)'s stage k and then NTT(b)'s, so its plan has one stage
-per butterfly layer and the pwm stage, 15 for Kyber and 17 for
-Dilithium.  verify's plan (op VERIFY_OPS) runs its four checks' ops the
-same way, side by side, each on banks of its own: polymul, ntt, intt and
-pwm, where intt and pwm load the words of the ntt's result.  It has the
-polymul's stage count.  Only _compile knows how a word's t slots are
-laid out and which slots a butterfly pairs.  The execute step then runs
-only arithmetic, one loop per stage kind.  Operands are addressed by
-region (a in 0, b in 1); the bank memory alone decides where a region
-sits.
+a row whose write is still in flight as a hazard.  No address, routing
+flag or landing cycle depends on the data, so the plan, the cycle counts
+and the hazards are all fixed by those three.  The replay hands the
+compile step each cycle's words; the step lists each butterfly's or
+product's two operand positions and twiddle index and returns the words
+written.  Every run of a phase lowers its stage k into the plan's stage
+k.  A polymul's forward stage k is NTT(a)'s stage k and then NTT(b)'s,
+so its plan has one stage per butterfly layer and the pwm stage, 15 for
+Kyber and 17 for Dilithium.  verify's plan (op VERIFY_OPS) runs its four
+checks' ops the same way, side by side, each on banks of its own:
+polymul, ntt, intt and pwm, where intt and pwm load the words of the
+ntt's result.  It has the polymul's stage count.  Only _compile knows
+how a word's t slots are laid out and which slots a butterfly pairs.
+The execute step then runs only arithmetic, one loop per stage kind.
+Operands are addressed by region (a in 0, b in 1); the bank memory alone
+decides where a region sits.
 
 Two drivers execute a plan, after one shared prologue (_prepare: the
 scheme and rom_override checks, the plan lookup and the refusal of a
-hazardous plan before any arithmetic; only the scalar driver can be
-told to run one anyway) and the operand checks (_check_operands).
-run_op and run_polymul run one operand set through _execute, one
+hazardous plan before any arithmetic) and the operand checks
+(_check_operands).  _compile replays a hazardous plan (an over-deep
+pipeline, not a KiD core) for its cycles and hazards but never lowers
+it.  run_op and run_polymul run one operand set through _execute, one
 butterfly call per butterfly.  run_batch runs many through
-_execute_columns, which takes the same plan a whole stage at a time
-over (256, batch) arrays with a column per operand set, using
-core_arith's branch-free array forms on int64 operands gathered from
-an int32 value store; in a warm process it is the faster driver even
-for one product.  The CLI's verify calls _execute_columns directly on
-the arrays it draws, so its trials never become polynomials, and on
-its one plan.  The scalar driver stays because the CLI must start
-without numpy, and because it calls the bfu butterflies that the
-golden-polymul benchmark counts.  It is not rebuilt on the array forms:
-making the scalar primitives accept arrays slowed run_polymul by 8-25%.
-So the two share the plan and the checks but no arithmetic.
-Stage-at-a-time execution is exact because no stage reads a word that
-the same stage writes (a conflict-free program reads each row once per
-stage), so every operand position lies below the stage's outputs;
-_compile checks this on every plan it builds.
+_execute_columns, which takes the same plan a whole stage at a time over
+(256, batch) arrays with a column per operand set, using core_arith's
+branch-free array forms on int64 operands gathered from an int32 value
+store; in a warm process it is the faster driver even for one product.
+The CLI's verify calls _execute_columns directly on the arrays it draws,
+so its trials never become polynomials, and on its one plan.  The scalar
+driver stays because the CLI must start without numpy, and because it
+calls the bfu butterflies that the golden-polymul benchmark counts.  It
+is not rebuilt on the array forms: making the scalar primitives accept
+arrays slowed run_polymul by 8-25%.  So the two share the plan and the
+checks but no arithmetic.  Stage-at-a-time execution is exact because no
+stage reads a word that the same stage writes (a conflict-free program
+reads each row once per stage), so every operand position lies below the
+stage's outputs; _compile checks this on every plan it lowers.
 
 Latency accounting follows the convention of the published cycle
 counts: busy_cycles counts issued butterfly/product cycles only
@@ -232,7 +231,8 @@ def _compile(geom: MemoryGeometry, depth: int,
     on region 1, and plan stage k is every run's stage k in turn.  Every
     run's stage computes 256 values, so each output's position is fixed
     before the replay; step lists the operands and twiddle indices of the
-    words run_stages hands it and returns the words written."""
+    words run_stages hands it and returns the words written.  A hazardous
+    plan, which _prepare refuses, keeps no stages and an empty out."""
     t, d = geom.t, geom.d
     runs = _MULTI_OPS.get(op) or (
         (op, (0, 1) if OP_PWM in _OPS[op][2] else (0,)),)
@@ -291,16 +291,19 @@ def _compile(geom: MemoryGeometry, depth: int,
             if not region:  # NTT(b), on region 1, is in neither total
                 busy += m.cycle - start
         fill_drain += sum(mems[name].drain() for name, _, reg in ran if not reg)
+        lowered = not any(m.hazards for m in mems.values())
         for k in range(len(program)):
-            # run_batch computes a whole stage at once, so no stage may
-            # read a position it writes (a stale read sees an older word)
-            if max(max(xs[k]), max(ys[k])) >= size + width * k:
+            # run_batch computes a whole stage at once, so no stage of a
+            # plan that is lowered may read a position it writes
+            if lowered and max(max(xs[k]), max(ys[k])) >= size + width * k:
                 raise RuntimeError(f"a {phase} stage reads a word it writes")
             stages.append((phase, xs[k], ys[k], ws[k]))
         size += width * len(program)
+    hazards = tuple(h for name, _ in runs for h in mems[name].hazards)
+    if hazards:
+        return _Plan((), size, busy, fill_drain, hazards, array("I"))
     out = array("I", [s for name, _ in runs for w in result(name) for s in w])
-    return _Plan(tuple(stages), size, busy, fill_drain,
-                 tuple(h for name, _ in runs for h in mems[name].hazards), out)
+    return _Plan(tuple(stages), size, busy, fill_drain, hazards, out)
 
 
 def _execute(plan: _Plan, p: ModulusParams, tw, a: Polynomial,
@@ -331,8 +334,7 @@ def _execute(plan: _Plan, p: ModulusParams, tw, a: Polynomial,
     return [vals[i] for i in plan.out]
 
 
-def _prepare(cfg: CoreConfig, scheme: str, op: str, rom_override,
-             allow_hazards: bool):
+def _prepare(cfg: CoreConfig, scheme: str, op: str, rom_override):
     """The prologue of every run, before any operand is seen: check the
     scheme and rom_override, take the op's plan for this geometry and
     depth (built on first use) and refuse a hazardous one.  op is one of
@@ -354,7 +356,7 @@ def _prepare(cfg: CoreConfig, scheme: str, op: str, rom_override,
                              f"lengths {tuple(map(len, tw))} in [0, {p.q})")
         tw = override
     plan = _compile(cfg.geometry(scheme), cfg.pipeline_depth, op)
-    if plan.hazards and not allow_hazards:
+    if plan.hazards:
         h = plan.hazards[0]
         raise RuntimeError(
             f"memory hazard at cycle {h.cycle}: bank {h.bank} row {h.row} "
@@ -383,10 +385,9 @@ def _check_operands(scheme: str, op: str, As, Bs) -> None:
 
 
 def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
-         b: Polynomial | None, rom_override,
-         allow_hazards: bool) -> tuple[Polynomial, SimReport]:
+         b: Polynomial | None, rom_override) -> tuple[Polynomial, SimReport]:
     """One operand set through _prepare and the scalar executor."""
-    plan, p, tw = _prepare(cfg, scheme, op, rom_override, allow_hazards)
+    plan, p, tw = _prepare(cfg, scheme, op, rom_override)
     _check_operands(scheme, op, (a,), None if b is None else (b,))
     out = Polynomial._trusted(tuple(_execute(plan, p, tw, a, b)), scheme,
                               _OPS[op][1])
@@ -394,8 +395,8 @@ def _run(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
 
 
 def run_op(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
-           b: Polynomial | None = None, rom_override=None,
-           allow_hazards: bool = False) -> tuple[Polynomial, SimReport]:
+           b: Polynomial | None = None,
+           rom_override=None) -> tuple[Polynomial, SimReport]:
     """Run a single forward/inverse transform or pointwise multiply.
 
     Input domain contract: ntt takes a normal-domain polynomial and
@@ -406,12 +407,11 @@ def run_op(cfg: CoreConfig, scheme: str, op: str, a: Polynomial,
     """
     if op not in SIM_OPS:
         raise ValueError(f"unknown op {op!r}")
-    return _run(cfg, scheme, op, a, b, rom_override, allow_hazards)
+    return _run(cfg, scheme, op, a, b, rom_override)
 
 
 def run_polymul(cfg: CoreConfig, scheme: str, a: Polynomial, b: Polynomial,
-                rom_override=None,
-                allow_hazards: bool = False) -> tuple[Polynomial, SimReport]:
+                rom_override=None) -> tuple[Polynomial, SimReport]:
     """Full negacyclic product on the core: NTT(a), PWM, INTT.
 
     Both inputs are normal-domain polynomials.  The b operand is loaded
@@ -421,7 +421,7 @@ def run_polymul(cfg: CoreConfig, scheme: str, a: Polynomial, b: Polynomial,
     module docstring).  The result equals schoolbook_negacyclic(a, b)
     exactly.
     """
-    return _run(cfg, scheme, OP_POLYMUL, a, b, rom_override, allow_hazards)
+    return _run(cfg, scheme, OP_POLYMUL, a, b, rom_override)
 
 
 def _execute_columns(plan: _Plan, p: ModulusParams, tables, a, b):
@@ -480,15 +480,15 @@ def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
     iterables of polynomials under run_op's and run_polymul's domain
     contracts.  Returns one output per a operand, each equal to what
     run_op or run_polymul returns for it, and the plan's report, which
-    every operand set shares.  A hazardous plan is refused, as run_op
-    refuses it without allow_hazards.
+    every operand set shares.  A hazardous plan is refused before any
+    arithmetic, as run_op and run_polymul refuse it.
     """
     import numpy as np
 
     if op not in _OPS:
         raise ValueError(f"unknown op {op!r}")
     As, Bs = tuple(As), None if Bs is None else tuple(Bs)
-    plan, p, tw = _prepare(cfg, scheme, op, rom_override, False)
+    plan, p, tw = _prepare(cfg, scheme, op, rom_override)
     _check_operands(scheme, op, As, Bs)
     out = _execute_columns(plan, p, [np.array(t, np.int64) for t in tw],
                            as_columns(As),

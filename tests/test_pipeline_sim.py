@@ -131,8 +131,15 @@ def test_measured_busy_equals_model():
         assert rep.busy_cycles == row[3]
 
 
+def _refusal(hazard: Hazard) -> str:
+    """The message every driver refuses a hazardous plan with."""
+    return (f"memory hazard at cycle {hazard.cycle}: bank {hazard.bank} "
+            f"row {hazard.row} read before its write lands at "
+            f"{hazard.lands_at}")
+
+
 def test_latency_is_data_independent():
-    """Cycle counts, and at an over-deep pipeline (d/2 + 1) the hazards,
+    """Cycle counts, and at an over-deep pipeline (d/2 + 1) the refusal,
     are the same for two different operand pairs: a plan depends only
     on the geometry, the depth and the op."""
     cfg = CoreConfig.for_design("d2")
@@ -145,26 +152,33 @@ def test_latency_is_data_independent():
         a = Polynomial.random("kyber", rng)
         b = Polynomial.random("kyber", rng)
         _, rep = run_polymul(cfg, "kyber", a, b)
-        _, over = run_polymul(deep, "kyber", a, b, allow_hazards=True)
+        with pytest.raises(RuntimeError, match="memory hazard") as over:
+            run_polymul(deep, "kyber", a, b)
         reports.append((rep.busy_cycles, rep.fill_drain_cycles,
-                        over.hazards))
+                        str(over.value)))
     assert reports[0] == reports[1]
-    assert reports[0][2]
 
 
 def test_plan_follows_a_mutated_depth():
     """One config moved from its shipped depth to d/2 + 1 and back runs
-    at each depth it holds: hazards, then a clean exact product."""
+    at each depth it holds: a refusal naming the first hazard, then a
+    clean exact product."""
+    import kdntt.pipeline_sim as ps
     rng = random.Random(0xDE97)
     cfg = CoreConfig.for_design("d3")
-    shipped, d = cfg.pipeline_depth, cfg.geometry("kyber").d
+    geom = cfg.geometry("kyber")
+    shipped, d = cfg.pipeline_depth, geom.d
     a, b = Polynomial.random("kyber", rng), Polynomial.random("kyber", rng)
-    hazards = []
-    for depth in (shipped, d // 2 + 1, shipped):
-        object.__setattr__(cfg, "pipeline_depth", depth)
-        out, rep = run_polymul(cfg, "kyber", a, b, allow_hazards=True)
-        hazards.append(len(rep.hazards))
-    assert hazards[0] == hazards[2] == 0 and hazards[1] > 0
+    _, rep = run_polymul(cfg, "kyber", a, b)
+    assert not rep.hazards
+    object.__setattr__(cfg, "pipeline_depth", d // 2 + 1)
+    first = ps._compile(geom, d // 2 + 1, OP_POLYMUL).hazards[0]
+    with pytest.raises(RuntimeError) as refused:
+        run_polymul(cfg, "kyber", a, b)
+    assert str(refused.value) == _refusal(first)
+    object.__setattr__(cfg, "pipeline_depth", shipped)
+    out, rep = run_polymul(cfg, "kyber", a, b)
+    assert not rep.hazards
     assert out.coeffs == schoolbook_negacyclic(a, b).coeffs
 
 
@@ -222,47 +236,29 @@ def test_plan_positions_are_well_formed():
     assert plans == 32
 
 
-def test_polymul_plan_runs_each_forward_layer_once_over_both_operands():
-    """A polymul plan lowers NTT(a)'s stage k and NTT(b)'s stage k into
-    one stage, a's butterflies first.  For every shipped (design, scheme)
-    it has as many ntt stages as the ntt plan, ntt stage k's twiddle
-    indices are the ntt plan's stage-k indices for a and then for b, and
-    its pwm and intt stages carry the pwm and intt plans' indices."""
-    import kdntt.pipeline_sim as ps
-    for design, dg in DESIGNS.items():
-        for scheme in dg.schemes:
-            plans = {op: ps._compile(dg.geometry(scheme), dg.pipeline_depth,
-                                     op)
-                     for op in (OP_NTT, OP_INTT, OP_PWM, OP_POLYMUL)}
-            got = [(phase, ws) for phase, _, _, ws in plans[OP_POLYMUL].stages]
-            ntt = [ws for _, _, _, ws in plans[OP_NTT].stages]
-            assert [ws for phase, ws in got if phase == OP_NTT] == \
-                [ws + ws for ws in ntt], (design, scheme)
-            assert got[len(ntt):] == [
-                (phase, ws) for op in (OP_PWM, OP_INTT)
-                for phase, _, _, ws in plans[op].stages], (design, scheme)
-
-
 def test_polymul_plan_is_the_ntt_pwm_and_intt_plans():
     """For every shipped (design, scheme) at every depth of the 188-run
-    sweep, the polymul plan is the ntt plan on a and on b, then the pwm
-    plan, then the intt plan, under one relabelling of positions: ntt
-    stage k's output j lands at 512 + 512k + j (b's 256 later), and each
-    later plan's inputs are the relabelled outputs of the one before.
-    The pwm plan pairs a's coefficient k with b's, and a Kyber pair is
-    two adjacent positions under the psi of its pair index.  At depth 1,
-    the shipped depth and d/2 the unit-basis test below proves the ntt
-    and intt plans equal FIPS 203's and 204's transforms on every input,
-    so with the pointwise product of coefficient k (pair k for Kyber,
-    under psi k) the polymul is intt(ntt(a) * ntt(b)): it equals
-    schoolbook_negacyclic on every input pair.  The relabelling also
-    holds at the over-deep depths, stale reads included."""
+    sweep (47 points), the polymul plan's busy and fill/drain cycles
+    are the ntt, pwm and intt plans' sums.  At the 23 hazard-free
+    points, depth d/2 and below, the polymul plan is the ntt plan on a
+    and on b, then the pwm plan, then the intt plan, under one
+    relabelling of positions: ntt stage k's output j lands at 512 +
+    512k + j (b's 256 later), and each later plan's inputs are the
+    relabelled outputs of the one before.  The pwm plan pairs a's
+    coefficient k with b's, and a Kyber pair is two adjacent positions
+    under the psi of its pair index.  At depth 1, the shipped depth and
+    d/2 the unit-basis test below proves the ntt and intt plans equal
+    FIPS 203's and 204's transforms on every input, so with the
+    pointwise product of coefficient k (pair k for Kyber, under psi k)
+    the polymul is intt(ntt(a) * ntt(b)): it equals
+    schoolbook_negacyclic on every input pair.  The over-deep polymul
+    plans are hazardous, so they are never lowered."""
     import kdntt.pipeline_sim as ps
 
     def listed(stage):  # a plan stage with lists for its position arrays
         return stage[0], *map(list, stage[1:])
 
-    points = 0
+    points = relabelled = 0
     for design, dg in DESIGNS.items():
         for scheme in dg.schemes:
             geom = dg.geometry(scheme)
@@ -273,6 +269,12 @@ def test_polymul_plan_is_the_ntt_pwm_and_intt_plans():
                 ntt, pwm, intt, mul = (ps._compile.__wrapped__(geom, depth, op)
                                        for op in (OP_NTT, OP_PWM, OP_INTT,
                                                   OP_POLYMUL))
+                assert (mul.busy, mul.fill_drain) == (
+                    ntt.busy + pwm.busy + intt.busy,
+                    ntt.fill_drain + pwm.fill_drain + intt.fill_drain), where
+                points += 1
+                if mul.hazards:  # refused, so never lowered
+                    continue
                 layers = len(ntt.stages)
                 pwm_at = 512 + 512 * layers  # the pwm stage's first output
 
@@ -310,32 +312,32 @@ def test_polymul_plan_is_the_ntt_pwm_and_intt_plans():
                      [of_intt(y) for y in ys], list(ws))
                     for phase, xs, ys, ws in intt.stages], where
                 assert list(mul.out) == [of_intt(x) for x in intt.out], where
-                assert (mul.busy, mul.fill_drain) == (
-                    ntt.busy + pwm.busy + intt.busy,
-                    ntt.fill_drain + pwm.fill_drain + intt.fill_drain), where
-                points += 1
-    assert points == 47
+                relabelled += 1
+    assert (points, relabelled) == (47, 23)
 
 
 def test_verify_plan_equals_four_single_op_runs_at_every_depth(monkeypatch):
     """verify's one plan, _compile(geom, depth, VERIFY_OPS), for every
     shipped (design, scheme) at every depth of the 188-run sweep (1,
-    shipped, d/2, d/2 + 1, d/2 + 5 and d): its four 256-row output
-    blocks equal, bit for bit, four single-op executor runs (polymul of
-    a and b, ntt of a, intt of that ntt and pwm of it with fb), stale
-    reads included.  At the shipped depth they run at batch 20 and at
-    batch 1, each with the shipped twiddle tables and with one forward
-    twiddle off by one; at the other depths, at batch 20 with the
-    shipped tables and at batch 1 with the off one.  Its busy
-    and fill/drain cycles are the four plans' sums and its hazards are
-    theirs in VERIFY_OPS order.  Every stage reads only positions below
-    its first output, the value list holds the three inputs plus the
-    outputs, and the 1024 output positions are distinct.  At d/2 + 1,
-    verify refuses the plan before any arithmetic."""
+    shipped, d/2, d/2 + 1, d/2 + 5 and d): its busy and fill/drain
+    cycles are the four plans' sums and its hazards are theirs in
+    VERIFY_OPS order.  At the 23 hazard-free points, depth d/2 and
+    below, its four 256-row output blocks equal, bit for bit, four
+    single-op executor runs (polymul of a and b, ntt of a, intt of that
+    ntt and pwm of it with fb).  At the shipped depth they run at batch
+    20 and at batch 1, each with the shipped twiddle tables and with one
+    forward twiddle off by one; at the other depths, at batch 20 with
+    the shipped tables and at batch 1 with the off one.  Every stage
+    reads only positions below its first output, the value list holds
+    the three inputs plus the outputs, and the 1024 output positions are
+    distinct.  The over-deep plans are hazardous, so they are never
+    lowered, and at d/2 + 1 verify refuses the plan before any
+    arithmetic."""
     import numpy as np
     import kdntt.cli
     import kdntt.pipeline_sim as ps
     rng = np.random.default_rng(0xC0B)
+    executed = 0
     for design, dg in DESIGNS.items():
         for scheme in dg.schemes:
             geom, p = dg.geometry(scheme), SCHEMES[scheme]
@@ -353,6 +355,9 @@ def test_verify_plan_equals_four_single_op_runs_at_every_depth(monkeypatch):
                     sum(q.busy for q in parts),
                     sum(q.fill_drain for q in parts),
                     sum((q.hazards for q in parts), ())), where
+                if plan.hazards:  # refused, so never lowered
+                    continue
+                executed += 1
                 first = 3 * 256
                 for phase, xs, ys, _ws in plan.stages:
                     assert len(xs) == len(ys) and max(*xs, *ys) < first, \
@@ -383,6 +388,7 @@ def test_verify_plan_equals_four_single_op_runs_at_every_depth(monkeypatch):
                 # the off-by-one twiddle reaches the last batch's outputs
                 assert not np.array_equal(fa, ps._execute_columns(
                     plans[OP_NTT], p, shipped, a, None)), where
+    assert executed == 23
     cfg = CoreConfig.for_design("d3")
     geom = cfg.geometry("kyber")
     object.__setattr__(cfg, "pipeline_depth", geom.d // 2 + 1)
@@ -603,81 +609,104 @@ def test_unchecked_outputs_are_python_ints_below_q():
 
 
 def test_run_batch_refuses_overdeep_depths(monkeypatch):
-    """At depths d/2 + 1 and 2d the ntt plan has hazards, and run_batch
-    refuses it with the scalar drivers' RuntimeError before any
-    arithmetic runs."""
+    """At depths d/2 + 1 and 2d the ntt, intt and polymul plans have
+    hazards, and every driver refuses each of them before any
+    arithmetic runs: run_op (ntt, intt), run_polymul and run_batch (all
+    three), with a RuntimeError naming the plan's first hazard."""
     import kdntt.pipeline_sim as ps
     rng = random.Random(0x0DEE)
     calls = []
-    monkeypatch.setattr(ps, "mont_mul_array",
-                        lambda *args: calls.append(args))
+    for name in ("mont_mul_array", "ct_butterfly", "gs_butterfly_halving",
+                 "kyber_pwm_pair", "dilithium_pwm"):
+        monkeypatch.setattr(ps, name,
+                            lambda *args, **kw: calls.append((args, kw)))
+    refused = 0
     for design, dg in DESIGNS.items():
         for scheme in dg.schemes:
-            d = dg.geometry(scheme).d
-            a = Polynomial.random(scheme, rng)
-            for depth in (d // 2 + 1, 2 * d):
+            geom = dg.geometry(scheme)
+            a, b = (Polynomial.random(scheme, rng) for _ in range(2))
+            sa = Polynomial.random(scheme, rng, DOMAIN_NTT_BR)
+            for depth in (geom.d // 2 + 1, 2 * geom.d):
                 cfg = CoreConfig.for_design(design)
                 object.__setattr__(cfg, "pipeline_depth", depth)
-                with pytest.raises(RuntimeError, match="memory hazard"):
-                    run_batch(cfg, scheme, OP_NTT, [a])
+                for op, run, args in (
+                        (OP_NTT, run_op, (OP_NTT, a)),
+                        (OP_NTT, run_batch, (OP_NTT, [a])),
+                        (OP_INTT, run_op, (OP_INTT, sa)),
+                        (OP_INTT, run_batch, (OP_INTT, [sa])),
+                        (OP_POLYMUL, run_polymul, (a, b)),
+                        (OP_POLYMUL, run_batch, (OP_POLYMUL, [a], [b]))):
+                    first = ps._compile(geom, depth, op).hazards[0]
+                    with pytest.raises(RuntimeError) as refusal:
+                        run(cfg, scheme, *args)
+                    assert str(refusal.value) == _refusal(first), \
+                        (design, scheme, depth, op, run.__name__)
+                    refused += 1
+    assert refused == 96
     assert not calls
 
 
 def test_overdeep_pipeline_shows_hazards():
     """Falsification check: the simulator's hazard tracking is live.  A
-    depth past d/2 (rejected by the constructor, forced here) must both
-    flag hazards and corrupt the result."""
+    depth past d/2 (rejected by the constructor, forced here) must flag
+    hazards, and run_op refuses the run with a message naming the
+    first."""
+    import kdntt.pipeline_sim as ps
     cfg = CoreConfig.for_design("standalone-kyber")  # kyber d = 64
     object.__setattr__(cfg, "pipeline_depth", 33)
     a = Polynomial.random("kyber", RNG)
-    with pytest.raises(RuntimeError):
+    hazards = ps._compile(cfg.geometry("kyber"), 33, OP_NTT).hazards
+    assert hazards
+    with pytest.raises(RuntimeError) as refused:
         run_op(cfg, "kyber", OP_NTT, a)
-    out, rep = run_op(cfg, "kyber", OP_NTT, a, allow_hazards=True)
-    assert rep.hazards
-    assert out.coeffs != direct_ntt(a, SCHEMES["kyber"]).coeffs
+    assert str(refused.value) == _refusal(hazards[0])
 
 
 def test_simulator_and_gate_share_one_hazard_rule():
     """Single-lane ntt programs are mirror stages only, so at an
-    over-deep pipeline the simulator must report exactly the hazards
-    that check_conflict_free finds in the forward schedule.  A polymul
-    runs NTT(b) on region 1 right after NTT(a), so its region-1 hazards
-    are the ntt's moved to the mirrored bank, the region-1 rows and the
-    cycles after NTT(a); d3 kyber adds in-word stages to that check."""
-    rng = random.Random(0x6A7E)
+    over-deep pipeline the simulator's ntt plan must list exactly the
+    hazards that check_conflict_free finds in the forward schedule.  A
+    polymul runs NTT(b) on region 1 right after NTT(a), so its region-1
+    hazards are the ntt's moved to the mirrored bank, the region-1 rows
+    and the cycles after NTT(a); d3 kyber adds in-word stages to that
+    check."""
+    import kdntt.pipeline_sim as ps
     for design, scheme in (("standalone-kyber", "kyber"),
                            ("standalone-dilithium", "dilithium"),
                            ("d3", "kyber")):
-        a, b = Polynomial.random(scheme, rng), Polynomial.random(scheme, rng)
-        d = DESIGNS[design].geometry(scheme).d
+        geom = DESIGNS[design].geometry(scheme)
+        d = geom.d
         for depth in (d // 2 + 1, d):
-            cfg = CoreConfig.for_design(design)
-            object.__setattr__(cfg, "pipeline_depth", depth)
-            _, rep = run_op(cfg, scheme, OP_NTT, a, allow_hazards=True)
+            ntt = ps._compile(geom, depth, OP_NTT).hazards
             if design != "d3":  # programs of mirror stages only
                 gate = check_conflict_free(generate_addresses(CH_NTT, d),
                                            depth)
-                assert rep.hazards and rep.hazards == gate, \
-                    (design, depth)
-            shift = latency_model(cfg, scheme, OP_NTT)
+                assert ntt and ntt == gate, (design, depth)
+            shift = latency_model(CoreConfig.for_design(design), scheme,
+                                  OP_NTT)
             moved = [Hazard(h.cycle + shift, h.bank ^ 1, h.row + d,
-                            h.lands_at + shift) for h in rep.hazards]
-            _, full = run_polymul(cfg, scheme, a, b, allow_hazards=True)
-            assert moved and [h for h in full.hazards if h.row >= d] == moved, \
+                            h.lands_at + shift) for h in ntt]
+            full = ps._compile(geom, depth, OP_POLYMUL).hazards
+            assert moved and [h for h in full if h.row >= d] == moved, \
                 (design, depth)
 
 
 def test_simulator_behaviour_is_pinned():
-    """Outputs, busy and fill/drain cycles and hazards of every op,
-    design and scheme at legal and over-deep depths (188 runs) hash to
-    a fixed digest, so a rewrite of the executor or the bank model must
-    leave them bit-identical."""
+    """Every op, design and scheme at legal and over-deep depths (188
+    runs) hashes to a fixed digest, so a rewrite of the executor or the
+    bank model must leave it bit-identical.  The 116 hazard-free runs
+    (every depth up to d/2, and pwm at every depth) hash their outputs,
+    busy and fill/drain cycles and hazards; the 72 hazardous ones are
+    refused, and hash the refusal with their plan's cycles and
+    hazards."""
+    import kdntt.pipeline_sim as ps
     rng = random.Random(0x5EED)
     h = hashlib.sha256()
-    runs = 0
+    runs = refused = 0
     for design, dg in DESIGNS.items():
         for scheme in dg.schemes:
-            d = dg.geometry(scheme).d
+            geom = dg.geometry(scheme)
+            d = geom.d
             a, b = (Polynomial.random(scheme, rng) for _ in range(2))
             sa, sb = (Polynomial.random(scheme, rng, DOMAIN_NTT_BR)
                       for _ in range(2))
@@ -687,33 +716,43 @@ def test_simulator_behaviour_is_pinned():
                 object.__setattr__(cfg, "pipeline_depth", depth)
                 for op, x, y in ((OP_NTT, a, None), (OP_INTT, sa, None),
                                  (OP_PWM, sa, sb), (OP_POLYMUL, a, b)):
-                    if op == OP_POLYMUL:
-                        out, rep = run_polymul(cfg, scheme, x, y,
-                                               allow_hazards=True)
+                    plan = ps._compile(geom, depth, op)
+                    try:
+                        out, rep = (run_polymul(cfg, scheme, x, y)
+                                    if op == OP_POLYMUL
+                                    else run_op(cfg, scheme, op, x, y))
+                    except RuntimeError as e:
+                        assert plan.hazards, (design, scheme, depth, op)
+                        h.update(repr((
+                            str(e), plan.busy, plan.fill_drain,
+                            [(z.cycle, z.bank, z.row, z.lands_at)
+                             for z in plan.hazards])).encode())
+                        refused += 1
                     else:
-                        out, rep = run_op(cfg, scheme, op, x, y,
-                                          allow_hazards=True)
-                    h.update(repr((
-                        out.coeffs, rep.busy_cycles, rep.fill_drain_cycles,
-                        [(z.cycle, z.bank, z.row, z.lands_at)
-                         for z in rep.hazards])).encode())
+                        h.update(repr((
+                            out.coeffs, rep.busy_cycles,
+                            rep.fill_drain_cycles,
+                            [(z.cycle, z.bank, z.row, z.lands_at)
+                             for z in rep.hazards])).encode())
                     runs += 1
-    assert runs == 188
-    assert h.hexdigest() == ("5a1de78b1b96828941ba8a7e26d9d546"
-                             "0720f7eacccfec6d0a30b63f6136918a")
+    assert (runs, refused) == (188, 72)
+    assert h.hexdigest() == ("99a6f5f4d5073a5f3adea35bbb1b0420"
+                             "417bcb5a7a81cee5967161ea879a8069")
 
 
 def test_compiled_plans_are_pinned():
     """Every plan _compile builds for the ops of the simulator test above
-    and verify's VERIFY_OPS, at the same depths (235 plans, hazardous
-    ones included), hashes to a fixed digest: each stage's phase,
-    operand positions and twiddle indices, the value count, busy and
-    fill/drain cycles, hazards and result positions.  A rewrite of the
-    compile step or the bank replay must build the same plans, not only
-    plans that compute the same outputs."""
+    and verify's VERIFY_OPS, at the same depths (235 plans), hashes to a
+    fixed digest.  Each of the 139 hazard-free plans hashes each stage's
+    phase, operand positions and twiddle indices, the value count, busy
+    and fill/drain cycles, hazards and result positions.  The 96
+    hazardous plans are never lowered: each has no stages and no result
+    and hashes its busy and fill/drain cycles and hazards.  A rewrite of
+    the compile step or the bank replay must build the same plans, not
+    only plans that compute the same outputs."""
     import kdntt.pipeline_sim as ps
     h = hashlib.sha256()
-    plans = 0
+    plans = hazardous = 0
     for design, dg in DESIGNS.items():
         for scheme in dg.schemes:
             geom = dg.geometry(scheme)
@@ -723,6 +762,14 @@ def test_compiled_plans_are_pinned():
                            ps.VERIFY_OPS):
                     # uncached, so the shipped plans stay in the cache
                     plan = ps._compile.__wrapped__(geom, depth, op)
+                    plans += 1
+                    if plan.hazards:
+                        assert not plan.stages and not plan.out, \
+                            (design, scheme, depth, op)
+                        h.update(repr((plan.busy, plan.fill_drain,
+                                       plan.hazards)).encode())
+                        hazardous += 1
+                        continue
                     for phase, xs, ys, ws in plan.stages:
                         h.update(phase.encode())
                         for positions in (xs, ys, ws):
@@ -730,10 +777,9 @@ def test_compiled_plans_are_pinned():
                     h.update(repr((plan.size, plan.busy, plan.fill_drain,
                                    plan.hazards)).encode())
                     h.update(plan.out.tobytes())
-                    plans += 1
-    assert plans == 235
-    assert h.hexdigest() == ("fc4cc5c675d940d218295b24416e15ce"
-                             "e97c4c71285aeea55f6bd7dce643efaf")
+    assert (plans, hazardous) == (235, 96)
+    assert h.hexdigest() == ("3773a39783821ddd3c0f03b0e9b4cfff"
+                             "81fb92bd1b565e35e6a9dfe18d11c174")
 
 
 def test_deepest_legal_pipeline_is_clean():
