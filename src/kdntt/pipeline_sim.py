@@ -6,44 +6,45 @@ BankMemory whose rows hold words as the value positions they carry:
 every value the op computes has a position in one list (a's
 coefficients, b's, then each plan stage's outputs in order).  The bank
 memory delays each write by pipeline_depth cycles and records a read of
-a row whose write is still in flight as a hazard.  No address, routing
-flag or landing cycle depends on the data, so the plan, the cycle counts
-and the hazards are all fixed by those three.  The replay hands the
-compile step each cycle's words; the step lists each butterfly's or
-product's two operand positions and twiddle index and returns the words
-written.  Every run of a phase lowers its stage k into the plan's stage
-k.  A polymul's forward stage k is NTT(a)'s stage k and then NTT(b)'s,
-so its plan has one stage per butterfly layer and the pwm stage, 15 for
-Kyber and 17 for Dilithium.  verify's plan (op VERIFY_OPS) runs its four
-checks' ops the same way, side by side, each on banks of its own:
-polymul, ntt, intt and pwm, where intt and pwm load the words of the
-ntt's result.  It has the polymul's stage count.  Only _compile knows
-how a word's t slots are laid out and which slots a butterfly pairs.
-The execute step then runs only arithmetic, one loop per stage kind.
-Operands are addressed by region (a in 0, b in 1); the bank memory alone
-decides where a region sits.
+a row whose write is still in flight as a hazard, and a plan with one
+is never lowered or run.  No address, routing flag or landing
+cycle depends on the data, so the plan, the cycle counts and the hazards
+are all fixed by those three.  The replay hands the compile step each
+cycle's words; the step lists each butterfly's or product's two operand
+positions and twiddle index and returns the words written.  Every run of
+a phase lowers its stage k into the plan's stage k.  A polymul's forward
+stage k is NTT(a)'s stage k and then NTT(b)'s, so its plan has one stage
+per butterfly layer and the pwm stage, 15 for Kyber and 17 for
+Dilithium.  verify's plan (op VERIFY_OPS) runs its four checks' ops the
+same way, side by side, each on banks of its own: polymul, ntt, intt and
+pwm, where intt and pwm load the words of the ntt's result.  It has the
+polymul's stage count.  Only _compile knows how a word's t slots are
+laid out and which slots a butterfly pairs.  The execute step then runs
+only arithmetic, one loop per stage kind.  Operands are addressed by
+region (a in 0, b in 1); the bank memory alone decides where a region
+sits.
 
 Two drivers execute a plan, after one shared prologue (_prepare: the
 scheme and rom_override checks, the plan lookup and the refusal of a
-hazardous plan before any arithmetic) and the operand checks
-(_check_operands).  _compile replays a hazardous plan (an over-deep
-pipeline, not a KiD core) for its cycles and hazards but never lowers
-it.  run_op and run_polymul run one operand set through _execute, one
+hazardous plan, an over-deep pipeline and not a KiD core, before any
+arithmetic) and the operand checks (_check_operands).
+run_op and run_polymul run one operand set through _execute, one
 butterfly call per butterfly.  run_batch runs many through
-_execute_columns, which takes the same plan a whole stage at a time over
-(256, batch) arrays with a column per operand set, using core_arith's
-branch-free array forms on int64 operands gathered from an int32 value
-store; in a warm process it is the faster driver even for one product.
-The CLI's verify calls _execute_columns directly on the arrays it draws,
-so its trials never become polynomials, and on its one plan.  The scalar
-driver stays because the CLI must start without numpy, and because it
-calls the bfu butterflies that the golden-polymul benchmark counts.  It
-is not rebuilt on the array forms: making the scalar primitives accept
-arrays slowed run_polymul by 8-25%.  So the two share the plan and the
-checks but no arithmetic.  Stage-at-a-time execution is exact because no
-stage reads a word that the same stage writes (a conflict-free program
-reads each row once per stage), so every operand position lies below the
-stage's outputs; _compile checks this on every plan it lowers.
+_execute_columns, which takes the same plan a whole stage at a time
+over (256, batch) arrays with a column per operand set, using
+core_arith's branch-free array forms on int64 operands gathered from
+an int32 value store; in a warm process it is the faster driver even
+for one product.  The CLI's verify calls _execute_columns directly on
+the arrays it draws, so its trials never become polynomials, and on
+its one plan.  The scalar driver stays because the CLI must start
+without numpy, and because it calls the bfu butterflies that the
+golden-polymul benchmark counts.  It is not rebuilt on the array forms:
+making the scalar primitives accept arrays slowed run_polymul by 8-25%.
+So the two share the plan and the checks but no arithmetic.
+Stage-at-a-time execution is exact because no stage reads a word that
+the same stage writes (a conflict-free program reads each row once per
+stage), so every operand position lies below the stage's outputs;
+_compile checks this on every plan it lowers.
 
 Latency accounting follows the convention of the published cycle
 counts: busy_cycles counts issued butterfly/product cycles only
@@ -293,8 +294,7 @@ def _compile(geom: MemoryGeometry, depth: int,
         fill_drain += sum(mems[name].drain() for name, _, reg in ran if not reg)
         lowered = not any(m.hazards for m in mems.values())
         for k in range(len(program)):
-            # run_batch computes a whole stage at once, so no stage of a
-            # plan that is lowered may read a position it writes
+            # a stage may not read its own writes: run_batch runs it at once
             if lowered and max(max(xs[k]), max(ys[k])) >= size + width * k:
                 raise RuntimeError(f"a {phase} stage reads a word it writes")
             stages.append((phase, xs[k], ys[k], ws[k]))
