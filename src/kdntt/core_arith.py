@@ -306,7 +306,9 @@ def mod_add_half(a: int, b: int, q: int) -> int:
 # selecting its correction by a 0/1 factor, so an int64 numpy array (or a
 # plain int) works.  They have no range checks.  mont_mul_array shares
 # _redc with mont_redc; the others share no code with the scalar forms
-# above, whose per-call cost the golden model pays on every butterfly.
+# above.  ct_butterfly and gs_butterfly_halving inline those; the golden
+# model still calls mont_mul per product (kyber_pwm_pair, dilithium_pwm)
+# and per to_mont, and mod_add and mod_sub per Kyber pair.
 # Dilithium's t + m*q stays below 2**47, so int64 is exact.
 
 def mont_mul_array(a, b, p: ModulusParams):

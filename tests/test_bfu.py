@@ -143,6 +143,34 @@ def test_ct_gs_roundtrip_random():
             assert gs_butterfly_halving(hi, lo, w_half, p) == (a, b)
 
 
+def test_butterflies_equal_wide_integer_arithmetic():
+    """Each butterfly computes its Montgomery product, add/sub and halving
+    in one frame; both must equal plain big-integer arithmetic mod q on
+    every triple of boundary values and on 50 000 seeded triples, and
+    every operand out of range (q or -1, in any position) must raise."""
+    rng = random.Random(0xF1A7)
+    for p in SCHEMES.values():
+        q = p.q
+        r_inv = pow(p.r, -1, q)
+        edges = (0, 1, 2, (q - 1) // 2, (q + 1) // 2, q - 2, q - 1)
+        triples = [(a, b, w) for a in edges for b in edges for w in edges]
+        triples += [(rng.randrange(q), rng.randrange(q), rng.randrange(q))
+                    for _ in range(50_000)]
+        for a, b, w in triples:
+            bw = b * w * r_inv
+            assert ct_butterfly(a, b, w, p) == ((a + bw) % q, (a - bw) % q)
+            assert gs_butterfly_halving(a, b, w, p) == (
+                (a + b) * p.inv2 % q, (a - b) * w * r_inv % q)
+        if sys.flags.optimize == 0:  # -O strips the range asserts
+            for step in (ct_butterfly, gs_butterfly_halving):
+                for k in range(3):
+                    for bad in (q, -1):
+                        args = [1, 2, 3]
+                        args[k] = bad
+                        with pytest.raises(AssertionError):
+                            step(*args, p)
+
+
 def test_kyber_pwm_pair_matches_basecase():
     q = 3329
     for _ in range(3000):

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -183,26 +184,33 @@ def test_plan_follows_a_mutated_depth():
 
 
 def test_executor_looks_butterflies_up_at_call_time(monkeypatch):
-    """A cached plan must not capture the butterfly functions: a wrapper
-    installed after the plan is compiled sees every forward butterfly of
-    the next polymul (NTT(a) and NTT(b), 128 per layer), and an
-    over-deep run is refused before any butterfly runs."""
+    """A cached plan must not capture the butterfly functions: wrappers
+    installed after the plan is compiled see every call of the next
+    polymul (each forward butterfly of NTT(a) and NTT(b), 128 per layer,
+    each inverse one, 128 per layer, and each product: two
+    kyber_pwm_pair calls per Kyber pair, one dilithium_pwm per Dilithium
+    coefficient), and an over-deep run is refused before any of them
+    runs."""
     import kdntt.pipeline_sim as ps
+    names = ("ct_butterfly", "gs_butterfly_halving", "kyber_pwm_pair",
+             "dilithium_pwm")
     rng = random.Random(0xB7F)
     for design, scheme, layers in (("standalone-kyber", "kyber", 7),
                                    ("standalone-dilithium", "dilithium", 8)):
         cfg = CoreConfig.for_design(design)
         a, b = Polynomial.random(scheme, rng), Polynomial.random(scheme, rng)
         run_polymul(cfg, scheme, a, b)
-        calls = []
+        calls = Counter()
+        for name in names:
+            def counting(*args, name=name, fn=getattr(ps, name), **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
 
-        def counting(*args, fn=ps.ct_butterfly):
-            calls.append(args)
-            return fn(*args)
-
-        monkeypatch.setattr(ps, "ct_butterfly", counting)
+            monkeypatch.setattr(ps, name, counting)
         out, _ = run_polymul(cfg, scheme, a, b)
-        assert len(calls) == 2 * layers * 128, (design, len(calls))
+        pwm = {"kyber": (256, 0), "dilithium": (0, 256)}[scheme]
+        assert [calls[name] for name in names] == [
+            2 * layers * 128, layers * 128, *pwm], (design, calls)
         assert out.coeffs == schoolbook_negacyclic(a, b).coeffs
         calls.clear()
         object.__setattr__(cfg, "pipeline_depth",
