@@ -247,20 +247,21 @@ def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
     from . import ntt_reference as nr
 
     # one plan runs the four checks' ops: polymul(a, b), ntt(a) = fa,
-    # intt(fa) and pwm(fa, fb), with fb the oracle's spectrum of b
+    # intt(da) and pwm(da, fb), with da and fb the oracle's spectra of a
+    # and b; fa equals da unless the forward-transform check fails
     plan, p, tw = _prepare(cfg, scheme, VERIFY_OPS, override)
     tables = [np.array(t, np.int64) for t in tw]
     for start in range(0, trials, VERIFY_BATCH):
         indices = range(start, min(start + VERIFY_BATCH, trials))
         a, b = _draw_trials(seed, scheme, indices)
         da, fb = np.hsplit(nr.direct_ntt_columns(np.hstack((a, b)), p), 2)
-        product, fa, back, pointwise = np.split(
-            _execute_columns(plan, p, tables, a, np.vstack((b, fb))), 4)
+        product, fa, back, pointwise = np.split(_execute_columns(
+            plan, p, tables, np.vstack((a, da)), np.vstack((b, fb))), 4)
         checks = (
             ("product", product, nr.schoolbook_columns(a, b, p)),
             ("forward transform", fa, da),
             ("roundtrip", back, a),
-            ("pointwise", pointwise, nr.reference_pwm_columns(fa, fb, p)),
+            ("pointwise", pointwise, nr.reference_pwm_columns(da, fb, p)),
         )
         # wrong[check, coefficient, trial]; argwhere lists hits in index
         # order, so over (trial, check, coefficient) the first is the

@@ -405,13 +405,14 @@ def run_stages(m: BankMemory, stages, region: int, step) -> None:
     """Run stages on m, one tick per entry: the one replay of any phase,
     and the only reader of its addresses and flags.
 
-    Transform cycle i of stage k reads both rows of region, orders the
+    Each transform cycle of stage k reads both rows of region, orders the
     words (low, high) by read_swap and writes back the pair
-    step(k, i, low, high, tw_index) returns, low routed by write_swap.
-    Pwm word j spans len(entries) // (2d) entries (two for Kyber, one for
+    step(k, low, high, tw_index) returns, low routed by write_swap.  A
+    pwm word spans len(entries) // (2d) entries (two for Kyber, one for
     Dilithium): its first reads a from region 0 and b from the same role
     and row of region 1, the role being bank B's when read_swap is set,
-    and its last writes step(k, j, a, b, tw_index) over a."""
+    and its last writes step(k, a, b, tw_index) over a.  step is called
+    in issue order."""
     for k, stage in enumerate(stages):
         per_word = len(stage.entries) // (2 * m.d)
         for i, e in enumerate(stage.entries):
@@ -420,14 +421,13 @@ def run_stages(m: BankMemory, stages, region: int, step) -> None:
                 if i % per_word == 0:
                     a, b = m.read(0, role, e.addr_a), m.read(1, role, e.addr_b)
                 if i % per_word == per_word - 1:
-                    m.write(0, role, e.addr_a,
-                            step(k, i // per_word, a, b, e.tw_index))
+                    m.write(0, role, e.addr_a, step(k, a, b, e.tw_index))
             else:
                 lo = m.read(region, BANK_A, e.addr_a)
                 hi = m.read(region, BANK_B, e.addr_b)
                 if e.read_swap:
                     lo, hi = hi, lo
-                lo, hi = step(k, i, lo, hi, e.tw_index)
+                lo, hi = step(k, lo, hi, e.tw_index)
                 if e.write_swap:
                     lo, hi = hi, lo
                 m.write(region, BANK_A, e.addr_a, lo)
@@ -445,7 +445,7 @@ def check_conflict_free(stages, pipeline_depth: int) -> tuple[Hazard, ...]:
     that is the whole point of the schedule.
     """
     m = BankMemory(len(stages[0].entries), pipeline_depth)
-    run_stages(m, stages, 0, lambda _k, _i, lo, hi, _tw: (lo, hi))
+    run_stages(m, stages, 0, lambda _k, lo, hi, _tw: (lo, hi))
     return tuple(m.hazards)
 
 

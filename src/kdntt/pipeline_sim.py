@@ -10,19 +10,20 @@ a row whose write is still in flight as a hazard, and a plan with one
 is never lowered or run.  No address, routing flag or landing
 cycle depends on the data, so the plan, the cycle counts and the hazards
 are all fixed by those three.  The replay hands the compile step each
-cycle's words; the step lists each butterfly's or product's two operand
-positions and twiddle index and returns the words written.  Every run of
-a phase lowers its stage k into the plan's stage k.  A polymul's forward
-stage k is NTT(a)'s stage k and then NTT(b)'s, so its plan has one stage
-per butterfly layer and the pwm stage, 15 for Kyber and 17 for
-Dilithium.  verify's plan (op VERIFY_OPS) runs its four checks' ops the
-same way, side by side, each on banks of its own: polymul, ntt, intt and
-pwm, where intt and pwm load the words of the ntt's result.  It has the
-polymul's stage count.  Only _compile knows how a word's t slots are
-laid out and which slots a butterfly pairs.  The execute step then runs
-only arithmetic, one loop per stage kind.  Operands are addressed by
-region (a in 0, b in 1); the bank memory alone decides where a region
-sits.
+cycle's words in issue order; the step lists each butterfly's or
+product's two operand positions and twiddle index and returns the words
+written, placed next in the stage's outputs.  Every run of a phase
+lowers its stage k into the plan's stage k.  A polymul's forward stage
+k is NTT(a)'s stage k and then NTT(b)'s, so its plan has one stage per
+butterfly layer and the pwm stage, 15 for Kyber and 17 for Dilithium.
+verify's plan (op VERIFY_OPS, a table of runs) runs its four checks' ops
+the same way, side by side, each on banks of its own: polymul, ntt, intt
+and pwm, each loading only input blocks, intt and pwm the oracle's
+spectrum of a.  It has the polymul's stage count.  Only _compile knows
+how a word's t slots are laid out and which slots a butterfly pairs.
+The execute step then runs only arithmetic, one loop per stage kind.
+Operands are addressed by region (a in 0, b in 1); the bank memory
+alone decides where a region sits.
 
 Two drivers execute a plan, after one shared prologue (_prepare: the
 scheme and rom_override checks, the plan lookup and the refusal of a
@@ -60,7 +61,8 @@ per phase: a phase issues one entry per clock, and the drain after each
 phase (3*(depth-1) per polymul) is an accounting rule.  The banks need
 only the final drain: ntt, NTT(b), pwm and intt replayed back to back
 through run_stages with no drain between raise no hazard for any
-shipped (design, scheme) at depths 1, shipped and d/2.
+shipped (design, scheme) at depths 1, shipped and d/2
+(test_polymul_phases_need_only_the_final_drain).
 """
 
 from __future__ import annotations
@@ -112,8 +114,11 @@ OP_INTT = "intt"
 OP_PWM = "pwm"
 OP_POLYMUL = "polymul"
 SIM_OPS = (OP_NTT, OP_INTT, OP_PWM)
-# verify's checks in report order; as _prepare's op, their one plan
-VERIFY_OPS = (OP_POLYMUL, OP_NTT, OP_INTT, OP_PWM)
+# verify's one plan: its checks' ops in report order, each with the input
+# blocks it loads as a (and b) of a, da, b and fb, da and fb being the
+# oracle's spectra; b's come last, as _execute_columns prescales all of b.
+VERIFY_OPS = ((OP_POLYMUL, (0, 2)), (OP_NTT, (0,)), (OP_INTT, (1,)),
+              (OP_PWM, (1, 3)))
 
 
 class CoreConfig(_Frozen):
@@ -198,10 +203,6 @@ _OPS = {
     OP_PWM: (DOMAIN_NTT_BR, DOMAIN_NTT_BR, (OP_PWM,)),
     OP_POLYMUL: (DOMAIN_NORMAL, DOMAIN_NORMAL, (OP_NTT, OP_PWM, OP_INTT)),
 }
-# A multi-op plan's ops and what each loads as a (and b): a block of the
-# plan's inputs (a = 0, b = 1, fb = 2) or an earlier op's result.
-_MULTI_OPS = {VERIFY_OPS: ((OP_POLYMUL, (0, 1)), (OP_NTT, (0,)),
-                           (OP_INTT, (OP_NTT,)), (OP_PWM, (OP_NTT, 2)))}
 
 
 def _layout(domain: str, d: int):
@@ -222,35 +223,34 @@ class _Plan(NamedTuple):
 
 
 @lru_cache(maxsize=64)  # 32 shipped single-op plans and 8 verify plans
-def _compile(geom: MemoryGeometry, depth: int,
-             op: str | tuple[str, ...]) -> _Plan:
-    """The op's phases run on banks whose words are the t value-list
-    positions they carry (input block k's word w carries 256k + t*w on).
-    A multi-op plan (_MULTI_OPS) runs each op on banks of its own, and an
-    op that loads an earlier op's result loads the words its banks hold.
-    Each phase runs on every op that has it, NTT(b) as a run of its own
-    on region 1, and plan stage k is every run's stage k in turn.  Every
-    run's stage computes 256 values, so each output's position is fixed
-    before the replay; step lists the operands and twiddle indices of the
-    words run_stages hands it and returns the words written.  A hazardous
-    plan, which _prepare refuses, keeps no stages and an empty out."""
+def _compile(geom: MemoryGeometry, depth: int, op) -> _Plan:
+    """Each of the op's runs (VERIFY_OPS' table, or the op alone on input
+    blocks 0 and, with pwm, 1) loads its blocks into banks of its own,
+    whose words are the t value-list positions they carry (block k's
+    word w carries 256k + t*w on).  Each phase runs on every run that
+    has it, NTT(b) as a run of its own on region 1, and plan stage k is
+    every run's stage k in turn.  step lists the operands and twiddle
+    indices of the words run_stages hands it and returns the words
+    written: the stage's next outputs, in the order both executors
+    append them.  A hazardous plan, which _prepare refuses, keeps no
+    stages and an empty out."""
     t, d = geom.t, geom.d
-    runs = _MULTI_OPS.get(op) or (
-        (op, (0, 1) if OP_PWM in _OPS[op][2] else (0,)),)
-    blocks = 1 + max(s for _, srcs in runs for s in srcs if type(s) is int)
+    runs = (((op, (0, 1) if OP_PWM in _OPS[op][2] else (0,)),)
+            if op in _OPS else op)
+    blocks = 1 + max(s for _, srcs in runs for s in srcs)
+    words = [range(t * w, t * w + t) for w in range(2 * d * blocks)]
+    mems = [BankMemory(d, depth) for _ in runs]
+    for m, (name, srcs) in zip(mems, runs):
+        for region, src in enumerate(srcs):
+            m.load(region, _layout(_OPS[name][0], d),
+                   words[2 * d * src: 2 * d * src + 2 * d])
     prog = scheme_program(geom)
-    mems = {}
-
-    def result(name):  # the op's result as words, in word order
-        return mems[name].extract(_layout(_OPS[name][1], d))
-
-    inputs = [range(t * w, t * w + t) for w in range(2 * d * blocks)]
     size = N * blocks
     stages = []
     busy = fill_drain = 0
     for phase in _OPS[OP_POLYMUL][2]:  # every op's phases, in order
         program = getattr(prog, phase)
-        ran = [(name, srcs, region) for name, srcs in runs
+        ran = [(m, region) for m, (name, srcs) in zip(mems, runs)
                if phase in _OPS[name][2]
                for region in range(len(srcs) if phase == OP_NTT else 1)]
         if not ran:
@@ -260,16 +260,17 @@ def _compile(geom: MemoryGeometry, depth: int,
                 for st in program]
         xs, ys, ws = ([array("I") for _ in program] for _ in range(3))
 
-        def step(k, i, lo, hi, tw):  # cycle (pwm: word) i of stage k
+        def step(k, lo, hi, tw):  # a cycle's (pwm: a word's) words
             x, y, w = xs[k], ys[k], ws[k]
+            pos = size + width * k  # stage k's outputs start here
             if bfly[k] is None:  # t products of words lo (a) and hi (b)
-                pos = at + width * k + t * i
+                pos += len(x)
                 x.extend(lo)
                 y.extend(hi)
                 if geom.scheme == "kyber":  # slots 2k, 2k + 1: pair k
                     w.extend(range(tw, tw + t // 2))
                 return range(pos, pos + t)
-            pos = at + width * k + 2 * t * i
+            pos += 2 * len(x)
             slots = [*lo, *hi]
             for u, v, s in bfly[k]:
                 x.append(slots[u])
@@ -279,30 +280,25 @@ def _compile(geom: MemoryGeometry, depth: int,
                 pos += 2
             return slots[:t], slots[t:]
 
-        for r, (name, srcs, region) in enumerate(ran):
-            m = mems.get(name)
-            if m is None:  # the op's first phase: load its inputs
-                m = mems[name] = BankMemory(d, depth)
-                for reg, src in enumerate(srcs):
-                    m.load(reg, _layout(_OPS[name][0], d),
-                           inputs[2 * d * src: 2 * d * src + 2 * d]
-                           if type(src) is int else result(src))
-            at, start = size + N * r, m.cycle  # run r's outputs start at at
+        for m, region in ran:
+            start = m.cycle
             run_stages(m, program, region, step)
             if not region:  # NTT(b), on region 1, is in neither total
                 busy += m.cycle - start
-        fill_drain += sum(mems[name].drain() for name, _, reg in ran if not reg)
-        lowered = not any(m.hazards for m in mems.values())
+        fill_drain += sum(m.drain() for m, region in ran if not region)
+        lowered = not any(m.hazards for m in mems)
         for k in range(len(program)):
             # a stage may not read its own writes: run_batch runs it at once
             if lowered and max(max(xs[k]), max(ys[k])) >= size + width * k:
                 raise RuntimeError(f"a {phase} stage reads a word it writes")
             stages.append((phase, xs[k], ys[k], ws[k]))
         size += width * len(program)
-    hazards = tuple(h for name, _ in runs for h in mems[name].hazards)
+    hazards = tuple(h for m in mems for h in m.hazards)
     if hazards:
         return _Plan((), size, busy, fill_drain, hazards, array("I"))
-    out = array("I", [s for name, _ in runs for w in result(name) for s in w])
+    out = array("I", [s for m, (name, _) in zip(mems, runs)
+                      for w in m.extract(_layout(_OPS[name][1], d))
+                      for s in w])
     return _Plan(tuple(stages), size, busy, fill_drain, hazards, out)
 
 
@@ -428,11 +424,12 @@ def _execute_columns(plan: _Plan, p: ModulusParams, tables, a, b):
     """The plan's arithmetic a whole stage at a time, over int64 (256,
     batch) arrays a and b (None for ntt and intt) with a column per
     operand set, under run_op's domain contracts, and the twiddle tables
-    as int64 arrays.  b may stack more rows (verify's b, then fb), all
-    Montgomery-prescaled at load.  The store is int32, as every value is
-    a residue below q < 2**23, and each gather widens to int64.  Returns
-    the int64 (len(plan.out), batch) result.  Nothing is checked:
-    _prepare and the caller vouch for the plan and the values."""
+    as int64 arrays.  a and b may stack more rows (verify's a, then da;
+    b, then fb), all of b's Montgomery-prescaled at load.  The store is
+    int32, as every value is a residue below q < 2**23, and each gather
+    widens to int64.  Returns the int64 (len(plan.out), batch) result.
+    Nothing is checked: _prepare and the caller vouch for the plan and
+    the values."""
     import numpy as np
 
     q = p.q

@@ -292,7 +292,7 @@ def test_verify_reports_the_lowest_trial_then_the_first_check(monkeypatch,
     def faulty(plan, p, tables, a, b):
         out = real(plan, p, tables, a, b)  # one 256-row block per check
         for f_op, trial, k in faults:  # the 4 trials are one batch
-            row = 256 * VERIFY_OPS.index(f_op) + k
+            row = 256 * [op for op, _ in VERIFY_OPS].index(f_op) + k
             out[row, trial] = (out[row, trial] + 1) % DILITHIUM.q
         return out
 
@@ -311,8 +311,8 @@ def test_verify_draws_its_trials_as_polynomial_random_does(monkeypatch,
     and one partial one."""
     real, seen = kdntt.cli._execute_columns, []
 
-    def recording(plan, p, tables, a, b):  # b is b, then fb
-        seen.append((p.scheme, a.copy(), b[:256].copy()))
+    def recording(plan, p, tables, a, b):  # a, then da; b, then fb
+        seen.append((p.scheme, a[:256].copy(), b[:256].copy()))
         return real(plan, p, tables, a, b)
 
     monkeypatch.setattr(kdntt.cli, "_execute_columns", recording)
@@ -449,6 +449,39 @@ def test_verify_detects_corrupted_rom(tmp_path, capsys):
     assert main(["verify", "--design", "standalone-kyber", "--trials", "1",
                  "--rom-override", str(bad)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_report_under_rom_faults_is_pinned():
+    """For every shipped (design, scheme), each twiddle table (forward,
+    inverse and, for Kyber, psi) gets two seeded one-entry changes, one
+    at entry 0 and one elsewhere, and _verify_trials runs 2 trials on
+    each (40 cases).  What it returns, the failure line or None, hashes
+    to a fixed digest, so a rewrite of the plan or the executors names
+    the same trial, check and coefficient under every fault.  Entry 0
+    of the forward and inverse tables is read by no plan, so those 16
+    cases pass and are pinned too."""
+    from kdntt.cli import _verify_trials
+    from kdntt.memory_map import DESIGNS, build_twiddle_rom
+    from kdntt.pipeline_sim import CoreConfig
+
+    rng = random.Random(0xFA17)
+    h = hashlib.sha256()
+    results = []
+    for design in DESIGNS:
+        cfg = CoreConfig.for_design(design)
+        for scheme in cfg.schemes:
+            tw, q = build_twiddle_rom(scheme), SCHEMES[scheme].q
+            for t, table in enumerate(tw[:3 if scheme == "kyber" else 2]):
+                for entry in (0, rng.randrange(1, len(table))):
+                    tables = [list(x) for x in tw]
+                    tables[t][entry] = (table[entry] + rng.randrange(1, q)) % q
+                    results.append(_verify_trials(cfg, scheme, 3, 2, tables))
+                    h.update(repr((design, scheme, t, entry,
+                                   results[-1])).encode())
+    assert len(results) == 40
+    assert results.count(None) == 16
+    assert h.hexdigest() == ("daf2533911c62b5a600fbb80b40a4cf1"
+                             "a97648aeb166ee43837bd1f7a50fd632")
 
 
 def test_polymul_rom_override_fault_injection(tmp_path):

@@ -94,7 +94,7 @@ def enumerate_stage_pairs(ch: int, stages):
     m.load(0, start(d), range(2 * d))
     out = [[] for _ in stages]
 
-    def step(k, _i, lo, hi, _tw):
+    def step(k, lo, hi, _tw):
         out[k].append((lo, hi))
         return lo, hi
 
