@@ -250,13 +250,12 @@ def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
     # intt(da) and pwm(da, fb), with da and fb the oracle's spectra of a
     # and b; fa equals da unless the forward-transform check fails
     plan, p, tw = _prepare(cfg, scheme, VERIFY_OPS, override)
-    tables = [np.array(t, np.int64) for t in tw]
     for start in range(0, trials, VERIFY_BATCH):
         indices = range(start, min(start + VERIFY_BATCH, trials))
         a, b = _draw_trials(seed, scheme, indices)
         da, fb = np.hsplit(nr.direct_ntt_columns(np.hstack((a, b)), p), 2)
         product, fa, back, pointwise = np.split(_execute_columns(
-            plan, p, tables, np.vstack((a, da)), np.vstack((b, fb))), 4)
+            plan, p, tw, np.vstack((a, da)), np.vstack((b, fb))), 4)
         checks = (
             ("product", product, nr.schoolbook_columns(a, b, p)),
             ("forward transform", fa, da),

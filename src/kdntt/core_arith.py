@@ -107,6 +107,8 @@ class ModulusParams(_Frozen):
     r2_mod_q: int
     inv2: int  # 2**-1 mod q
     min_len: int  # shortest butterfly distance: 2 (Kyber) or 1 (Dilithium)
+    lane_dtype: str  # the array forms' residues and sums, below 2q
+    product_dtype: str  # their products' t + m*q, below q*q + R*q
 
     def __init__(self, scheme: str, q: int, root: int,
                  root_order: int) -> None:
@@ -124,7 +126,8 @@ class ModulusParams(_Frozen):
             slot_bits=-(-bits // _LANE_BITS) * _LANE_BITS,
             layers=layers, r=r, mask=r - 1, q_prime=(-pow(q, -1, r)) % r,
             r_mod_q=r % q, r2_mod_q=r * r % q, inv2=(q + 1) // 2,
-            min_len=N >> layers)
+            min_len=N >> layers, lane_dtype="uint32",
+            product_dtype="uint32" if q * (q + r) <= 1 << 32 else "uint64")
 
 
 KYBER = ModulusParams("kyber", q=3329, root=17, root_order=256)
@@ -241,8 +244,9 @@ def _from_columns(cols: np.ndarray, scheme: str,
 
 
 def _redc(t, p: ModulusParams):
-    """mont_redc past its check, operators only, so int64 arrays pass
-    too: m makes t + m*q a multiple of R, and t < R*q gives u < 2q."""
+    """mont_redc past its check, operators only, so signed arrays pass
+    too: m makes t + m*q a multiple of R, and t < R*q gives u < 2q.
+    mont_mul_array repeats m and the shift but ends in a borrow-select."""
     m = ((t & p.mask) * p.q_prime) & p.mask
     u = (t + m * p.q) >> p.r_bits
     return u - p.q * (u >= p.q)
@@ -302,32 +306,46 @@ def mod_add_half(a: int, b: int, q: int) -> int:
 
 
 # Branch-free forms of mont_mul, mod_add, mod_sub and mod_add_half for
-# whole arrays of coefficients at once: operators only, each comparison
-# selecting its correction by a 0/1 factor, so an int64 numpy array (or a
-# plain int) works.  They have no range checks.  mont_mul_array shares
-# _redc with mont_redc; the others share no code with the scalar forms
-# above.  ct_butterfly and gs_butterfly_halving inline those; the golden
-# model still calls mont_mul per product (kyber_pwm_pair, dilithium_pwm)
-# and per to_mont, and mod_add and mod_sub per Kyber pair.
-# Dilithium's t + m*q stays below 2**47, so int64 is exact.
+# unsigned arrays, correcting as the datapath's adders do: s - q wraps
+# above s exactly when s < q, so np.minimum(s, s - q) is s mod q for
+# s < 2q, and d = a - b wraps exactly when a < b, when d + q is smaller.
+# That select is wrong on ints and signed arrays, so they take only
+# p.lane_dtype arrays, cast every constant to it and share no code with
+# the scalar forms; a product widens to p.product_dtype.  No range checks.
+# The golden model calls mont_mul per product and per to_mont, and
+# mod_add and mod_sub per Kyber pair; the butterflies inline the rest.
 
 def mont_mul_array(a, b, p: ModulusParams):
-    return _redc(a * b, p)
+    import numpy as np
+    wide = p.product_dtype
+    t = a.astype(wide, copy=False) * b.astype(wide, copy=False)
+    c = t.dtype.type  # _redc's m and shift, in place, then the select
+    m = (t & c(p.mask)) * c(p.q_prime) & c(p.mask)
+    m *= c(p.q)
+    m += t
+    m >>= c(p.r_bits)
+    u = m.astype(a.dtype, copy=False)
+    return np.minimum(u, u - u.dtype.type(p.q), out=u)
 
 
 def mod_add_array(a, b, q: int):
+    import numpy as np
     s = a + b
-    return s - q * (s >= q)
+    return np.minimum(s, s - s.dtype.type(q))
 
 
 def mod_sub_array(a, b, q: int):
+    import numpy as np
     d = a - b
-    return d + q * (d < 0)
+    return np.minimum(d, d + d.dtype.type(q))
 
 
 def mod_add_half_array(a, b, q: int):
+    import numpy as np
     s = a + b
-    return (s + (s & 1) * (q - 2 * q * (s >= q))) >> 1
+    c = s.dtype.type  # s >> 1 plus s's low bit times 2**-1, below 2q
+    h = (s >> c(1)) + (s & c(1)) * c((q + 1) // 2)
+    return np.minimum(h, h - c(q))
 
 
 def pack_lanes(lo: int, hi: int) -> int:

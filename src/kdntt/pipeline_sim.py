@@ -33,9 +33,9 @@ run_op and run_polymul run one operand set through _execute, one
 butterfly call per butterfly.  run_batch runs many through
 _execute_columns, which takes the same plan a whole stage at a time
 over (256, batch) arrays with a column per operand set, using
-core_arith's branch-free array forms on int64 operands gathered from
-an int32 value store; in a warm process it is the faster driver even
-for one product.  The CLI's verify calls _execute_columns directly on
+core_arith's borrow-select array forms on a uint32 value store and its
+gathers; in a warm process it is the faster driver even for one
+product.  The CLI's verify calls _execute_columns directly on
 the arrays it draws, so its trials never become polynomials, and on
 its one plan.  The scalar driver stays because the CLI must start
 without numpy, and because it calls the bfu butterflies that the
@@ -421,28 +421,31 @@ def run_polymul(cfg: CoreConfig, scheme: str, a: Polynomial, b: Polynomial,
 
 
 def _execute_columns(plan: _Plan, p: ModulusParams, tables, a, b):
-    """The plan's arithmetic a whole stage at a time, over int64 (256,
+    """The plan's arithmetic a whole stage at a time, over integer (256,
     batch) arrays a and b (None for ntt and intt) with a column per
     operand set, under run_op's domain contracts, and the twiddle tables
-    as int64 arrays.  a and b may stack more rows (verify's a, then da;
-    b, then fb), all of b's Montgomery-prescaled at load.  The store is
-    int32, as every value is a residue below q < 2**23, and each gather
-    widens to int64.  Returns the int64 (len(plan.out), batch) result.
-    Nothing is checked: _prepare and the caller vouch for the plan and
-    the values."""
+    as integer sequences.
+    a and b may stack more rows (verify's a, then da; b, then fb), all of
+    b's Montgomery-prescaled at load.  The store, and so every operand
+    of the array forms, is p.lane_dtype (unsigned), as every value is a
+    residue below q < 2**23.  Returns the int64 (len(plan.out), batch)
+    result.  Nothing is checked: _prepare and the caller vouch for the
+    plan and the values."""
     import numpy as np
 
-    q = p.q
+    q, lane = p.q, p.lane_dtype
+    tables = [np.asarray(t, lane) for t in tables]
     # Row i of vals is position i of _execute's list, one column per
     # operand set; each stage fills the next block of rows.
-    vals = np.empty((plan.size, a.shape[1]), np.int32)
+    vals = np.empty((plan.size, a.shape[1]), lane)
     vals[:len(a)] = a
     pos = len(a) if b is None else len(a) + len(b)
     if b is not None:
-        vals[len(a):pos] = mont_mul_array(b, p.r2_mod_q, p)
+        vals[len(a):pos] = mont_mul_array(
+            b.astype(lane), np.asarray(p.r2_mod_q, lane), p)
     for phase, xs, ys, ws in plan.stages:
-        x = vals.take(np.frombuffer(xs, np.uintc), 0).astype(np.int64)
-        y = vals.take(np.frombuffer(ys, np.uintc), 0).astype(np.int64)
+        x = vals.take(np.frombuffer(xs, np.uintc), 0)
+        y = vals.take(np.frombuffer(ys, np.uintc), 0)
         w = np.frombuffer(ws, np.uintc)
         # A product has one output, a butterfly two.
         out = vals[pos: pos + len(xs) * (1 + (phase != OP_PWM))]
@@ -480,15 +483,12 @@ def run_batch(cfg: CoreConfig, scheme: str, op: str, As, Bs=None,
     every operand set shares.  A hazardous plan is refused before any
     arithmetic, as run_op and run_polymul refuse it.
     """
-    import numpy as np
-
     if op not in _OPS:
         raise ValueError(f"unknown op {op!r}")
     As, Bs = tuple(As), None if Bs is None else tuple(Bs)
     plan, p, tw = _prepare(cfg, scheme, op, rom_override)
     _check_operands(scheme, op, As, Bs)
-    out = _execute_columns(plan, p, [np.array(t, np.int64) for t in tw],
-                           as_columns(As),
+    out = _execute_columns(plan, p, tw, as_columns(As),
                            None if Bs is None else as_columns(Bs))
     return (_from_columns(out, scheme, _OPS[op][1]),
             _report(cfg, scheme, op, plan))

@@ -126,27 +126,40 @@ def test_mont_redc_full_range_edges():
 
 
 def test_montgomery_reduction_on_every_residue():
-    """_redc, the body of mont_redc and mont_mul_array, on every input
-    0 <= t < R*q, by its parts.  m depends only on t mod R, so one sweep
-    over every residue r in [0, R) checks that m makes r + m*q a
-    multiple of R, and then t + m*q is one for every t with that residue:
-    the shift drops no bit, and u*R == t (mod q).  As m < R and t < R*q,
-    u = (t + m*q) / R < 2q, so one subtraction at u >= q brings every u
-    into [0, q); it is checked at u = q - 1, q and 2q - 1 (t = u*R, where
-    m = 0).  The sweep runs _redc on every residue too, in chunks of
-    2**20 int64 values (Dilithium's R is 2**23)."""
+    """_redc, the body of mont_redc, and mont_mul_array's own reduction,
+    on every input 0 <= t < R*q, by their parts.  m depends only on
+    t mod R, so one sweep over every residue r in [0, R) checks that m
+    makes r + m*q a multiple of R, and then t + m*q is one for every t
+    with that residue: the shift drops no bit, and u*R == t (mod q).  As
+    m < R and t < R*q, u = (t + m*q) / R < 2q, so one correction at
+    u >= q brings every u into [0, q): _redc's subtraction, and
+    mont_mul_array's borrow-select min(u, u - q), which picks u - q
+    exactly when it does not wrap.  Both are checked at u = q - 1, q and
+    2q - 1 (t = u*R, where m = 0).  The sweep runs _redc on every
+    residue too, in chunks of 2**20 int64 values (Dilithium's R is
+    2**23), and mont_mul_array on the same chunks in the scheme's lane
+    dtype, as t = r * 1; t = u*R is mont_mul_array(u, R)."""
     import numpy as np
     for p in SCHEMES.values():
         rinv = pow(p.r, -1, p.q)
+        lane = np.dtype(p.lane_dtype)
+        one = np.ones(1, lane)
         for start in range(0, p.r, 1 << 20):
             r = np.arange(start, min(start + (1 << 20), p.r), dtype=np.int64)
             m = ((r & p.mask) * p.q_prime) & p.mask  # as _redc forms it
             assert not ((r + m * p.q) & p.mask).any(), (p.scheme, start)
-            assert np.array_equal(_redc(r, p), r * rinv % p.q)
+            want = r * rinv % p.q
+            assert np.array_equal(_redc(r, p), want)
+            got = mont_mul_array(r.astype(lane), one, p)
+            assert got.dtype == lane and np.array_equal(got, want), \
+                (p.scheme, start)
         t = [u << p.r_bits for u in (p.q - 1, p.q, 2 * p.q - 1)]
         want = [p.q - 1, 0, p.q - 1]
         assert [_redc(x, p) for x in t] == want
         assert _redc(np.array(t, dtype=np.int64), p).tolist() == want
+        u = np.array([p.q - 1, p.q, 2 * p.q - 1], lane)
+        got = mont_mul_array(u, np.array([p.r], lane), p)
+        assert got.dtype == lane and got.tolist() == want
 
 
 def test_mod_add_examples():
@@ -202,14 +215,18 @@ def test_dilithium_add_sub_bulk():
 
 
 def _array_forms_equal_scalar(p, a, b):
-    """Each array form on int64 arrays of operand pairs equals its
-    scalar primitive on every pair."""
+    """Each array form on arrays of operand pairs, in p.lane_dtype,
+    equals its scalar primitive on every pair, and returns that dtype."""
+    import numpy as np
+    lane = np.dtype(p.lane_dtype)
     pairs = list(zip(a.tolist(), b.tolist()))
     for array_form, scalar, arg in (
             (mont_mul_array, mont_mul, p), (mod_add_array, mod_add, p.q),
             (mod_sub_array, mod_sub, p.q),
             (mod_add_half_array, mod_add_half, p.q)):
-        got = array_form(a, b, arg).tolist()
+        got = array_form(a.astype(lane), b.astype(lane), arg)
+        assert got.dtype == lane, (array_form.__name__, p.scheme)
+        got = got.tolist()
         want = [scalar(x, y, arg) for x, y in pairs]
         if got != want:
             k = next(k for k, (g, w) in enumerate(zip(got, want)) if g != w)
@@ -218,30 +235,42 @@ def _array_forms_equal_scalar(p, a, b):
 
 
 def test_array_forms_on_every_kyber_pair():
-    """All q**2 Kyber pairs, a block of rows at a time: add, sub and
-    halving add against the formulas c4 holds the scalar forms to on
-    the same pairs, mont_mul against a*b*R**-1 mod q; then all four
-    against the scalar forms themselves on a seeded sample."""
+    """All q**2 Kyber pairs, a block of rows at a time, in the lane
+    dtype (uint32): add, sub and halving add against the formulas c4
+    holds the scalar forms to on the same pairs, mont_mul against
+    a*b*R**-1 mod q, each returning uint32; then all four against the
+    scalar forms themselves on a seeded sample.  The expected values are
+    formed in int64 from the same operands."""
     import numpy as np
     p, q = KYBER, KYBER.q
+    lane = np.dtype(p.lane_dtype)
+    assert lane == np.uint32
     rinv = pow(p.r, -1, q)
     b = np.arange(q, dtype=np.int64)[None, :]
     for start in range(0, q, 256):
         a = np.arange(start, min(start + 256, q), dtype=np.int64)[:, None]
         s = a + b
-        assert np.array_equal(mod_add_array(a, b, q), s % q)
-        assert np.array_equal(mod_sub_array(a, b, q), (a - b) % q)
-        assert np.array_equal(mod_add_half_array(a, b, q), s * p.inv2 % q)
-        assert np.array_equal(mont_mul_array(a, b, p), a * b * rinv % q)
+        ua, ub = a.astype(lane), b.astype(lane)
+        for form, arg, want in (
+                (mod_add_array, q, s % q),
+                (mod_sub_array, q, (a - b) % q),
+                (mod_add_half_array, q, s * p.inv2 % q),
+                (mont_mul_array, p, a * b * rinv % q)):
+            got = form(ua, ub, arg)
+            assert got.dtype == lane and np.array_equal(got, want), \
+                (form.__name__, start)
     rng = np.random.default_rng(0xA77)
     _array_forms_equal_scalar(p, *rng.integers(0, q, (2, 100_000)))
 
 
 def test_array_forms_on_dilithium_samples():
     """10**6 seeded Dilithium pairs plus every pair of the edge values
-    0, 1, q - 2 and q - 1, against the scalar forms."""
+    0, 1, q - 2 and q - 1, in the lane dtype (uint32), against the
+    scalar forms."""
     import numpy as np
     q = DILITHIUM.q
+    assert np.dtype(DILITHIUM.lane_dtype) == np.uint32
+    assert np.dtype(DILITHIUM.product_dtype) == np.uint64
     edges = np.array([0, 1, q - 2, q - 1], dtype=np.int64)
     a, b = np.random.default_rng(0xD11).integers(0, q, (2, 1_000_000))
     _array_forms_equal_scalar(DILITHIUM,
@@ -250,20 +279,27 @@ def test_array_forms_on_dilithium_samples():
 
 
 def test_array_forms_on_dilithium_boundaries():
-    """mod_add_array, mod_sub_array and mod_add_half_array equal Python's
-    % on every Dilithium operand pair, by cases.  For a, b in [0, q),
-    s = a + b lies in [0, 2q - 2] and d = a - b in [-(q - 1), q - 1].
-    Each form is one comparison and a 0/1 correction by q:
-    - add returns s below q and s - q from q on; each is s mod q on its
-      side, so the form is right unless the comparison splits at the
-      wrong sum, which the sums q - 1, q and q + 1 pin;
-    - sub returns d from 0 on and d + q below 0, pinned by d = -1, 0, 1;
-    - the halving add returns s/2 for an even s, (s + q)/2 for an odd s
-      below q and (s - q)/2 for an odd s from q on (q is odd, so both
-      are whole); each is s * 2**-1 mod q in [0, q), and the odd sums
-      q - 2 and q, beside the even q - 1 and q + 1, pin the split.
+    """mod_add_array, mod_sub_array and mod_add_half_array, on uint32
+    operands, equal Python's % on every Dilithium operand pair, by
+    cases.  For a, b in [0, q), s = a + b lies in [0, 2q - 2] and
+    d = a - b in [-(q - 1), q - 1].  Each form ends in one borrow-select,
+    min(v, v - q) or min(d, d + q) on uint32, and for v < 2q an unsigned
+    v - q wraps above v exactly when v < q:
+    - add returns s below q (s - q wraps above it) and s - q from q on;
+      each is s mod q on its side, so the form is right unless the
+      borrow splits at the wrong sum, which the sums q - 1, q and q + 1
+      pin;
+    - sub's d = a - b wraps to 2**32 + d below 0, where d + q wraps
+      back to d + q in [1, q) and is the smaller; from 0 on d + q lies
+      above d.  d = -1, 0 and 1 pin the split;
+    - the halving add forms h = (s >> 1) + (s & 1) * (q + 1)/2, which
+      is s * 2**-1 mod q, as 2 * (q + 1)/2 == 1 (mod q), and below
+      (q - 1) + (q + 1)/2 < 2q; the select returns h below q and h - q
+      from q on.  The odd sums q - 2 and q, beside the even q - 1 and
+      q + 1, pin where h crosses q.
     The operands 0 and q - 1 and the extreme sums 0 and 2q - 2 bound
-    every intermediate, far inside int64."""
+    every intermediate: below 2q < 2**24, far inside uint32.  Each form
+    returns uint32."""
     import numpy as np
     q = DILITHIUM.q
     half = pow(2, -1, q)
@@ -276,13 +312,15 @@ def test_array_forms_on_dilithium_boundaries():
     a, b = np.array(sorted(pairs), dtype=np.int64).T
     assert {q - 2, q - 1, q, q + 1, 0, 2 * q - 2} <= set((a + b).tolist())
     assert {-1, 0, 1} <= set((a - b).tolist())
+    lane = np.dtype(DILITHIUM.lane_dtype)
     for form, want in ((mod_add_array, lambda x, y: (x + y) % q),
                        (mod_sub_array, lambda x, y: (x - y) % q),
                        (mod_add_half_array,
                         lambda x, y: (x + y) * half % q)):
-        got = form(a, b, q).tolist()
-        assert got == [want(x, y) for x, y in zip(a.tolist(), b.tolist())], \
-            form.__name__
+        got = form(a.astype(lane), b.astype(lane), q)
+        assert got.dtype == lane, form.__name__
+        assert got.tolist() == [want(x, y) for x, y in
+                                zip(a.tolist(), b.tolist())], form.__name__
 
 
 def test_pack_unpack_lanes():

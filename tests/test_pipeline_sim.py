@@ -456,6 +456,82 @@ def test_transforms_equal_the_oracles_on_the_unit_basis():
     assert points == 44
 
 
+ARRAY_FORMS = ("mont_mul_array", "mod_add_array", "mod_sub_array",
+               "mod_add_half_array")
+
+
+def test_array_executor_feeds_the_forms_only_unsigned_lanes(monkeypatch):
+    """The 40 shipped plans (ntt, intt, pwm, polymul and verify's, for
+    every shipped (design, scheme) at its shipped depth) through
+    _execute_columns with every array form wrapped.  Every array operand
+    a form receives, the prescale's constant and the twiddles included,
+    and every result it returns is of the scheme's lane dtype, uint32:
+    the borrow-select min(v, v - q) is silently wrong on a signed array,
+    so none may reach it.  The operands come in as int64, as run_batch
+    and verify hand them over.  Each run is on 4 seeded random columns
+    and the 9 pairings of the columns all 0, all q - 2 and all q - 1,
+    and equals the column oracles: direct ntt and intt, reference pwm,
+    schoolbook polymul, and for verify's plan the four of them on blocks
+    a, da, b and fb."""
+    import numpy as np
+    import kdntt.pipeline_sim as ps
+    from kdntt import ntt_reference as nr
+    seen = []
+    for name in ARRAY_FORMS:
+        def checking(*args, name=name, fn=getattr(ps, name)):
+            operands = [x for x in args if isinstance(x, np.ndarray)]
+            out = fn(*args)
+            seen.append((name, [x.dtype for x in (*operands, out)]))
+            return out
+
+        monkeypatch.setattr(ps, name, checking)
+    oracle = {OP_NTT: nr.direct_ntt_columns, OP_INTT: nr.direct_intt_columns,
+              OP_PWM: nr.reference_pwm_columns,
+              OP_POLYMUL: nr.schoolbook_columns}
+    rng = np.random.default_rng(0x1A7E)
+    plans = 0
+    for design, dg in DESIGNS.items():
+        for scheme in dg.schemes:
+            p, geom = SCHEMES[scheme], dg.geometry(scheme)
+            lane = np.dtype(p.lane_dtype)
+            assert lane == np.uint32
+            tables = [np.array(t, np.int64)
+                      for t in build_twiddle_rom(scheme)]
+            edges = np.array([0, p.q - 2, p.q - 1])
+            ea, eb = (np.repeat(edges, 3), np.tile(edges, 3))
+
+            def columns(e):
+                return np.hstack((rng.integers(0, p.q, (256, 4)),
+                                  np.broadcast_to(e, (256, 9))))
+
+            for op in (*SIM_OPS, OP_POLYMUL, ps.VERIFY_OPS):
+                plan = ps._compile(geom, dg.pipeline_depth, op)
+                a, b = columns(ea), columns(eb)
+                seen.clear()
+                if op == ps.VERIFY_OPS:
+                    da, fb = columns(eb), columns(ea)
+                    got = ps._execute_columns(plan, p, tables,
+                                              np.vstack((a, da)),
+                                              np.vstack((b, fb)))
+                    want = np.vstack((oracle[OP_POLYMUL](a, b, p),
+                                      oracle[OP_NTT](a, p),
+                                      oracle[OP_INTT](da, p),
+                                      oracle[OP_PWM](da, fb, p)))
+                elif op in (OP_PWM, OP_POLYMUL):
+                    got = ps._execute_columns(plan, p, tables, a, b)
+                    want = oracle[op](a, b, p)
+                else:
+                    got = ps._execute_columns(plan, p, tables, a, None)
+                    want = oracle[op](a, p)
+                where = (design, scheme, str(op))
+                assert np.array_equal(got, want), where
+                assert seen, where
+                for name, dtypes in seen:
+                    assert set(dtypes) == {lane}, (*where, name, dtypes)
+                plans += 1
+    assert plans == 40
+
+
 def test_fill_drain_accounting():
     # pipeline depth P costs P-1 idle cycles per drain; polymul drains
     # three times (after transforms, after pwm, after the inverse)
@@ -658,7 +734,7 @@ def test_run_batch_refuses_overdeep_depths(monkeypatch):
     import kdntt.pipeline_sim as ps
     rng = random.Random(0x0DEE)
     calls = []
-    for name in ("mont_mul_array", "ct_butterfly", "gs_butterfly_halving",
+    for name in (*ARRAY_FORMS, "ct_butterfly", "gs_butterfly_halving",
                  "kyber_pwm_pair", "dilithium_pwm"):
         monkeypatch.setattr(ps, name,
                             lambda *args, **kw: calls.append((args, kw)))
