@@ -424,13 +424,12 @@ def _execute_columns(plan: _Plan, p: ModulusParams, tables, a, b):
     """The plan's arithmetic a whole stage at a time, over integer (256,
     batch) arrays a and b (None for ntt and intt) with a column per
     operand set, under run_op's domain contracts, and the twiddle tables
-    as integer sequences.
-    a and b may stack more rows (verify's a, then da; b, then fb), all of
-    b's Montgomery-prescaled at load.  The store, and so every operand
-    of the array forms, is p.lane_dtype (unsigned), as every value is a
-    residue below q < 2**23.  Returns the int64 (len(plan.out), batch)
-    result.  Nothing is checked: _prepare and the caller vouch for the
-    plan and the values."""
+    as integer sequences.  a and b may stack more rows (verify's a, then
+    da; b, then fb), all of b's Montgomery-prescaled at load.  The store,
+    and so every operand of the array forms, is p.lane_dtype (unsigned),
+    as every value is a residue below q < 2**23.  Returns the int64
+    (len(plan.out), batch) result.  Nothing is checked: _prepare and the
+    caller vouch for the plan and the values."""
     import numpy as np
 
     q, lane = p.q, p.lane_dtype
