@@ -136,17 +136,11 @@ def _write_text(path: str, text: str) -> None:
 # Shared helpers.
 # ---------------------------------------------------------------------------
 
-def _config(args) -> CoreConfig:
-    try:
-        return CoreConfig.for_design(args.design)
-    except (KeyError, ValueError) as e:
-        raise CliError(EXIT_CONFIG, f"bad design: {e}")
-
-
 def _check_scheme(cfg: CoreConfig, scheme: str) -> str:
-    if scheme not in cfg.schemes:
-        raise CliError(EXIT_CONFIG,
-                       f"design {cfg.design} has no {scheme} datapath")
+    try:
+        cfg.geometry(scheme)
+    except ValueError as e:
+        raise CliError(EXIT_CONFIG, str(e))
     return scheme
 
 
@@ -168,7 +162,7 @@ def _rom_override(args, design: str, scheme: str):
 
 def cmd_run(args) -> int:
     """polymul, ntt, intt or pwm on the simulated core."""
-    cfg = _config(args)
+    cfg = CoreConfig.for_design(args.design)
     polys = [read_poly(path) for path in (args.a, getattr(args, "b", None))
              if path is not None]
     schemes = {p.scheme for p in polys}  # the files' headers fix it
@@ -193,7 +187,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen_roms(args) -> int:
-    cfg = _config(args)
+    cfg = CoreConfig.for_design(args.design)
     images = build_rom_images(cfg.design)
     try:
         os.makedirs(args.outdir, exist_ok=True)
@@ -276,7 +270,7 @@ def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise CliError(EXIT_CONFIG, "--trials must be at least 1")
-    cfg = _config(args)
+    cfg = CoreConfig.for_design(args.design)
     schemes = [args.scheme] if args.scheme else list(cfg.schemes)
     for s in schemes:
         _check_scheme(cfg, s)

@@ -10,8 +10,8 @@ with the bit above it (a sum's carry, a difference's no-borrow), and one
 rule per op corrects every lane: a sum sheds q once, r - q*(r >= q); a
 difference that borrowed takes q back, (r + q*(1 - (r >> w))) & (2**w-1).
 That body, _add_sub_lanes, is operators only (no branch on data, no
-assert), so the tests sweep every Kyber lane pair through it on int64
-arrays, and an array executor can run it too.
+assert), so it runs on ints in shared_add_sub and on int64 arrays in
+the tests' sweeps of every Kyber lane pair.
 
 Coefficients are unsigned ints in [0, q) at every operation boundary.
 Range checks are ``assert`` statements, so they vanish under ``python -O``

@@ -128,9 +128,9 @@ def transformed_layout(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _forward_stages(d: int, stage1_reversal: bool):
-    """Tracked-layout generation of the forward word-level schedule."""
-    la = list(range(d))
-    lb = [2 * d - 1 - r for r in range(d)]
+    """Tracked-layout generation of the forward word-level schedule: it
+    starts from initial_layout and ends at transformed_layout."""
+    la, lb = map(list, initial_layout(d))
     stages = []
     p = d
     first = True
@@ -168,8 +168,7 @@ def _forward_stages(d: int, stage1_reversal: bool):
         stages.append(StageSchedule("mirror", p, tuple(entries)))
         first = False
         p //= 2
-    assert la == [2 * r for r in range(d)]
-    assert lb == [2 * r + 1 for r in range(d)]
+    assert (tuple(la), tuple(lb)) == transformed_layout(d)
     return tuple(stages)
 
 
@@ -463,10 +462,11 @@ class DesignGeometry(NamedTuple):
     shared_banks: bool     # one bank pair serving both schemes
 
     def geometry(self, scheme: str) -> MemoryGeometry:
-        t = self.kyber_t if scheme == "kyber" else self.dilithium_t
-        if t is None:
-            raise ValueError(f"{self.name} does not support {scheme}")
-        return MemoryGeometry(scheme, t)
+        """The scheme's lanes on this design; ValueError if it has none."""
+        if scheme not in self.schemes:
+            raise ValueError(f"design {self.name} has no {scheme} lanes")
+        return MemoryGeometry(
+            scheme, self.kyber_t if scheme == "kyber" else self.dilithium_t)
 
     @property
     def schemes(self) -> tuple[str, ...]:
@@ -497,6 +497,14 @@ DESIGNS: dict[str, DesignGeometry] = {dg.name: dg for dg in (
     DesignGeometry("d2", 4, 2, 15, True),
     DesignGeometry("d3", 8, 4, 8, True),
 )}
+
+
+def design_geometry(name: str) -> DesignGeometry:
+    """The shipped design called name: the one lookup of DESIGNS by name."""
+    try:
+        return DESIGNS[name]
+    except KeyError:
+        raise ValueError(f"unknown design {name!r}") from None
 
 
 def _twiddle_regions(dg: DesignGeometry) -> dict[str, tuple[int, int, int]]:
@@ -564,9 +572,7 @@ def estimate_bram_usage(design: str) -> BramEstimate:
     serving every scheme; separate-bank designs one set per scheme.  ROM
     depths are the lengths of the images build_rom_images emits.
     """
-    if design not in DESIGNS:
-        raise ValueError(f"unknown design {design!r}")
-    dg = DESIGNS[design]
+    dg = design_geometry(design)
     tw = _twiddle_regions(dg)
     groups = ([("", dg.schemes)] if dg.shared_banks
               else [(f"{s} ", (s,)) for s in dg.schemes])
@@ -610,9 +616,7 @@ def build_rom_images(design: str) -> dict:
     image holds each scheme's program entries, one per word (see
     _addr_fields).
     """
-    if design not in DESIGNS:
-        raise ValueError(f"unknown design {design!r}")
-    dg = DESIGNS[design]
+    dg = design_geometry(design)
     width = dg.bank_width
     manifest: dict[str, object] = {
         "design": design,
@@ -667,14 +671,16 @@ def decode_twiddle_image(text: str, design: str, scheme: str) -> TwiddleRom:
     The inverse of build_rom_images' twiddle packing for one scheme of a
     design; blank lines are skipped.  Raises ValueError, naming the
     line, for a word that is not ASCII hex digits, has a bit set above
-    its packed values or holds a value outside [0, q), and for an image
-    whose word count is not the design's own, or for a design without scheme.
+    its packed values or holds a value outside [0, q), for an image
+    whose word count is not the design's own, and, as design_geometry
+    and DesignGeometry.geometry do, for an unknown design or a scheme
+    the design has no lanes of.
     """
-    if design not in DESIGNS or scheme not in DESIGNS[design].schemes:
-        raise ValueError(f"design {design!r} has no {scheme!r} twiddles")
+    dg = design_geometry(design)
+    dg.geometry(scheme)  # a scheme the design has lanes of
     p = SCHEMES[scheme]
     rom = build_twiddle_rom(scheme)
-    regions = _twiddle_regions(DESIGNS[design])
+    regions = _twiddle_regions(dg)
     offset, per_word, n_words = regions[scheme]
     words = []
     for n, ln in enumerate(text.splitlines(), start=1):

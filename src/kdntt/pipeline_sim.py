@@ -97,11 +97,11 @@ from .bfu import (
     kyber_pwm_pair,
 )
 from .memory_map import (
-    DESIGNS,
     BankMemory,
     Hazard,
     MemoryGeometry,
     build_twiddle_rom,
+    design_geometry,
     estimate_bram_usage,
     initial_layout,
     run_stages,
@@ -129,9 +129,7 @@ class CoreConfig(_Frozen):
     pipeline_depth: int
 
     def __init__(self, design: str, pipeline_depth: int) -> None:
-        if design not in DESIGNS:
-            raise ValueError(f"unknown design {design!r}")
-        bound = DESIGNS[design].max_pipeline_depth
+        bound = design_geometry(design).max_pipeline_depth
         if (not isinstance(pipeline_depth, int)
                 or isinstance(pipeline_depth, bool)
                 or not 1 <= pipeline_depth <= bound):
@@ -144,16 +142,14 @@ class CoreConfig(_Frozen):
     @classmethod
     def for_design(cls, design: str) -> "CoreConfig":
         """The design at its shipped pipeline depth."""
-        if design not in DESIGNS:
-            raise ValueError(f"unknown design {design!r}")
-        return cls(design, DESIGNS[design].pipeline_depth)
+        return cls(design, design_geometry(design).pipeline_depth)
 
     def geometry(self, scheme: str) -> MemoryGeometry:
-        return DESIGNS[self.design].geometry(scheme)
+        return design_geometry(self.design).geometry(scheme)
 
     @property
     def schemes(self) -> tuple[str, ...]:
-        return DESIGNS[self.design].schemes
+        return design_geometry(self.design).schemes
 
 
 class SimReport(NamedTuple):
@@ -331,13 +327,13 @@ def _execute(plan: _Plan, p: ModulusParams, tw, a: Polynomial,
 
 
 def _prepare(cfg: CoreConfig, scheme: str, op: str, rom_override):
-    """The prologue of every run, before any operand is seen: check the
-    scheme and rom_override, take the op's plan for this geometry and
+    """The prologue of every run, before any operand is seen: take the
+    scheme's geometry (which refuses a scheme the design has no lanes
+    of), check rom_override, take the op's plan for this geometry and
     depth (built on first use) and refuse a hazardous one.  op is one of
     _OPS, which the public drivers check, or VERIFY_OPS.  Returns the
     plan, the scheme's parameters and the twiddle tables."""
-    if scheme not in cfg.schemes:
-        raise ValueError(f"design {cfg.design} has no {scheme} lanes")
+    geom = cfg.geometry(scheme)
     p = SCHEMES[scheme]
     tw = build_twiddle_rom(scheme)
     if rom_override is not None:
@@ -351,7 +347,7 @@ def _prepare(cfg: CoreConfig, scheme: str, op: str, rom_override):
             raise ValueError(f"rom_override must hold integer tables of "
                              f"lengths {tuple(map(len, tw))} in [0, {p.q})")
         tw = override
-    plan = _compile(cfg.geometry(scheme), cfg.pipeline_depth, op)
+    plan = _compile(geom, cfg.pipeline_depth, op)
     if plan.hazards:
         h = plan.hazards[0]
         raise RuntimeError(

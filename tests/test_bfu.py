@@ -110,6 +110,13 @@ def test_dual_lane_mult_kyber_operand_range():
                 dual_lane_mult(x, y, KYBER_PAIR)
 
 
+def test_dual_lane_mult_refuses_an_unknown_mode():
+    """A mode other than the multiplier's two raises ValueError naming
+    it; the check is no assert, so it holds under python -O too."""
+    with pytest.raises(ValueError, match="unknown multiplier mode 'triple'"):
+        bfu.dual_lane_mult(0, 0, "triple")
+
+
 def test_dual_lane_mult_counter(count_mults):
     """The tally counts each pass at the name unified_bfu_step calls."""
     c = count_mults()

@@ -186,6 +186,22 @@ def test_plan_follows_a_mutated_depth():
     assert out.coeffs == schoolbook_negacyclic(a, b).coeffs
 
 
+def test_compile_refuses_a_stage_that_reads_its_own_writes(monkeypatch):
+    """The array executor runs a stage at once, so a stage may not read
+    a word it writes.  standalone-kyber's first ntt stage, given a copy
+    of its first entry at its end, re-reads two rows it wrote (without
+    a hazard at depth 1): _compile raises instead of lowering it."""
+    import kdntt.pipeline_sim as ps
+    geom = DESIGNS["standalone-kyber"].geometry("kyber")
+    prog = scheme_program(geom)
+    first = prog.ntt[0]
+    bad = first._replace(entries=first.entries + first.entries[:1])
+    monkeypatch.setattr(ps, "scheme_program",
+                        lambda _geom: prog._replace(ntt=(bad, *prog.ntt[1:])))
+    with pytest.raises(RuntimeError, match="reads a word it writes"):
+        ps._compile.__wrapped__(geom, 1, OP_NTT)
+
+
 def test_executor_looks_butterflies_up_at_call_time(monkeypatch):
     """A cached plan must not capture the butterfly functions: wrappers
     installed after the plan is compiled see every call of the next
