@@ -8,6 +8,15 @@ The package has three layers:
   unit, twiddle/address ROM generation, and the conflict-free two-bank
   access schedule;
 - the cycle-accurate simulator (pipeline_sim) and a CLI (cli) on top.
+
+``from kdntt import`` gives the checked API: the drivers (run_op,
+run_polymul, run_batch, latency_model), CoreConfig and SimReport with
+the ops, Polynomial and the scheme parameters, the four oracles, and
+the ROM and BRAM tools.  Each rejects a bad input with ValueError, also
+under ``python -O``.  The per-lane primitives, the schedule builders and
+the unified unit stay module functions (kdntt.core_arith, kdntt.bfu,
+kdntt.memory_map) whose range checks are asserts, so they are unchecked
+under -O: checking them always would cost run_polymul about 14%.
 """
 
 from .core_arith import (
@@ -20,30 +29,12 @@ from .core_arith import (
     N,
     Polynomial,
     SCHEMES,
-    bit_reverse,
-    from_mont,
-    mod_add,
-    mod_add_half,
-    mod_sub,
-    mont_mul,
-    mont_redc,
-    shared_add_sub,
-    to_mont,
 )
 from .ntt_reference import (
     direct_intt,
     direct_ntt,
     reference_pwm,
     schoolbook_negacyclic,
-)
-from .bfu import (
-    BfuIo,
-    ct_butterfly,
-    dilithium_pwm,
-    fast_ntt,
-    gs_butterfly_halving,
-    kyber_pwm_pair,
-    unified_bfu_step,
 )
 from .memory_map import (
     DESIGNS,
@@ -53,11 +44,7 @@ from .memory_map import (
     TwiddleRom,
     build_rom_images,
     build_twiddle_rom,
-    check_conflict_free,
     estimate_bram_usage,
-    generate_addresses,
-    initial_layout,
-    transformed_layout,
 )
 from .pipeline_sim import (
     OP_INTT,
@@ -76,16 +63,12 @@ from .pipeline_sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BfuIo", "BramEstimate", "CoreConfig", "DESIGNS", "DILITHIUM", "DOMAINS",
+    "BramEstimate", "CoreConfig", "DESIGNS", "DILITHIUM", "DOMAINS",
     "DOMAIN_NORMAL", "DOMAIN_NTT_BR", "DesignGeometry", "KYBER",
     "MemoryGeometry", "ModulusParams", "N", "OP_INTT", "OP_NTT",
     "OP_POLYMUL", "OP_PWM", "Polynomial", "SCHEMES", "SIM_OPS",
-    "SimReport", "TwiddleRom", "bit_reverse", "build_rom_images",
-    "build_twiddle_rom", "check_conflict_free", "ct_butterfly",
-    "dilithium_pwm", "direct_intt", "direct_ntt", "estimate_bram_usage",
-    "fast_ntt", "from_mont", "generate_addresses", "gs_butterfly_halving",
-    "initial_layout", "kyber_pwm_pair", "latency_model", "mod_add",
-    "mod_add_half", "mod_sub", "mont_mul", "mont_redc", "reference_pwm",
-    "run_batch", "run_op", "run_polymul", "schoolbook_negacyclic",
-    "shared_add_sub", "to_mont", "transformed_layout", "unified_bfu_step",
+    "SimReport", "TwiddleRom", "build_rom_images", "build_twiddle_rom",
+    "direct_intt", "direct_ntt", "estimate_bram_usage", "latency_model",
+    "reference_pwm", "run_batch", "run_op", "run_polymul",
+    "schoolbook_negacyclic",
 ]

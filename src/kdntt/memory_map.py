@@ -127,13 +127,13 @@ def transformed_layout(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(2 * r for r in range(d)), tuple(2 * r + 1 for r in range(d))
 
 
-def _forward_stages(d: int, stage1_reversal: bool):
-    """Tracked-layout generation of the forward word-level schedule: it
-    starts from initial_layout and ends at transformed_layout."""
+def _forward_stages(d: int) -> tuple[StageSchedule, ...]:
+    """Tracked-layout generation of the forward word-level schedule,
+    without the stage-1 reversal: it starts from initial_layout and ends
+    at transformed_layout."""
     la, lb = map(list, initial_layout(d))
     stages = []
     p = d
-    first = True
     while p >= 1:
         entries = []
         for g in range(d // p):
@@ -163,10 +163,7 @@ def _forward_stages(d: int, stage1_reversal: bool):
                     entries.append(CycleEntry(ra, rb, int(wa == high),
                                               int(not low_to_a),
                                               d // p + g))
-        if first and stage1_reversal:
-            entries = entries[: d // 2] + entries[d // 2:][::-1]
         stages.append(StageSchedule("mirror", p, tuple(entries)))
-        first = False
         p //= 2
     assert (tuple(la), tuple(lb)) == transformed_layout(d)
     return tuple(stages)
@@ -184,23 +181,25 @@ def _inverse(stages) -> tuple[StageSchedule, ...]:
         for st in reversed(stages))
 
 
-def generate_addresses(ch: int, d: int, stage1_reversal: bool = True
-                       ) -> tuple[StageSchedule, ...]:
+def generate_addresses(ch: int, d: int) -> tuple[StageSchedule, ...]:
     """Build the word-level stages of a forward (ch=0) or inverse (ch=1)
     transform over 2d words.
 
-    The forward schedule emits log2(2d) stages of d cycles; stage 1's
-    second half is emitted in reverse (disable via stage1_reversal to
-    reproduce the hazard it prevents).  The inverse schedule is
-    _inverse of the forward one without the reversal.
+    The forward schedule emits log2(2d) stages of d cycles, stage 1's
+    second half in reverse: each stage-1 cycle owns its rows, so the
+    order changes no layout, only how soon stage 2 may read them.  The
+    inverse schedule is _inverse of the forward one without the reversal.
     """
     if d < 2 or d & (d - 1):
         raise ValueError("region depth must be a power of two >= 2")
     if ch not in (CH_NTT, CH_INTT):
         raise ValueError("ch selects 0 (forward) or 1 (inverse)")
-    if ch == CH_NTT:
-        return _forward_stages(d, stage1_reversal)
-    return _inverse(_forward_stages(d, False))
+    stages = _forward_stages(d)
+    if ch == CH_INTT:
+        return _inverse(stages)
+    e = stages[0].entries
+    return (stages[0]._replace(entries=e[: d // 2] + e[d // 2:][::-1]),
+            *stages[1:])
 
 
 def intra_word_stages(geom: MemoryGeometry) -> tuple[StageSchedule, ...]:
@@ -273,7 +272,7 @@ def scheme_program(geom: MemoryGeometry) -> SchemeProgram:
     intra = intra_word_stages(geom)
     return SchemeProgram(
         ntt=generate_addresses(CH_NTT, geom.d) + intra,
-        intt=_inverse(_forward_stages(geom.d, False) + intra),
+        intt=_inverse(_forward_stages(geom.d) + intra),
         pwm=(pwm_schedule(geom),))
 
 
@@ -390,6 +389,8 @@ class TwiddleRom(NamedTuple):
 
 @lru_cache(maxsize=None)
 def build_twiddle_rom(scheme: str) -> TwiddleRom:
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
     p = SCHEMES[scheme]
     rom = TwiddleRom(forward_zetas(p), inverse_zetas(p), basemul_zetas(p))
     assert from_mont(rom.forward[0], p) == 1

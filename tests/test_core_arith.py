@@ -333,6 +333,10 @@ def test_pack_unpack_lanes():
             pack_lanes(4096, 0)
         with pytest.raises(AssertionError):
             pack_lanes(0, -1)
+        with pytest.raises(AssertionError):
+            pack_lanes(0, 4096)
+        with pytest.raises(AssertionError):
+            pack_lanes(-1, 0)
 
 
 def test_guard_sel_covers_all_cases():

@@ -1,6 +1,7 @@
 """Every name a kdntt or test module imports is used by that module,
 every parameter a kdntt or test function takes is read by it, every
-name in kdntt.__all__ exists, the modules' top-level imports form no cycle,
+name in kdntt.__all__ exists and each callable among them refuses a bad
+value under python -O, the modules' top-level imports form no cycle,
 only memory_map reads a program's bank addresses and routing flags,
 only pipeline_sim's compile step reads a word width, and only
 memory_map (for the ROM zetas) and verify import the oracles.
@@ -10,6 +11,9 @@ for one.  __init__ is skipped: its imports are the package's re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -88,6 +92,72 @@ def test_every_exported_name_resolves():
     # a name left in __all__ after its definition goes breaks import *
     missing = [name for name in kdntt.__all__ if not hasattr(kdntt, name)]
     assert not missing, f"kdntt.__all__ names undefined {missing}"
+
+
+# One bad-value call per callable kdntt exports, with a fragment of the
+# ValueError it must raise.  The names a, fa (a in ntt-br order), d and cfg
+# are bound in the subprocess below.
+_BAD_CALLS = {
+    "CoreConfig": ("CoreConfig('d2', 33)", "pipeline depth 33"),
+    "MemoryGeometry": ("MemoryGeometry('kyber', 3)", "lane count"),
+    "ModulusParams": ("ModulusParams('kyber', 3329, 17, 255)",
+                      "power-of-two order 255"),
+    "Polynomial": ("Polynomial([3329] * N, 'kyber')", "out of range"),
+    "build_rom_images": ("build_rom_images('bogus')",
+                         "unknown design 'bogus'"),
+    "build_twiddle_rom": ("build_twiddle_rom('bogus')",
+                          "unknown scheme 'bogus'"),
+    "estimate_bram_usage": ("estimate_bram_usage('bogus')",
+                            "unknown design 'bogus'"),
+    "direct_ntt": ("direct_ntt(fa, KYBER)", "normal-domain"),
+    "direct_intt": ("direct_intt(a, KYBER)", "ntt-br-domain"),
+    "reference_pwm": ("reference_pwm(a, a)", "ntt-br-domain"),
+    "schoolbook_negacyclic": ("schoolbook_negacyclic(a, d)",
+                              "does not match kyber"),
+    "latency_model": ("latency_model(cfg, 'kyber', 'fft')",
+                      "unknown op 'fft'"),
+    "run_op": ("run_op(cfg, 'kyber', OP_NTT, d)", "does not match kyber"),
+    "run_polymul": ("run_polymul(cfg, 'kyber', a, fa)", "normal-domain"),
+    "run_batch": ("run_batch(cfg, 'kyber', OP_POLYMUL, [a], [a, a])",
+                  "1 a operands but 2 b operands"),
+}
+
+
+def test_every_exported_callable_refuses_a_bad_value_under_python_O():
+    """kdntt's namespace is its checked API: every callable it exports,
+    bar the NamedTuple records, rejects a bad value with ValueError when
+    asserts are stripped.  The table must name exactly those callables,
+    so an unchecked export fails here until it is checked or dropped."""
+    exported = {name: getattr(kdntt, name) for name in kdntt.__all__}
+    records = {name for name, obj in exported.items()
+               if isinstance(obj, type) and issubclass(obj, tuple)}
+    assert records == {"BramEstimate", "DesignGeometry", "SimReport",
+                       "TwiddleRom"}
+    assert set(_BAD_CALLS) == {name for name, obj in exported.items()
+                               if callable(obj)} - records
+    src = str(Path(kdntt.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "import sys\n"
+         "from kdntt import *\n"
+         "a = Polynomial([0] * N, 'kyber')\n"
+         "fa = Polynomial([0] * N, 'kyber', DOMAIN_NTT_BR)\n"
+         "d = Polynomial([0] * N, 'dilithium')\n"
+         "cfg = CoreConfig.for_design('d2')\n"
+         "for name, call in eval(sys.argv[1]):\n"
+         "    try:\n"
+         "        print(name, 'accepted:', eval(call))\n"
+         "    except ValueError as e:\n"
+         "        print(name, 'rejected:', e)\n",
+         repr([(name, call) for name, (call, _) in _BAD_CALLS.items()])],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(_BAD_CALLS), proc.stdout
+    for line, (name, (_, fragment)) in zip(lines, _BAD_CALLS.items()):
+        assert line.startswith(f"{name} rejected: ") and fragment in line, \
+            line
 
 
 def test_no_unused_imports_in_package():

@@ -1012,13 +1012,12 @@ def test_depth_and_bit_width_checks_survive_python_O():
     tests = str(Path(__file__).resolve().parent)
     proc = subprocess.run(
         [sys.executable, "-O", "-c",
-         "from kdntt import (DILITHIUM, BfuIo, CoreConfig, "
-         "check_conflict_free, generate_addresses, shared_add_sub, "
-         "unified_bfu_step)\n"
-         "from kdntt.bfu import dual_lane_mult\n"
+         "from kdntt import DILITHIUM, CoreConfig\n"
+         "from kdntt.bfu import BfuIo, dual_lane_mult, unified_bfu_step\n"
          "from kdntt.core_arith import DILITHIUM_SINGLE, KYBER_PAIR, "
-         "pack_lanes\n"
-         "from kdntt.memory_map import pack_word\n"
+         "pack_lanes, shared_add_sub\n"
+         "from kdntt.memory_map import check_conflict_free, "
+         "generate_addresses, pack_word\n"
          "from kdntt.ntt_reference import bit_reverse\n"
          "from oracles import kyber_basecase_ref\n"
          "lanes = (BfuIo(1, 2, 3), BfuIo(4, 5, 6))\n"
