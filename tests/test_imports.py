@@ -95,8 +95,9 @@ def test_every_exported_name_resolves():
 
 
 # One bad-value call per callable kdntt exports, with a fragment of the
-# ValueError it must raise.  The names a, fa (a in ntt-br order), d and cfg
-# are bound in the subprocess below.
+# ValueError it must raise.  The subprocess below binds a and fa, zero Kyber
+# polynomials in the normal and ntt-br domains, d, a zero Dilithium one,
+# and cfg, d2 at its shipped depth.
 _BAD_CALLS = {
     "CoreConfig": ("CoreConfig('d2', 33)", "pipeline depth 33"),
     "MemoryGeometry": ("MemoryGeometry('kyber', 3)", "lane count"),
