@@ -268,8 +268,13 @@ def mont_mul(a: int, b: int, p: ModulusParams) -> int:
 
 
 def to_mont(a: int, p: ModulusParams) -> int:
-    """Scale into the Montgomery domain: a -> a * R mod q."""
-    return mont_mul(a, p.r2_mod_q, p)
+    """Scale into the Montgomery domain: a -> a * R mod q, mont_mul by
+    R**2 mod q in one frame (that constant is below q by construction)."""
+    q = p.q
+    assert 0 <= a < q
+    t = a * p.r2_mod_q
+    t = (t + ((t & p.mask) * p.q_prime & p.mask) * q) >> p.r_bits
+    return t - q if t >= q else t
 
 
 def from_mont(a: int, p: ModulusParams) -> int:
@@ -312,8 +317,8 @@ def mod_add_half(a: int, b: int, q: int) -> int:
 # That select is wrong on ints and signed arrays, so they take only
 # p.lane_dtype arrays, cast every constant to it and share no code with
 # the scalar forms; a product widens to p.product_dtype.  No range checks.
-# The golden model calls mont_mul per product and per to_mont, and
-# mod_add and mod_sub per Kyber pair; the butterflies inline the rest.
+# The golden model calls none of the scalar forms: to_mont and bfu's
+# two butterflies and two pointwise products inline them, one frame each.
 
 def mont_mul_array(a, b, p: ModulusParams):
     import numpy as np

@@ -195,11 +195,14 @@ def generate_addresses(ch: int, d: int) -> tuple[StageSchedule, ...]:
     if ch not in (CH_NTT, CH_INTT):
         raise ValueError("ch selects 0 (forward) or 1 (inverse)")
     stages = _forward_stages(d)
-    if ch == CH_INTT:
-        return _inverse(stages)
+    return _inverse(stages) if ch == CH_INTT else _reverse_stage1(stages)
+
+
+def _reverse_stage1(stages) -> tuple[StageSchedule, ...]:
+    """A forward phase with its stage 1's second half in reverse."""
     e = stages[0].entries
-    return (stages[0]._replace(entries=e[: d // 2] + e[d // 2:][::-1]),
-            *stages[1:])
+    h = len(e) // 2
+    return (stages[0]._replace(entries=e[:h] + e[h:][::-1]), *stages[1:])
 
 
 def intra_word_stages(geom: MemoryGeometry) -> tuple[StageSchedule, ...]:
@@ -267,12 +270,13 @@ class SchemeProgram(NamedTuple):
 def scheme_program(geom: MemoryGeometry) -> SchemeProgram:
     """The program of one scheme geometry, built once and shared.
 
-    The intt phase is _inverse of the forward phase without the stage-1
-    reversal, mirror and in-word stages alike."""
-    intra = intra_word_stages(geom)
+    The ntt phase is generate_addresses' forward schedule and the intt
+    phase _inverse of it without the stage-1 reversal, mirror and in-word
+    stages alike; both come from one _forward_stages build."""
+    forward, intra = _forward_stages(geom.d), intra_word_stages(geom)
     return SchemeProgram(
-        ntt=generate_addresses(CH_NTT, geom.d) + intra,
-        intt=_inverse(_forward_stages(geom.d) + intra),
+        ntt=_reverse_stage1(forward) + intra,
+        intt=_inverse(forward + intra),
         pwm=(pwm_schedule(geom),))
 
 

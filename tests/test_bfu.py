@@ -2,6 +2,7 @@
 pointwise product, the unified dual-lane step, and fast_ntt (kept for
 perfbench), with the core's intt checked against its oracle."""
 
+import itertools
 import random
 import sys
 
@@ -31,6 +32,7 @@ from kdntt.bfu import (
     MODE_PWM1,
     SCHEME_MODES,
     BfuIo,
+    PwmCarry,
     ct_butterfly,
     dilithium_pwm,
     dual_lane_mult,
@@ -176,6 +178,53 @@ def test_butterflies_equal_wide_integer_arithmetic():
                         args[k] = bad
                         with pytest.raises(AssertionError):
                             step(*args, p)
+
+
+def test_pointwise_products_equal_wide_integer_arithmetic():
+    """kyber_pwm_pair's two stages, dilithium_pwm and to_mont compute
+    their Montgomery products and conditional add/sub in one frame; each
+    must equal plain big-integer arithmetic mod q on every tuple of
+    boundary values and on 50 000 seeded tuples per scheme, and every
+    operand out of range (q or -1, in any position) must raise."""
+    rng = random.Random(0x9A1F)
+    for p in SCHEMES.values():
+        q = p.q
+        r_inv = pow(p.r, -1, q)
+        edges = (0, 1, 2, (q - 1) // 2, (q + 1) // 2, q - 2, q - 1)
+        tuples = list(itertools.product(edges, repeat=5))
+        tuples += [tuple(rng.randrange(q) for _ in range(5))
+                   for _ in range(50_000)]
+        for a0, a1, b0, b1, psi in tuples:
+            assert kyber_pwm_pair(MODE_PWM0, (a0, a1), (b0, b1), 0, p) == (
+                a0 * b0 * r_inv % q, a1 * b1 * r_inv % q,
+                (a0 + a1) % q, (b0 + b1) % q)
+            # the four values as a carry: m00, m11, s_a, s_b
+            carry = PwmCarry(a0, a1, b0, b1)
+            assert kyber_pwm_pair(MODE_PWM1, (0, 0), (0, 0), psi, p,
+                                  carry_state=carry) == (
+                (a0 + psi * a1 * r_inv) % q, (b0 * b1 * r_inv - a0 - a1) % q)
+            assert dilithium_pwm(a0, b0, p) == a0 * b0 * r_inv % q
+            assert to_mont(a0, p) == a0 * p.r % q
+        if sys.flags.optimize == 0:  # -O strips the range asserts
+            for bad in (q, -1):
+                for k in range(4):
+                    ops = [1, 2, 3, 4]
+                    ops[k] = bad
+                    with pytest.raises(AssertionError):
+                        kyber_pwm_pair(MODE_PWM0, ops[:2], ops[2:], 0, p)
+                for k in range(5):  # psi, then m00, m11, s_a, s_b
+                    ops = [1, 2, 3, 4, 5]
+                    ops[k] = bad
+                    with pytest.raises(AssertionError):
+                        kyber_pwm_pair(MODE_PWM1, (0, 0), (0, 0), ops[0], p,
+                                       carry_state=PwmCarry(*ops[1:]))
+                for k in range(2):
+                    ops = [1, 2]
+                    ops[k] = bad
+                    with pytest.raises(AssertionError):
+                        dilithium_pwm(*ops, p)
+                with pytest.raises(AssertionError):
+                    to_mont(bad, p)
 
 
 def test_kyber_pwm_pair_matches_basecase():
