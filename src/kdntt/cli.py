@@ -51,6 +51,9 @@ EXIT_IO = 4
 # measured point), and the arrays stay this size for any --trials.
 VERIFY_BATCH = 20
 
+# verify's checks, in the order of VERIFY_OPS' outputs and of its report
+_CHECKS = ("product", "forward transform", "roundtrip", "pointwise")
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str) -> None:
@@ -210,21 +213,35 @@ def _draw_trials(seed: int, scheme: str, indices):
     rng is verify's alone, so the draw may read past the 512th value's
     word: getrandbits(32*m) returns m words, lowest first, and the first
     512 of their w >> (32 - k) below q are the values of 512
-    randrange(q) calls.  m is the expected need plus a margin; a trial
-    left short draws m more words."""
+    randrange(q) calls.  m is the expected need plus a margin.  Each
+    trial's rng is seeded, in index order, and makes one getrandbits
+    call; one numpy pass over all those words then filters them, counts
+    each trial's kept values and gathers each trial's first 512.  A
+    trial left short (rare, and only Kyber's) draws m more words at a
+    time from its own rng until it has 512."""
     import numpy as np
     q = SCHEMES[scheme].q
     k = q.bit_length()
     m = (2 * N << k) // q + 32
-    out = np.empty((2 * N, len(indices)), np.int64)
-    for j, i in enumerate(indices):
-        rng = random.Random(f"{seed}/{scheme}/{i}")
-        kept = np.empty(0, np.uint32)
-        while len(kept) < 2 * N:
-            words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
-            w = np.frombuffer(words, "<u4") >> 32 - k
-            kept = np.concatenate((kept, w[w < q]))
-        out[:, j] = kept[:2 * N]
+    rngs = [random.Random(f"{seed}/{scheme}/{i}") for i in indices]
+    # the joined words are freed once shifted, before the filter runs
+    w = np.frombuffer(b"".join(
+        rng.getrandbits(32 * m).to_bytes(4 * m, "little") for rng in rngs),
+        "<u4").reshape(len(rngs), m) >> 32 - k
+    below = w < q
+    counts = below.sum(1)
+    kept = w[below]  # every trial's kept values, trial after trial
+    starts = np.cumsum(counts) - counts
+    for j in np.flatnonzero(counts < 2 * N):
+        row = w[j][below[j]]
+        while len(row) < 2 * N:
+            more = rngs[j].getrandbits(32 * m).to_bytes(4 * m, "little")
+            more = np.frombuffer(more, "<u4") >> 32 - k
+            row = np.concatenate((row, more[more < q]))
+        # the short trial's values go after the rest; its start points there
+        starts[j] = len(kept)
+        kept = np.concatenate((kept, row))
+    out = kept[starts + np.arange(2 * N)[:, None]].astype(np.int64)
     return out.reshape(2, N, -1)
 
 
@@ -248,22 +265,20 @@ def _verify_trials(cfg: CoreConfig, scheme: str, seed: int, trials: int,
         indices = range(start, min(start + VERIFY_BATCH, trials))
         a, b = _draw_trials(seed, scheme, indices)
         da, fb = np.hsplit(nr.direct_ntt_columns(np.hstack((a, b)), p), 2)
-        product, fa, back, pointwise = np.split(_execute_columns(
-            plan, p, tw, np.vstack((a, da)), np.vstack((b, fb))), 4)
-        checks = (
-            ("product", product, nr.schoolbook_columns(a, b, p)),
-            ("forward transform", fa, da),
-            ("roundtrip", back, a),
-            ("pointwise", pointwise, nr.reference_pwm_columns(da, fb, p)),
-        )
-        # wrong[check, coefficient, trial]; argwhere lists hits in index
-        # order, so over (trial, check, coefficient) the first is the
-        # failure a trial-by-trial check reports
-        wrong = np.stack([got != want for _, got, want in checks])
+        got = _execute_columns(plan, p, tw, np.vstack((a, da)),
+                               np.vstack((b, fb)))
+        # the executor's rows are product, fa, back and pointwise, N each
+        want = np.vstack((nr.schoolbook_columns(a, b, p), da, a,
+                          nr.reference_pwm_columns(da, fb, p)))
+        wrong = got != want
         if wrong.any():
-            trial, check, k = np.argwhere(wrong.transpose(2, 0, 1))[0]
+            # wrong[check, coefficient, trial]; argwhere lists hits in
+            # index order, so over (trial, check, coefficient) the first
+            # is the failure a trial-by-trial check reports
+            trial, check, k = np.argwhere(
+                wrong.reshape(len(_CHECKS), N, -1).transpose(2, 0, 1))[0]
             return (f"trial {indices[trial]} (seed {seed}): "
-                    f"{checks[check][0]} mismatch at coefficient {k}")
+                    f"{_CHECKS[check]} mismatch at coefficient {k}")
     return None
 
 

@@ -12,7 +12,10 @@ one-column calls of those bodies.  The oracles stay naive: no
 butterfly and no Montgomery arithmetic.  The direct transforms (one
 matrix product) and the schoolbook (one convolution per column) work in
 float64 on residues centred into (-q/2, q/2]: a term is below 2**44 and
-a sum of up to 256 terms below 2**52 < 2**53, so both are exact.
+a sum of up to 256 terms below 2**52 < 2**53, so both are exact.  Every
+oracle reduces its int64 result by floor division, x - x // q * q
+(_mod_q), which equals x % q and which numpy computes several times
+faster.
 numpy is imported only inside the functions that use it, never at
 module level, so the CLI's simulator commands start without paying for
 it.  The module imports only core_arith, where Polynomial lives.
@@ -132,6 +135,16 @@ def _centred(x: np.ndarray, q: int) -> np.ndarray:
     return (x - q * (x > q // 2)).astype("float64")
 
 
+def _mod_q(x: np.ndarray, q: int) -> np.ndarray:
+    """x mod q, in [0, q) as Python's % gives, for an int64 array x.
+
+    numpy divides int64 by a scalar on a fast path (a multiply by a
+    precomputed reciprocal) but has no fast remainder: x % q takes
+    several times as long as x // q, so the oracles reduce as
+    x - x // q * q, which floor division makes equal to x % q."""
+    return x - x // q * q
+
+
 def _evaluate(x: np.ndarray, p: ModulusParams,
               matrix: np.ndarray) -> np.ndarray:
     """Apply matrix to each of the min_len interleaved coefficient streams
@@ -139,7 +152,7 @@ def _evaluate(x: np.ndarray, p: ModulusParams,
     interleaved in place: (256, batch) is read as (256/min_len,
     min_len*batch), one matrix column per stream of a polynomial."""
     streams = _centred(x.reshape(-1, p.min_len * x.shape[1]), p.q)
-    return ((matrix @ streams).astype("int64") % p.q).reshape(x.shape)
+    return _mod_q((matrix @ streams).astype("int64"), p.q).reshape(x.shape)
 
 
 def direct_ntt_columns(x: np.ndarray, p: ModulusParams) -> np.ndarray:
@@ -172,15 +185,16 @@ def schoolbook_columns(x: np.ndarray, y: np.ndarray,
                        p: ModulusParams) -> np.ndarray:
     """schoolbook_negacyclic of every column pair of x and y."""
     import numpy as np
-    x, y = _centred(x, p.q), _centred(y, p.q)
-    out = np.empty_like(x)
-    for j in range(x.shape[1]):
+    # a row per polynomial, so each convolution reads contiguous operands
+    x, y = (_centred(np.ascontiguousarray(v.T), p.q) for v in (x, y))
+    conv = np.empty((len(x), 2 * N - 1))
+    for j, (xj, yj) in enumerate(zip(x, y)):
         # Centred terms are below 2**44 in size and an output sums 256 of
         # them, below 2**52 < 2**53: float64 is exact in any order.
-        conv = np.convolve(x[:, j], y[:, j])
-        out[:, j] = conv[:N]
-        out[: N - 1, j] -= conv[N:]
-    return out.astype("int64") % p.q
+        conv[j] = np.convolve(xj, yj)
+    out = conv[:, :N]
+    out[:, : N - 1] -= conv[:, N:]
+    return _mod_q(out.astype("int64"), p.q).T
 
 
 def schoolbook_negacyclic(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -205,13 +219,13 @@ def reference_pwm_columns(x: np.ndarray, y: np.ndarray,
                           p: ModulusParams) -> np.ndarray:
     """reference_pwm of every column pair of x and y."""
     if p.scheme == "dilithium":
-        return x * y % p.q
+        return _mod_q(x * y, p.q)
     import numpy as np
     q, psi = p.q, _basemul_psi(p)
     out = np.empty_like(x)
     a0, a1, b0, b1 = x[0::2], x[1::2], y[0::2], y[1::2]
-    out[0::2] = (a0 * b0 + a1 * b1 % q * psi) % q
-    out[1::2] = (a0 * b1 + a1 * b0) % q
+    out[0::2] = _mod_q(a0 * b0 + _mod_q(a1 * b1, q) * psi, q)
+    out[1::2] = _mod_q(a0 * b1 + a1 * b0, q)
     return out
 
 

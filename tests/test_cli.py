@@ -343,12 +343,16 @@ def test_draw_trials_equals_polynomial_random(monkeypatch):
     calls = []  # getrandbits calls of each trial rng _draw_trials builds
 
     class CountingRandom(random.Random):
+        """Counts its getrandbits calls in its own slot of calls, so
+        calls made after later rngs are built still count as its own."""
+
         def __init__(self, x):
             super().__init__(x)
+            self.slot = len(calls)
             calls.append(0)
 
         def getrandbits(self, k):
-            calls[-1] += 1
+            calls[self.slot] += 1
             return super().getrandbits(k)
 
     monkeypatch.setattr(kdntt.cli, "random",

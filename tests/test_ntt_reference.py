@@ -13,6 +13,7 @@ from kdntt.ntt_reference import (
     DOMAIN_NORMAL,
     DOMAIN_NTT_BR,
     Polynomial,
+    _mod_q,
     as_columns,
     bit_reverse,
     direct_intt,
@@ -178,6 +179,23 @@ def test_direct_transforms_are_exact_at_the_centring_extremes():
         assert all(c.dtype == np.int64 for c in cols)
         for poly in (direct_ntt(a, p), direct_intt(direct_ntt(b, p), p)):
             assert all(type(c) is int for c in poly.coeffs)
+
+
+def test_mod_q_is_pythons_remainder():
+    """The oracles' floor-division reduction equals Python's % on int64
+    values at the edges (0, +-1, +-(q-1), +-q, +-(q+1), +-2**52,
+    +-(2**53-1)) and on 10 000 seeded values, for both moduli, and
+    returns int64 in [0, q)."""
+    rng = np.random.default_rng(0x38)
+    for p in SCHEMES.values():
+        q = p.q
+        edges = [0, 1, q - 1, q, q + 1, 2**52, 2**53 - 1]
+        values = edges + [-v for v in edges] + rng.integers(
+            -2**53, 2**53, 10_000).tolist()
+        got = _mod_q(np.array(values, np.int64), q)
+        assert got.dtype == np.int64
+        assert got.min() >= 0 and got.max() < q
+        assert got.tolist() == [v % q for v in values], q
 
 
 def test_schoolbook_identity_and_wraparound():
